@@ -1,11 +1,15 @@
 """Linear properties of distributions and the tester's feasibility question.
 
 A linear property is the projection of a polyhedron ``Ax <= b`` onto its first
-``n`` coordinates, which are read as a pmf.  Given the tester's high-mass
-estimate, :func:`build_feasibility_lp` assembles the slack-linearized system
-whose feasibility answers "is there a member of the property close to the
-surrogate distribution with its heavy elements inside H?", and
-:func:`lp_feasible` decides it with a phase-1 feasibility solve.
+``n`` coordinates, which are read as a pmf.  :func:`fold_property` folds the
+property's singleton rows into variable bounds once and keeps the other rows
+as sparse triplets.  Given the tester's high-mass estimate,
+:func:`build_feasibility_lp` appends the slack-linearized rows whose
+feasibility answers "is there a member of the property close to the
+surrogate distribution with its heavy elements inside H?".
+:func:`lp_feasible` and :func:`feasibility_report` pass every system to the
+solve seam :func:`disttest.simplex.solve_feasibility`, which picks the
+backend.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .core import Distribution
 from .errors import ParameterError, StructureError
-from .simplex import FEAS_TOL, extract_bounds, solve_feasibility
+from .simplex import FEAS_TOL, Triplets, extract_bounds, solve_feasibility
 
 EPS_STRICT = 1e-12
 
@@ -118,12 +122,69 @@ class LinearProperty:
         return lp_feasible(merged)
 
 
+@dataclass(frozen=True, eq=False)
+class SparseSystem:
+    """The system ``A x <= b, lower <= x <= upper``, with ``A`` as COO :class:`Triplets`."""
+
+    A: Triplets
+    b: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def M(self) -> int:
+        return int(self.A.shape[0])
+
+    @property
+    def N(self) -> int:
+        return int(self.A.shape[1])
+
+    def digest(self) -> str:
+        h = hashlib.sha256(repr(self.A.shape).encode())
+        for part in (self.A.rows, self.A.cols, self.A.vals, self.b, self.lower, self.upper):
+            h.update(np.ascontiguousarray(part).tobytes())
+        return h.hexdigest()[:16]
+
+
+def fold_polyhedron(poly: Polyhedron, tol: float = FEAS_TOL) -> SparseSystem:
+    """Shave strict rows by ``EPS_STRICT`` and fold singleton rows into bounds.
+
+    When the folded bounds or a constant row contradict each other, every row
+    stays a row and no bound is set, so the violation reported for the
+    system still measures the raw rows.
+    """
+    b = poly.b.copy()
+    if poly.strict_rows:
+        b[list(poly.strict_rows)] -= EPS_STRICT
+    A, b2, lower, upper, consistent = extract_bounds(poly.A, b, tol=tol)
+    if not consistent:
+        A, b2 = poly.A, b
+        lower = np.full(poly.N, -np.inf)
+        upper = np.full(poly.N, np.inf)
+    return SparseSystem(Triplets.from_dense(A), b2, lower, upper)
+
+
+@dataclass(frozen=True, eq=False)
+class FoldedProperty:
+    """A linear property whose polyhedron has been folded by :func:`fold_polyhedron`."""
+
+    n: int
+    system: SparseSystem
+
+
+def fold_property(prop: LinearProperty, tol: float = FEAS_TOL) -> FoldedProperty:
+    return FoldedProperty(prop.n, fold_polyhedron(prop.poly, tol))
+
+
 @dataclass(frozen=True)
 class FeasibilityInstance:
     """The assembled slack-variable system for one tester step-5 question."""
 
-    poly: Polyhedron
-    var_count: int
+    poly: SparseSystem
+
+    @property
+    def var_count(self) -> int:
+        return self.poly.N
 
 
 def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
@@ -138,38 +199,28 @@ def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
     if not 0.0 <= eps <= 2.0:
         raise ParameterError("eps must lie in [0, 2]")
     N = 2 * n
-    rows = []
-    rhs = []
-
-    budget = np.zeros(N)
-    budget[n:] = 1.0
-    rows.append(budget)
-    rhs.append(float(eps))
-
-    for i in range(N):
-        row = np.zeros(N)
-        row[i] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-
+    # Rows: the slack budget, -z_j <= 0 for every variable, then for each i
+    # the pair z_i - s_i <= 1/n and -z_i - s_i <= -1/n.
+    A = np.zeros((1 + N + 2 * n, N))
+    b = np.zeros(A.shape[0])
+    A[0, n:] = 1.0
+    b[0] = float(eps)
+    A[1 + np.arange(N), np.arange(N)] = -1.0
+    i = np.arange(n)
+    up = 1 + N + 2 * i
+    dn = up + 1
+    A[up, i] = 1.0
+    A[dn, i] = -1.0
+    A[up, n + i] = -1.0
+    A[dn, n + i] = -1.0
     target = 1.0 / n
-    for i in range(n):
-        up = np.zeros(N)
-        up[i] = 1.0
-        up[n + i] = -1.0
-        rows.append(up)
-        rhs.append(target)
-        dn = np.zeros(N)
-        dn[i] = -1.0
-        dn[n + i] = -1.0
-        rows.append(dn)
-        rhs.append(-target)
-
-    return LinearProperty(Polyhedron(np.asarray(rows), np.asarray(rhs)), n)
+    b[up] = target
+    b[dn] = -target
+    return LinearProperty(Polyhedron(A, b), n)
 
 
 def build_feasibility_lp(
-    prop: LinearProperty,
+    prop: LinearProperty | FoldedProperty,
     H: Iterable[int],
     d_tilde: Distribution,
     q: int,
@@ -181,9 +232,13 @@ def build_feasibility_lp(
     (bounding ``|z_i - d_tilde(i)|``), and one tail slack bounding the
     aggregate deviation off H.  Off-H pmf coordinates are forced below
     ``1/q^2``; that strict constraint is encoded closed with an ``EPS_STRICT``
-    shave.
+    shave.  Slack nonnegativity and the off-H cap are variable bounds; the
+    rows are the folded property's rows, the slack budget, two rows per
+    member of H and the two tail rows.  A :class:`LinearProperty` is folded
+    here; pass a :class:`FoldedProperty` to fold it once for many calls.
     """
-    n = prop.n
+    folded = prop if isinstance(prop, FoldedProperty) else fold_property(prop)
+    n = folded.n
     if d_tilde.n != n:
         raise ParameterError(f"d_tilde has {d_tilde.n} entries; property projects to {n}")
     if bound < 0:
@@ -191,112 +246,98 @@ def build_feasibility_lp(
     q = int(q)
     if q < 1:
         raise ParameterError("q must be >= 1")
-    Hs = sorted(int(i) for i in set(H))
-    if Hs and (Hs[0] < 0 or Hs[-1] >= n):
+    Hs = np.unique(np.fromiter(H, dtype=np.int64))
+    if Hs.size and (Hs[0] < 0 or Hs[-1] >= n):
         raise IndexError(f"H contains indices outside [0, {n})")
-    h = len(Hs)
-    N = prop.poly.N
+    base = folded.system
+    h = Hs.size
+    N = base.N
     V = N + h + 1
     tail_col = N + h
-    comp = np.setdiff1d(np.arange(n), np.asarray(Hs, dtype=np.int64))
-    tail_ref = float(d_tilde.pmf[comp].sum()) if comp.size else 0.0
+    comp = np.setdiff1d(np.arange(n), Hs)
+    tail_ref = float(d_tilde.pmf[comp].sum())
+    ref = d_tilde.pmf[Hs]
 
-    rows = []
-    rhs = []
+    # Row m0 is the budget; rows m0+1+2k and m0+2+2k bound |z_Hs[k] - ref[k]|
+    # by slack k; the last two rows bound the off-H total by the tail slack.
+    m0 = base.M
+    up = m0 + 1 + 2 * np.arange(h)
+    dn = up + 1
+    slack = N + np.arange(h)
+    tail_up = m0 + 1 + 2 * h
+    tail_len = comp.size + 1
+    ones_h = np.ones(h)
+    ones_c = np.ones(comp.size)
+    rows = np.concatenate(
+        [base.A.rows, np.full(h + 1, m0), up, up, dn, dn]
+        + [np.full(tail_len, tail_up), np.full(tail_len, tail_up + 1)]
+    )
+    cols = np.concatenate(
+        [base.A.cols, np.arange(N, V), Hs, slack, Hs, slack, comp, [tail_col], comp, [tail_col]]
+    )
+    vals = np.concatenate(
+        [base.A.vals, np.ones(h + 1), ones_h, -ones_h, -ones_h, -ones_h]
+        + [ones_c, [-1.0], -ones_c, [-1.0]]
+    )
+    b = np.concatenate(
+        [base.b, [float(bound)], np.column_stack([ref, -ref]).ravel(), [tail_ref, -tail_ref]]
+    )
+    lower = np.concatenate([base.lower, np.zeros(h + 1)])
+    upper = np.concatenate([base.upper, np.full(h + 1, np.inf)])
+    upper[comp] = np.minimum(upper[comp], 1.0 / (q * q) - EPS_STRICT)
+    A = Triplets(rows, cols, vals, (m0 + 3 + 2 * h, V))
+    return FeasibilityInstance(SparseSystem(A, b, lower, upper))
 
-    base = np.zeros((prop.poly.M, V))
-    base[:, :N] = prop.poly.A
-    rows.extend(base)
-    rhs.extend(prop.poly.b.tolist())
 
-    budget = np.zeros(V)
-    budget[N : N + h + 1] = 1.0
-    rows.append(budget)
-    rhs.append(float(bound))
-
-    for k in range(h + 1):
-        row = np.zeros(V)
-        row[N + k] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-
-    for k, i in enumerate(Hs):
-        ref = float(d_tilde.pmf[i])
-        up = np.zeros(V)
-        up[i] = 1.0
-        up[N + k] = -1.0
-        rows.append(up)
-        rhs.append(ref)
-        dn = np.zeros(V)
-        dn[i] = -1.0
-        dn[N + k] = -1.0
-        rows.append(dn)
-        rhs.append(-ref)
-
-    tail_up = np.zeros(V)
-    tail_up[comp] = 1.0
-    tail_up[tail_col] = -1.0
-    rows.append(tail_up)
-    rhs.append(tail_ref)
-    tail_dn = np.zeros(V)
-    tail_dn[comp] = -1.0
-    tail_dn[tail_col] = -1.0
-    rows.append(tail_dn)
-    rhs.append(-tail_ref)
-
-    cap = 1.0 / (q * q) - EPS_STRICT
-    for j in comp:
-        row = np.zeros(V)
-        row[j] = 1.0
-        rows.append(row)
-        rhs.append(cap)
-
-    poly = Polyhedron(np.asarray(rows), np.asarray(rhs))
-    return FeasibilityInstance(poly=poly, var_count=V)
+def _solve(inst, tol: float, max_iter: int, measure_violation: bool):
+    if isinstance(inst, FeasibilityInstance):
+        system, digest = inst.poly, inst.poly.digest
+    elif isinstance(inst, Polyhedron):
+        system, digest = fold_polyhedron(inst, tol), inst.digest
+    else:
+        raise ParameterError("expected a FeasibilityInstance or Polyhedron")
+    return solve_feasibility(
+        system.A,
+        system.b,
+        system.lower,
+        system.upper,
+        tol=tol,
+        max_iter=max_iter,
+        digest=digest,
+        measure_violation=measure_violation,
+    )
 
 
 def lp_feasible(inst, tol: float = FEAS_TOL, max_iter: int = 10**6) -> bool:
     """True iff the system has a point satisfying every row within ``tol``.
 
-    Decided by a phase-1 artificial-variable method: minimize the total
-    constraint violation and test whether the optimum is <= ``tol``.  Strict
-    rows are relaxed by ``EPS_STRICT`` before solving.
+    Strict rows are relaxed by ``EPS_STRICT`` and singleton rows folded into
+    bounds before the system goes to the solve seam
+    :func:`disttest.simplex.solve_feasibility`; only the verdict is computed.
     """
-    return feasibility_report(inst, tol=tol, max_iter=max_iter).feasible
+    return _solve(inst, tol, max_iter, measure_violation=False).feasible
 
 
 def feasibility_report(inst, tol: float = FEAS_TOL, max_iter: int = 10**6):
-    """Like :func:`lp_feasible` but returns the full solver result."""
-    poly = inst.poly if isinstance(inst, FeasibilityInstance) else inst
-    if not isinstance(poly, Polyhedron):
-        raise ParameterError("expected a FeasibilityInstance or Polyhedron")
-    b = poly.b.copy()
-    if poly.strict_rows:
-        b[list(poly.strict_rows)] -= EPS_STRICT
-    A2, b2, lower, upper, consistent = extract_bounds(poly.A, b, tol=tol)
-    if not consistent:
-        # Contradictory singleton rows: solve the raw system so the reported
-        # violation is still the honest phase-1 optimum.
-        return solve_feasibility(poly.A, b, tol=tol, max_iter=max_iter, digest=poly.digest())
-    return solve_feasibility(
-        A2, b2, lower=lower, upper=upper, tol=tol, max_iter=max_iter, digest=poly.digest()
-    )
+    """Like :func:`lp_feasible` but returns the full solver result, violation measured."""
+    return _solve(inst, tol, max_iter, measure_violation=True)
 
 
 class LinearPropertyOracle:
     """Step-5 oracle for a linear property: assemble the system and decide it.
 
-    Instances are deterministic for fixed inputs and safe for concurrent
-    read-only use.
+    The property is folded once, at construction.  Instances are
+    deterministic for fixed inputs and safe for concurrent read-only use.
     """
 
     def __init__(self, prop: LinearProperty, tol: float = FEAS_TOL, max_iter: int = 10**6):
         self.prop = prop
         self.tol = tol
         self.max_iter = max_iter
+        self.folded = fold_property(prop, tol)
 
     def __call__(self, H, d_tilde: Distribution, q: int, bound: float) -> bool:
-        inst = build_feasibility_lp(self.prop, H, d_tilde, q, bound)
+        inst = build_feasibility_lp(self.folded, H, d_tilde, q, bound)
         return lp_feasible(inst, tol=self.tol, max_iter=self.max_iter)
 
 

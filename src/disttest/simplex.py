@@ -1,19 +1,30 @@
-"""Phase-1 simplex feasibility for systems ``Ax <= b`` with variable bounds.
+"""Feasibility of systems ``Ax <= b`` with variable bounds, decided behind one seam.
 
-The decision procedure is the classic artificial-variable method: start from
-the slack basis, give every violated row an artificial variable equal to its
+Every feasibility question in disttest goes through :func:`solve_feasibility`.
+It takes the rows as a dense matrix or as COO :class:`Triplets` and decides
+the system with the first backend that imports:
+
+- HiGHS's dual simplex, through ``scipy.optimize.linprog(method="highs")``
+  (the optional ``fast`` extra).  scipy is imported inside the seam, so
+  importing disttest does not load it.
+- Otherwise the dense phase-1 simplex in this module, which needs only numpy.
+  The tests also use it as the reference the HiGHS verdicts are compared to.
+
+The dense phase 1 is the classic artificial-variable method: start from the
+slack basis, give every violated row an artificial variable equal to its
 violation, and minimize the total artificial mass.  The system is feasible
-exactly when that minimum is (numerically) zero.
+exactly when that minimum is (numerically) zero.  Pivoting uses Dantzig
+pricing for speed and switches to Bland's rule when the objective stalls,
+which guarantees termination on degenerate instances.
 
-Pivoting uses Dantzig pricing for speed and switches to Bland's rule when the
-objective stalls, which guarantees termination on degenerate instances.
 Singleton rows should be folded into variable bounds with
-:func:`extract_bounds` first; the solver handles general lower/upper bounds,
-including free variables.
+:func:`extract_bounds` first; both backends handle general lower/upper
+bounds, including free variables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +37,72 @@ _RTOL = 1e-10       # reduced-cost threshold for entering columns
 _PTOL = 1e-10       # pivot magnitude threshold
 _STALL_LIMIT = 64   # iterations without progress before switching to Bland
 _REFRESH_EVERY = 128
+_HIGHS_MIN_TOL = 1e-10  # the smallest primal feasibility tolerance HiGHS accepts
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """A feasibility verdict.
+
+    ``violation`` is the least total row violation ``sum(max(Ax - b, 0))``
+    over the points within the bounds; when the bounds themselves cross, it
+    is the widest crossing instead.  A feasible result reports the residual
+    left at ``x``.  On infeasible systems HiGHS measures the minimum with one
+    extra elastic solve, and reports ``nan`` when the caller skipped it.  The
+    dense phase 1 keeps the rows satisfied at its starting point satisfied,
+    so its value there is an upper bound on the minimum, not the minimum.
+    ``iterations`` counts simplex iterations of the feasibility solve.
+    """
+
     feasible: bool
     violation: float
     x: np.ndarray | None
     iterations: int
+
+
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """A sparse matrix of ``shape`` in coordinate form: entry ``(rows[k], cols[k])`` is ``vals[k]``.
+
+    Duplicate coordinates add up.  ``A @ x`` and ``np.asarray(A)`` (the dense
+    scatter) work as they do on the dense matrix.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def from_dense(cls, A) -> "Triplets":
+        A = np.asarray(A, dtype=np.float64)
+        rows, cols = np.nonzero(A != 0.0)
+        return cls(rows, cols, A[rows, cols], A.shape)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.vals.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        A = np.zeros(self.shape)
+        np.add.at(A, (self.rows, self.cols), self.vals)
+        return A if dtype is None else A.astype(dtype, copy=False)
+
+
+def _pinch(lower: np.ndarray, upper: np.ndarray, tol: float) -> float:
+    """Pin each variable whose bounds cross by at most ``tol``; return the widest crossing.
+
+    Nothing is pinned when some crossing is wider than ``tol``.
+    """
+    gap = lower - upper
+    crossed = gap > 0
+    widest = float(gap[crossed].max()) if crossed.any() else 0.0
+    if widest <= tol:
+        upper[crossed] = lower[crossed]
+    return widest
 
 
 def extract_bounds(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL):
@@ -41,36 +110,26 @@ def extract_bounds(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL):
 
     Returns ``(A2, b2, lower, upper, consistent)`` where ``A2 x <= b2`` holds
     the remaining multi-variable rows and ``consistent`` is False when the
-    folded bounds (or a constant row) are already contradictory.
+    folded bounds (or a constant row) are already contradictory.  Bounds
+    that cross by at most ``tol`` pin the variable.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    m, n = A.shape
+    n = A.shape[1]
+    nonzero = A != 0.0
+    count = nonzero.sum(axis=1)
+    consistent = not np.any(b[count == 0] < -tol)
+    single = np.flatnonzero(count == 1)
+    j = nonzero[single].argmax(axis=1) if single.size else single
+    a = A[single, j]
+    bound = b[single] / a
+    up = a > 0
     lower = np.full(n, -np.inf)
     upper = np.full(n, np.inf)
-    keep = []
-    consistent = True
-    for i in range(m):
-        nz = np.flatnonzero(A[i] != 0.0)
-        if nz.size == 0:
-            if b[i] < -tol:
-                consistent = False
-        elif nz.size == 1:
-            j = int(nz[0])
-            a = A[i, j]
-            if a > 0:
-                upper[j] = min(upper[j], b[i] / a)
-            else:
-                lower[j] = max(lower[j], b[i] / a)
-        else:
-            keep.append(i)
-    gap = lower - upper
-    if np.any(gap > tol):
-        consistent = False
-    else:
-        # Bounds that cross by less than the tolerance pin the variable.
-        pinched = gap > 0
-        upper[pinched] = lower[pinched]
+    np.minimum.at(upper, j[up], bound[up])
+    np.maximum.at(lower, j[~up], bound[~up])
+    consistent &= _pinch(lower, upper, tol) <= tol
+    keep = count > 1
     return A[keep], b[keep], lower, upper, consistent
 
 
@@ -83,37 +142,122 @@ def _initial_point(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return x
 
 
+def _name(digest) -> str:
+    return digest() if callable(digest) else digest
+
+
+def _check_residual(A, x, b, lower, upper, tol, digest) -> float:
+    """Total violation of ``x``; raises when a point reported feasible is not."""
+    total = float(np.clip(A @ x - b, 0.0, None).sum())
+    total += float(np.clip(lower - x, 0.0, None).sum())
+    total += float(np.clip(x - upper, 0.0, None).sum())
+    if total > max(100 * tol, 1e-6):
+        raise SolverError("feasible vertex fails residual check", _name(digest))
+    return total
+
+
 def solve_feasibility(
-    A: np.ndarray,
+    A,
     b: np.ndarray,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
     tol: float = FEAS_TOL,
     max_iter: int = 10**6,
-    digest: str = "",
+    digest="",
+    measure_violation: bool = True,
 ) -> FeasibilityResult:
     """Decide whether ``{x : Ax <= b, lower <= x <= upper}`` is nonempty.
 
-    ``violation`` in the result is the phase-1 optimum: the least achievable
-    total constraint violation.  Feasible means ``violation <= tol``.
+    ``A`` is a dense matrix or :class:`Triplets`.  Bounds that cross by at
+    most ``tol`` pin the variable, as in :func:`extract_bounds`.  ``digest``
+    names the instance in a :class:`SolverError`; a callable is only called
+    when one is raised.
+
+    HiGHS decides when scipy imports, the dense phase 1 otherwise.  HiGHS
+    holds every row within ``tol`` (its primal feasibility tolerance, at
+    least 1e-10); phase 1 holds the total violation within ``tol``.  On
+    either backend, reaching ``max_iter`` iterations raises
+    :class:`SolverError`, and so does a feasible point whose total violation
+    exceeds ``max(100 * tol, 1e-6)``.
+
+    ``violation`` is described on :class:`FeasibilityResult`.  With
+    ``measure_violation`` false, HiGHS skips the elastic solve that measures
+    it on infeasible systems.
     """
-    A = np.asarray(A, dtype=np.float64)
+    if not isinstance(A, Triplets):
+        A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     m, n = A.shape
-    if lower is None:
-        lower = np.full(n, -np.inf)
-    if upper is None:
-        upper = np.full(n, np.inf)
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    if np.any(lower > upper):
-        return FeasibilityResult(False, float(np.max(lower - upper)), None, 0)
+    lower = np.full(n, -np.inf) if lower is None else np.array(lower, dtype=np.float64)
+    upper = np.full(n, np.inf) if upper is None else np.array(upper, dtype=np.float64)
+    widest = _pinch(lower, upper, tol)
+    if widest > tol:
+        return FeasibilityResult(False, widest, None, 0)
 
     x0 = _initial_point(lower, upper)
     beta0 = b - A @ x0
-    bad = np.flatnonzero(beta0 < 0.0)
-    if m == 0 or bad.size == 0:
+    if m == 0 or not np.any(beta0 < 0.0):
         return FeasibilityResult(True, 0.0, x0, 0)
+    try:
+        from scipy.optimize import linprog
+    except ImportError:
+        return _phase1(np.asarray(A), b, lower, upper, x0, beta0, tol, max_iter, digest)
+    return _highs(linprog, A, b, lower, upper, tol, max_iter, digest, measure_violation)
+
+
+def _highs(linprog, A, b, lower, upper, tol, max_iter, digest, measure_violation):
+    from scipy.sparse import csr_array
+
+    options = {"primal_feasibility_tolerance": max(tol, _HIGHS_MIN_TOL), "maxiter": max_iter}
+
+    def solve(t: Triplets, c, lo, hi):
+        res = linprog(
+            c,
+            A_ub=csr_array((t.vals, (t.rows, t.cols)), shape=t.shape),
+            b_ub=b,
+            bounds=np.column_stack([lo, hi]),
+            method="highs",
+            options=options,
+        )
+        if res.status == 1:
+            raise SolverError(f"iteration cap {max_iter} exceeded", _name(digest))
+        if res.status not in (0, 2):
+            raise SolverError(f"HiGHS: {res.message}", _name(digest))
+        return res
+
+    t = A if isinstance(A, Triplets) else Triplets.from_dense(A)
+    m, n = t.shape
+    res = solve(t, np.zeros(n), lower, upper)
+    if res.status == 0:
+        violation = _check_residual(t, res.x, b, lower, upper, tol, digest)
+        return FeasibilityResult(True, violation, res.x, int(res.nit))
+    violation = math.nan
+    if measure_violation:
+        # Elastic form: Ax - s <= b with s >= 0, minimising sum(s).
+        k = np.arange(m)
+        elastic = Triplets(
+            np.concatenate([t.rows, k]),
+            np.concatenate([t.cols, n + k]),
+            np.concatenate([t.vals, np.full(m, -1.0)]),
+            (m, n + m),
+        )
+        cost = np.concatenate([np.zeros(n), np.ones(m)])
+        least = solve(
+            elastic,
+            cost,
+            np.concatenate([lower, np.zeros(m)]),
+            np.concatenate([upper, np.full(m, np.inf)]),
+        )
+        if least.status != 0:
+            raise SolverError("elastic solve found no point within the bounds", _name(digest))
+        violation = float(least.fun)
+    return FeasibilityResult(False, violation, None, int(res.nit))
+
+
+def _phase1(A, b, lower, upper, x0, beta0, tol, max_iter, digest) -> FeasibilityResult:
+    """The dense phase-1 simplex from the start point ``x0`` with residuals ``beta0 = b - A x0``."""
+    m, n = A.shape
+    bad = np.flatnonzero(beta0 < 0.0)
 
     k = bad.size
     ncols = n + m + k
@@ -204,7 +348,7 @@ def solve_feasibility(
                 hit_upper = True
 
         if not np.isfinite(theta):
-            raise SolverError("phase-1 descent direction is unblocked", digest)
+            raise SolverError("phase-1 descent direction is unblocked", _name(digest))
         theta = max(theta, 0.0)
 
         if blocker >= 0:
@@ -279,16 +423,12 @@ def solve_feasibility(
             r = refresh_cost_row()
             z = float(beta[is_art[basis]].sum())
         if iters > max_iter:
-            raise SolverError(f"iteration cap {max_iter} exceeded", digest)
+            raise SolverError(f"iteration cap {max_iter} exceeded", _name(digest))
 
     x = vals[:n].copy()
     struct_rows = np.flatnonzero(basis < n)
     x[basis[struct_rows]] = beta[struct_rows]
     feasible = z <= tol
     if feasible:
-        true_violation = float(np.clip(A @ x - b, 0.0, None).sum())
-        true_violation += float(np.clip(lower - x, 0.0, None).sum())
-        true_violation += float(np.clip(x - upper, 0.0, None).sum())
-        if true_violation > max(100 * tol, 1e-6):
-            raise SolverError("feasible vertex fails residual check", digest)
+        _check_residual(A, x, b, lower, upper, tol, digest)
     return FeasibilityResult(bool(feasible), float(max(z, 0.0)), x if feasible else None, iters)

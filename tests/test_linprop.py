@@ -35,7 +35,34 @@ def synthetic_estimate(rng, n, h_size) -> HighEstimate:
     return HighEstimate(H=frozenset(int(i) for i in H), d_tilde=Distribution(pmf), low_mass=low)
 
 
+def uniformity_polyhedron_rows(n: int, eps: float) -> LinearProperty:
+    """Row-by-row construction of the uniformity property, the reference for the vectorised one."""
+    N = 2 * n
+    budget = np.zeros(N)
+    budget[n:] = 1.0
+    rows, rhs = [budget], [float(eps)]
+    for i in range(N):
+        row = np.zeros(N)
+        row[i] = -1.0
+        rows.append(row)
+        rhs.append(0.0)
+    for i in range(n):
+        up = np.zeros(N)
+        up[i], up[n + i] = 1.0, -1.0
+        dn = np.zeros(N)
+        dn[i], dn[n + i] = -1.0, -1.0
+        rows += [up, dn]
+        rhs += [1.0 / n, -1.0 / n]
+    return LinearProperty(Polyhedron(np.asarray(rows), np.asarray(rhs)), n)
+
+
 class TestUniformityPolyhedron:
+    @pytest.mark.parametrize("n", [1, 4, 400])
+    def test_digest_matches_row_construction(self, n):
+        for eps in (0.0, 0.3):
+            want = uniformity_polyhedron_rows(n, eps).poly.digest()
+            assert uniformity_polyhedron(n, eps).poly.digest() == want
+
     def test_eps_zero_projects_to_uniform_only(self):
         prop = uniformity_polyhedron(4, 0.0)
         assert prop.contains(Distribution.uniform(4))

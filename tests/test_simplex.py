@@ -18,7 +18,51 @@ def check_against_oracle(A, b, box=1e4):
     return got
 
 
+def extract_bounds_rows(A, b, tol=1e-9):
+    """Row-by-row singleton folding, the reference for the vectorised ``extract_bounds``."""
+    m, n = A.shape
+    lower = np.full(n, -np.inf)
+    upper = np.full(n, np.inf)
+    keep = []
+    consistent = True
+    for i in range(m):
+        nz = np.flatnonzero(A[i] != 0.0)
+        if nz.size == 0:
+            consistent &= not b[i] < -tol
+        elif nz.size == 1:
+            j = int(nz[0])
+            if A[i, j] > 0:
+                upper[j] = min(upper[j], b[i] / A[i, j])
+            else:
+                lower[j] = max(lower[j], b[i] / A[i, j])
+        else:
+            keep.append(i)
+    gap = lower - upper
+    if np.any(gap > tol):
+        consistent = False
+    else:
+        upper[gap > 0] = lower[gap > 0]
+    return A[keep], b[keep], lower, upper, consistent
+
+
 class TestExtractBounds:
+    def test_matches_row_by_row_folding(self):
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            m, n = int(rng.integers(0, 10)), int(rng.integers(1, 5))
+            A = rng.uniform(-2, 2, size=(m, n)) * (rng.random((m, n)) < 0.4)
+            b = rng.uniform(-2, 2, size=m)
+            if m and rng.random() < 0.3:
+                # Two opposite singletons on one variable, crossing by about tol.
+                A[0], A[-1] = 0.0, 0.0
+                A[0, 0], A[-1, 0] = 1.0, -1.0
+                b[-1] = -b[0] - rng.choice([0.0, 5e-10, 2e-9])
+            got = extract_bounds(A, b)
+            want = extract_bounds_rows(A, b)
+            for g, w in zip(got[:4], want[:4]):
+                assert np.array_equal(g, w)
+            assert got[4] == want[4]
+
     def test_singleton_rows_become_bounds(self):
         A = np.array([[2.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
         b = np.array([4.0, -3.0, 10.0])

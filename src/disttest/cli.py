@@ -12,8 +12,9 @@ summary block (success fraction, mean samples, normal-approximation
 confidence radius) follows the rows.  Everything except the wall_ms column is
 byte-reproducible for a fixed configuration.
 
-``DISTTEST_THREADS`` caps seed-level parallelism; rows are always written in
-(seed, repeat) order.
+``DISTTEST_THREADS`` caps seed-level parallelism (an integer >= 1, default 1;
+any other value is a parameter error, exit code 2); rows are always written
+in (seed, repeat) order.
 """
 
 from __future__ import annotations
@@ -325,8 +326,21 @@ def _run_learn(seed: int, repeats: int, params: dict, digest: str) -> list:
     return records
 
 
+def _thread_cap() -> int:
+    """Seed-level worker count from ``DISTTEST_THREADS``: an integer >= 1, default 1."""
+    raw = os.environ.get("DISTTEST_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ParameterError(f"DISTTEST_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def run_batch(config: ExperimentConfig, stream=None) -> list:
     """Execute the configured runs, write the CSV, and return the records."""
+    workers = _thread_cap()
     digest = params_digest(config.params)
     multiple = len(config.seeds) * config.repeats > 1
 
@@ -341,7 +355,6 @@ def run_batch(config: ExperimentConfig, stream=None) -> list:
             return _run_collision_rate(seed, config.repeats, config.params, digest)
         return _run_learn(seed, config.repeats, config.params, digest)
 
-    workers = int(os.environ.get("DISTTEST_THREADS", "1"))
     if workers > 1 and len(config.seeds) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(config.seeds))) as pool:
             per_seed = list(pool.map(for_seed, config.seeds))

@@ -139,7 +139,8 @@ class SamplingOracle:
     ``source`` is either an explicit :class:`Distribution` or an opaque
     callable ``(generator, size) -> indices`` (in which case ``n`` must be
     given).  Rebuilding an oracle with the same seed and source replays the
-    identical sample sequence.
+    identical sample sequence.  An explicit-pmf draw costs O(log s) for a
+    support of size s.
 
     The oracle is stateful (it owns an RNG position): use one oracle per
     thread of execution, and derive independent oracles with :meth:`split`.
@@ -156,7 +157,12 @@ class SamplingOracle:
             self._dist = source
             self._proc = None
             self._n = source.n
-            cdf = np.cumsum(source.pmf)
+            # The CDF runs over the support atoms only.  Zero-mass entries add
+            # exactly 0.0 to a cumulative sum, so this table is the full-domain
+            # table restricted to the atoms, and side="right" search never
+            # lands on a zero-mass index: the draws are the same, at O(log s).
+            self._atoms = np.flatnonzero(source.pmf > 0.0)
+            cdf = np.cumsum(source.pmf[self._atoms])
             cdf /= cdf[-1]
             self._cdf = cdf
         elif callable(source):
@@ -167,6 +173,7 @@ class SamplingOracle:
             self._dist = None
             self._proc = source
             self._n = int(n)
+            self._atoms = None
             self._cdf = None
         else:
             raise ParameterError("source must be a Distribution or a callable")
@@ -192,7 +199,7 @@ class SamplingOracle:
             return np.empty(0, dtype=np.int64)
         if self._dist is not None:
             u = self._gen.random(m)
-            out = np.searchsorted(self._cdf, u, side="right").astype(np.int64)
+            out = self._atoms[np.searchsorted(self._cdf, u, side="right")]
         else:
             out = np.asarray(self._proc(self._gen, m), dtype=np.int64)
             if out.shape != (m,):
@@ -232,9 +239,7 @@ class SamplingOracle:
 
     def split(self, index: int) -> "SamplingOracle":
         """Independent oracle over the same source, with a derived seed."""
-        child_seed = int(np.random.SeedSequence([self._seed, int(index)]).generate_state(1, np.uint64)[0])
-        source = self._dist if self._dist is not None else self._proc
-        return SamplingOracle(source, child_seed, n=self._n)
+        return SamplingOracle(self.source, derive_seed(self._seed, index), n=self._n)
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -276,6 +276,22 @@ class TestMainEntry:
         assert int(row[5]) > 0
         assert "h_size=" in row[6]
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_thread_cap_exits_2(self, value, small_dist_file, tmp_path, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("disttest.cli.ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("DISTTEST_THREADS", value)
+        out = tmp_path / "o.csv"
+        code = main(
+            ["learn", "--dist", small_dist_file, "--eta", "0", "--delta", "0.5", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "DISTTEST_THREADS" in err and repr(value) in err
+        assert not out.exists()
+
     def test_cli_entry_point_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "disttest.cli", "--help"], capture_output=True, text=True

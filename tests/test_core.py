@@ -11,6 +11,7 @@ from disttest.core import (
     NonConcentrationParams,
     SamplingOracle,
     additive_chernoff_bound,
+    derive_seed,
     draw_samples,
     empirical_distribution,
     high_set,
@@ -290,6 +291,42 @@ class TestSamplingOracle:
         assert not np.array_equal(draws_a, draws_b)
         again = SamplingOracle(d, seed=5).split(0)
         assert np.array_equal(again.draw(100), draws_a)
+
+    def test_split_replays_derived_seed(self):
+        d = Distribution.uniform(10)
+        for i in (0, 1, 7):
+            child = SamplingOracle(d, seed=5).split(i)
+            assert child.seed == derive_seed(5, i)
+            assert np.array_equal(child.draw(100), SamplingOracle(d, derive_seed(5, i)).draw(100))
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            [0.0, 0.0, 0.25, 0.75],
+            [0.1, 0.0, 0.0, 0.3, 0.0, 0.6],
+            [0.5, 0.5, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.5, 1e-300, 0.0, 0.5, 0.0],
+            list(np.arange(1.0, 65.0) / np.arange(1.0, 65.0).sum()),
+        ],
+        ids=["leading", "interior", "trailing", "mass-at-0", "mass-at-last", "tiny-atom", "dense"],
+    )
+    def test_draws_match_full_domain_table(self, pmf):
+        d = Distribution(np.array(pmf))
+        full = np.cumsum(d.pmf)
+        full /= full[-1]
+        for seed in (0, 1, 2, 99, 2**63 + 5):
+            oracle = SamplingOracle(d, seed=seed)
+            gen = np.random.Generator(np.random.PCG64(seed))
+            drawn = 0
+            for m in (1, 0, 1000, 37):
+                expected = np.searchsorted(full, gen.random(m), side="right")
+                got = oracle.draw(m)
+                drawn += m
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected)
+                assert oracle.samples_drawn == drawn
 
     def test_draw_counts_matches_pmf_at_scale(self):
         d = Distribution(np.array([0.7, 0.3]))

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from disttest.core import Distribution, SamplingOracle, l1_distance
+from disttest.core import Distribution, SamplingOracle, _checked_ceil, empirical_distribution, l1_distance
 from disttest.errors import ParameterError
 from disttest.learner import (
     IdentityTestParams,
+    IterationRecord,
     contract_indices,
     identity_test_sample_size,
     learn_adaptive,
@@ -227,3 +228,83 @@ class TestLearnAdaptive:
             learn_adaptive(oracle, eta=2.0, delta=0.5, n=4)
         with pytest.raises(ParameterError):
             learn_adaptive(oracle, eta=1.9, delta=0.5, n=4)  # eta + delta > 2
+
+
+def dense_identity_test(oracle, d_k, params, c_test=8.0):
+    """The plug-in identity test over a dense candidate and a length-n slot map."""
+    supp = d_k.support()
+    m = identity_test_sample_size(int(supp.size), params, c_test)
+    counts = np.bincount(contract_indices(d_k)[oracle.draw(m)], minlength=supp.size + 1)
+    reference = np.concatenate([d_k.pmf[supp], [0.0]])
+    estimate = float(np.abs(counts / m - reference).sum())
+    return Verdict.ACCEPT if estimate <= (params.eps1 + params.eps2) / 2.0 else Verdict.REJECT
+
+
+def dense_learn_adaptive(oracle, eta, delta, n, c_learn=8.0, c_test=8.0):
+    """The adaptive learner with a dense empirical candidate on every guess."""
+    records, total, k, s = [], 0, 0, 1
+    while s <= 2 * n:
+        k += 1
+        params = IdentityTestParams(eta + delta / 2.0, eta + delta, 1.0 / (100.0 * k * k))
+        m_learn = _checked_ceil(c_learn * s / (delta * delta))
+        candidate = empirical_distribution(oracle.draw(m_learn), n)
+        before = oracle.samples_drawn
+        accepted = dense_identity_test(oracle, candidate, params, c_test) is Verdict.ACCEPT
+        test_draws = oracle.samples_drawn - before
+        records.append(IterationRecord(s, m_learn, test_draws, accepted))
+        total += m_learn + test_draws
+        if accepted:
+            return candidate, total, s, tuple(records)
+        s *= 2
+    return None, total, records[-1].guess, tuple(records)
+
+
+class TestSparseMatchesDense:
+    @pytest.mark.parametrize("source", ["support-64-of-10k", "uniform-64", "moving-target"])
+    def test_learn_adaptive_matches_dense_loop(self, source):
+        for seed in range(4):
+            if source == "support-64-of-10k":
+                n = 10**4
+                support = np.random.default_rng(seed).choice(n, size=64, replace=False)
+                make = lambda: SamplingOracle(Distribution.uniform_on(support, n), seed=seed)
+            elif source == "uniform-64":
+                n = 64
+                make = lambda: SamplingOracle(Distribution.uniform(n), seed=seed)
+            else:
+                n = 8
+                make = lambda: SamplingOracle(fresh_index_stream(n), seed=seed, n=n)
+            sparse_oracle, dense_oracle = make(), make()
+            res = learn_adaptive(sparse_oracle, eta=0.0, delta=0.5, n=n)
+            dist, total, final_guess, records = dense_learn_adaptive(dense_oracle, 0.0, 0.5, n)
+            assert res.iterations == records
+            assert res.total_samples == total == sparse_oracle.samples_drawn
+            assert res.final_guess == final_guess
+            assert res.learned == (dist is not None) == (source != "moving-target")
+            if dist is not None:
+                assert res.distribution.pmf.tobytes() == dist.pmf.tobytes()
+
+    def test_tol_identity_test_matches_dense_with_interior_zeros(self):
+        pmf = np.zeros(12)
+        pmf[[1, 4, 6, 9]] = [0.1, 0.2, 0.3, 0.4]
+        d_k = Distribution(pmf)
+        # The same masses one index below each atom: at L1 distance 2, but
+        # every draw falls just below an atom of d_k.
+        shadow = Distribution(np.roll(pmf, -1))
+        params = IdentityTestParams(0.1, 0.5, 0.05)
+        verdicts = set()
+        for truth in (d_k, shadow, Distribution.uniform(12), Distribution.uniform_on([1, 3, 4, 11], 12)):
+            for seed in range(10):
+                sparse_oracle, dense_oracle = SamplingOracle(truth, seed), SamplingOracle(truth, seed)
+                verdict = tol_identity_test(sparse_oracle, d_k, params)
+                assert verdict is dense_identity_test(dense_oracle, d_k, params)
+                assert sparse_oracle.samples_drawn == dense_oracle.samples_drawn
+                verdicts.add(verdict)
+        assert verdicts == {Verdict.ACCEPT, Verdict.REJECT}
+
+    def test_domain_mismatch_rejected(self):
+        oracle = SamplingOracle(Distribution.uniform(4), seed=0)
+        for n in (3, 5):
+            with pytest.raises(ParameterError):
+                learn_adaptive(oracle, eta=0.0, delta=0.5, n=n)
+        with pytest.raises(ParameterError):
+            tol_identity_test(oracle, Distribution.uniform(5), IdentityTestParams(0.1, 0.5, 0.05))

@@ -28,9 +28,9 @@ print(f"d_no still non-concentrated? {is_non_concentrated(pair.d_no, params)}")
 
 report = verify_adversarial(pair)
 print(f"structural checks pass: {report.passed}")
-print(f"largest conservation residual: {max(report.conservation_residuals):.1e}")
+print(f"largest conservation residual: {report.conservation_residuals.max():.1e}")
 print(f"per-pair mass cap 2(1-2a)/((1-2b)n) = {report.pair_bound:.4f}, "
-      f"largest observed pair mass = {max(report.pair_sums):.4f}\n")
+      f"largest observed pair mass = {report.pair_sums.max():.4f}\n")
 
 # General construction: the merge side is random, proportional to mass, which
 # preserves the single-draw law of every pair exactly.

@@ -8,13 +8,15 @@ endpoint at random with probability proportional to its mass, which keeps the
 single-draw law of every pair identical between ``d_yes`` and the ``d_no``
 ensemble.  ``d_no`` loses a ``floor(beta*n)``-sized chunk of its support, so
 it cannot be non-concentrated.
+
+Pairings are int64 arrays and every per-pair step is whole-array numpy work:
+:func:`build_pairing` costs O(n log n) for its sort, the rest O(k) for k pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,23 +26,33 @@ from .errors import ParameterError, StructureError
 CONSERVATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """A perfect matching on the low-mass set L."""
+def _indices(values) -> np.ndarray:
+    """Read-only int64 copy of ``values``, which must be non-negative integers."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        idx = raw.astype(np.int64)
+    if not np.array_equal(raw, idx) or (idx < 0).any():
+        raise StructureError("pairing indices must be non-negative integers")
+    idx.flags.writeable = False
+    return idx
 
-    L: tuple
-    pairs: tuple
+
+@dataclass(frozen=True, eq=False)
+class Pairing:
+    """A perfect matching on the low-mass set L, both fields read-only int64
+    copies of what is given: ``L`` of shape (2k,), ``pairs`` of shape (k, 2)."""
+
+    L: np.ndarray
+    pairs: np.ndarray
 
     def __post_init__(self):
-        L = tuple(int(i) for i in self.L)
-        pairs = tuple((int(x), int(y)) for x, y in self.pairs)
-        flat = [i for pair in pairs for i in pair]
-        if len(L) != 2 * len(pairs) or len(L) % 2 != 0 or not pairs:
+        L = _indices(self.L)
+        pairs = _indices(self.pairs)
+        if L.shape != (pairs.size,) or pairs.shape[1:] != (2,) or not pairs.size:
             raise StructureError("pairs must cover L with floor(beta*n) disjoint pairs")
-        if len(set(flat)) != len(flat) or set(flat) != set(L):
+        flat = np.sort(pairs, axis=None)
+        if (flat[1:] <= flat[:-1]).any() or not np.array_equal(flat, np.sort(L)):
             raise StructureError("pairs must partition L into disjoint pairs")
-        if any(x == y for x, y in pairs):
-            raise StructureError("a pair may not repeat an index")
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "pairs", pairs)
 
@@ -51,10 +63,13 @@ class Pairing:
     def pair_ids(self, n: int) -> np.ndarray:
         """Length-n lookup: index -> pair number, or -1 off L."""
         ids = np.full(n, -1, dtype=np.int64)
-        for t, (x, y) in enumerate(self.pairs):
-            ids[x] = t
-            ids[y] = t
+        ids[self.pairs] = np.arange(self.size)[:, None]
         return ids
+
+
+def _check_domain(pairing: Pairing, n: int) -> None:
+    if pairing.L.min() < 0 or pairing.L.max() >= n:
+        raise StructureError("pairing indices outside the domain")
 
 
 @dataclass(frozen=True)
@@ -73,8 +88,7 @@ class AdversarialPair:
     def __post_init__(self):
         if self.d_yes.n != self.d_no.n:
             raise StructureError("d_yes and d_no must share a domain")
-        if max(self.pairing.L) >= self.d_yes.n:
-            raise StructureError("pairing indices outside the domain")
+        _check_domain(self.pairing, self.d_yes.n)
 
 
 def build_pairing(d_yes: Distribution, beta: float, rng: np.random.Generator | None = None) -> Pairing:
@@ -90,26 +104,19 @@ def build_pairing(d_yes: Distribution, beta: float, rng: np.random.Generator | N
     k = int(math.floor(beta * d_yes.n))
     if k < 1:
         raise ParameterError(f"beta*n rounds below one pair (beta={beta}, n={d_yes.n})")
-    order = np.lexsort((np.arange(d_yes.n), d_yes.pmf))
-    L = order[: 2 * k]
+    L = np.argsort(d_yes.pmf, kind="stable")[: 2 * k]
     if rng is not None:
         L = rng.permutation(L)
-    pairs = tuple((int(L[2 * t]), int(L[2 * t + 1])) for t in range(k))
-    return Pairing(L=tuple(int(i) for i in L), pairs=pairs)
-
-
-def _validate_pairing(d_yes: Distribution, pairing: Pairing) -> None:
-    if max(pairing.L) >= d_yes.n or min(pairing.L) < 0:
-        raise StructureError("pairing indices outside the domain of d_yes")
+    return Pairing(L=L, pairs=L.reshape(k, 2))
 
 
 def dno_label_invariant(d_yes: Distribution, pairing: Pairing) -> Distribution:
     """Merge each pair's mass into its first endpoint, zeroing the second."""
-    _validate_pairing(d_yes, pairing)
+    _check_domain(pairing, d_yes.n)
+    x, y = pairing.pairs.T
     pmf = d_yes.pmf.copy()
-    for x, y in pairing.pairs:
-        pmf[x] = d_yes.pmf[x] + d_yes.pmf[y]
-        pmf[y] = 0.0
+    pmf[x] = d_yes.pmf[x] + d_yes.pmf[y]
+    pmf[y] = 0.0
     return Distribution(pmf)
 
 
@@ -120,29 +127,31 @@ def dno_general(d_yes: Distribution, pairing: Pairing, rng: np.random.Generator)
     probability ``d_yes(x) / (d_yes(x) + d_yes(y))``.  Pairs with zero total
     mass merge into ``x`` by convention.
     """
-    _validate_pairing(d_yes, pairing)
-    pmf = d_yes.pmf.copy()
+    _check_domain(pairing, d_yes.n)
     coins = rng.random(pairing.size)
-    for t, (x, y) in enumerate(pairing.pairs):
-        total = d_yes.pmf[x] + d_yes.pmf[y]
-        if total <= 0.0 or coins[t] < d_yes.pmf[x] / total:
-            pmf[x] = total
-            pmf[y] = 0.0
-        else:
-            pmf[x] = 0.0
-            pmf[y] = total
+    x, y = pairing.pairs.T
+    px = d_yes.pmf[x]
+    total = px + d_yes.pmf[y]
+    with np.errstate(invalid="ignore"):
+        to_x = (total <= 0.0) | (coins < px / total)
+    pmf = d_yes.pmf.copy()
+    pmf[x] = np.where(to_x, total, 0.0)
+    pmf[y] = np.where(to_x, 0.0, total)
     return Distribution(pmf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Structural checks for an adversarial pair; failures are reported, not thrown."""
+    """Structural checks for an adversarial pair; failures are reported, not thrown.
 
-    conservation_residuals: tuple
+    ``conservation_residuals`` and ``pair_sums`` are read-only float64 arrays
+    of shape (k,), one entry per row of ``pairing.pairs``."""
+
+    conservation_residuals: np.ndarray
     conservation_ok: bool
     one_zero_ok: bool
     pair_bound: float
-    pair_sums: tuple
+    pair_sums: np.ndarray
     pair_bound_ok: bool
     off_l_ok: bool
     support_size: int
@@ -163,52 +172,44 @@ def verify_adversarial(pair: AdversarialPair) -> VerificationReport:
     n = pair.d_yes.n
     a, b = pair.params.alpha, pair.params.beta
 
-    residuals = []
-    sums = []
-    one_zero = True
-    for x, y in pair.pairing.pairs:
-        merged = no[x] + no[y]
-        residuals.append(abs(merged - (yes[x] + yes[y])))
-        sums.append(merged)
-        if (no[x] == 0.0) == (no[y] == 0.0):
-            one_zero = False
-    conservation_ok = max(residuals) <= CONSERVATION_TOL
+    x, y = pair.pairing.pairs.T
+    sums = no[x] + no[y]
+    residuals = np.abs(sums - (yes[x] + yes[y]))
+    sums.flags.writeable = residuals.flags.writeable = False
+    one_zero = bool(((no[x] == 0.0) != (no[y] == 0.0)).all())
+    conservation_ok = bool(residuals.max() <= CONSERVATION_TOL)
 
     bound = 2.0 * (1.0 - 2.0 * a) / ((1.0 - 2.0 * b) * n)
-    pair_bound_ok = all(s <= bound + CONSERVATION_TOL for s in sums)
+    pair_bound_ok = bool((sums <= bound + CONSERVATION_TOL).all())
 
     off = np.ones(n, dtype=bool)
-    off[list(pair.pairing.L)] = False
+    off[pair.pairing.L] = False
     off_l_ok = bool(np.array_equal(yes[off], no[off]))
 
     support_size = int(np.count_nonzero(no))
     support_limit = n - int(math.floor(b * n))
     support_ok = support_size <= support_limit
 
-    failures = []
-    if not conservation_ok:
-        failures.append("pair mass not conserved")
-    if not one_zero:
-        failures.append("some pair does not have exactly one zero endpoint")
-    if not pair_bound_ok:
-        failures.append("per-pair mass bound violated")
-    if not off_l_ok:
-        failures.append("d_yes and d_no disagree off L")
-    if not support_ok:
-        failures.append("support size exceeds (1 - beta)n budget")
+    checks = (
+        (conservation_ok, "pair mass not conserved"),
+        (one_zero, "some pair does not have exactly one zero endpoint"),
+        (pair_bound_ok, "per-pair mass bound violated"),
+        (off_l_ok, "d_yes and d_no disagree off L"),
+        (support_ok, "support size exceeds (1 - beta)n budget"),
+    )
 
     return VerificationReport(
-        conservation_residuals=tuple(residuals),
+        conservation_residuals=residuals,
         conservation_ok=conservation_ok,
         one_zero_ok=one_zero,
         pair_bound=bound,
-        pair_sums=tuple(sums),
+        pair_sums=sums,
         pair_bound_ok=pair_bound_ok,
         off_l_ok=off_l_ok,
         support_size=support_size,
         support_limit=support_limit,
         support_ok=support_ok,
-        failures=tuple(failures),
+        failures=tuple(message for ok, message in checks if not ok),
     )
 
 
@@ -245,12 +246,10 @@ def relabel(pair: AdversarialPair, rng: np.random.Generator) -> AdversarialPair:
     no = np.empty(n)
     yes[perm] = pair.d_yes.pmf
     no[perm] = pair.d_no.pmf
-    pairs = tuple((int(perm[x]), int(perm[y])) for x, y in pair.pairing.pairs)
-    L = tuple(int(perm[i]) for i in pair.pairing.L)
     return AdversarialPair(
         d_yes=Distribution(yes),
         d_no=Distribution(no),
-        pairing=Pairing(L=L, pairs=pairs),
+        pairing=Pairing(L=perm[pair.pairing.L], pairs=perm[pair.pairing.pairs]),
         params=pair.params,
     )
 
@@ -285,5 +284,6 @@ def collision_rate(
 
 def pair_collision_bound(d: Distribution, pairing: Pairing, m: int) -> float:
     """Union bound m^2 * p_max / 2 on the same-pair collision probability."""
-    p_max = max(float(d.pmf[x] + d.pmf[y]) for x, y in pairing.pairs)
+    x, y = pairing.pairs.T
+    p_max = float((d.pmf[x] + d.pmf[y]).max())
     return min(1.0, m * m * p_max / 2.0)

@@ -253,7 +253,7 @@ def _run_gen_adversarial(
                     "support_size": report.support_size,
                     "support_limit": report.support_limit,
                     "pair_bound": report.pair_bound,
-                    "max_residual": max(report.conservation_residuals),
+                    "max_residual": report.conservation_residuals.max(),
                 },
                 wall,
                 report.passed,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,47 @@ class TestPairing:
             Pairing(L=(0, 1, 2, 3), pairs=((0, 1), (1, 2)))
         with pytest.raises(StructureError):
             Pairing(L=(0, 1), pairs=((0, 0),))
+        with pytest.raises(StructureError):
+            Pairing(L=(0, 1, 1, 2), pairs=((0, 1), (1, 2)))
+        with pytest.raises(StructureError):
+            Pairing(L=(0, 1, 2), pairs=((0, 1, 2),))
+        with pytest.raises(StructureError):
+            Pairing(L=(), pairs=())
+
+    @pytest.mark.parametrize(
+        "L, pairs",
+        [
+            ((-1, 0), ((-1, 0),)),
+            ((0, 1, -2, 3), ((0, 1), (-2, 3))),
+            ((0.7, 1.2), ((0.2, 1.9),)),
+            ((0, 1), ((0, 1.5),)),
+            ((0, np.nan), ((0, np.nan),)),
+        ],
+    )
+    def test_negative_and_non_integral_indices_rejected(self, L, pairs):
+        with pytest.raises(StructureError, match="non-negative integers"):
+            Pairing(L=L, pairs=pairs)
+
+    def test_fields_are_read_only_int64_copies(self):
+        L = np.array([3, 1, 0, 2])
+        p = Pairing(L=L, pairs=L.reshape(2, 2))
+        L[0] = 9
+        assert p.L.dtype == p.pairs.dtype == np.int64
+        assert p.L.tolist() == [3, 1, 0, 2] and p.pairs.tolist() == [[3, 1], [0, 2]]
+        with pytest.raises(ValueError):
+            p.pairs[0, 0] = 5
+        with pytest.raises(ValueError):
+            p.L[0] = 5
+
+    def test_indices_outside_the_domain_rejected(self):
+        d = Distribution.uniform(4)
+        pairing = Pairing(L=(0, 1, 2, 4), pairs=((0, 1), (2, 4)))
+        with pytest.raises(StructureError, match="outside the domain"):
+            AdversarialPair(d_yes=d, d_no=d, pairing=pairing, params=NonConcentrationParams(0.2, 0.25))
+        with pytest.raises(StructureError, match="outside the domain"):
+            dno_label_invariant(d, pairing)
+        with pytest.raises(StructureError, match="outside the domain"):
+            dno_general(d, pairing, np.random.default_rng(0))
 
     def test_low_mass_bound_on_non_concentrated_instances(self, rng):
         # Every element of L obeys the (1-2a)/((1-2b)n) mass cap whenever the
@@ -272,3 +315,158 @@ class TestCollisionRate:
             collision_rate(d, pairing, m=1, trials=10, rng=np.random.default_rng(0))
         with pytest.raises(ParameterError):
             collision_rate(d, pairing, m=2, trials=0, rng=np.random.default_rng(0))
+
+
+# Per-pair loop versions of the adversarial layer on tuples of Python ints:
+# the reference the vectorised code must reproduce bit for bit.
+def loop_build_pairing(pmf, beta, rng=None):
+    k = int(math.floor(beta * len(pmf)))
+    L = np.lexsort((np.arange(len(pmf)), pmf))[: 2 * k]
+    if rng is not None:
+        L = rng.permutation(L)
+    return tuple(int(i) for i in L), tuple((int(L[2 * t]), int(L[2 * t + 1])) for t in range(k))
+
+
+def loop_pair_ids(pairs, n):
+    ids = np.full(n, -1, dtype=np.int64)
+    for t, (x, y) in enumerate(pairs):
+        ids[x] = t
+        ids[y] = t
+    return ids
+
+
+def loop_dno_label_invariant(yes, pairs):
+    pmf = yes.copy()
+    for x, y in pairs:
+        pmf[x] = yes[x] + yes[y]
+        pmf[y] = 0.0
+    return pmf
+
+
+def loop_dno_general(yes, pairs, rng):
+    pmf = yes.copy()
+    coins = rng.random(len(pairs))
+    for t, (x, y) in enumerate(pairs):
+        total = yes[x] + yes[y]
+        if total <= 0.0 or coins[t] < yes[x] / total:
+            pmf[x], pmf[y] = total, 0.0
+        else:
+            pmf[x], pmf[y] = 0.0, total
+    return pmf
+
+
+def loop_verify(yes, no, L, pairs, a, b):
+    n = len(yes)
+    residuals, sums, one_zero = [], [], True
+    for x, y in pairs:
+        merged = no[x] + no[y]
+        residuals.append(abs(merged - (yes[x] + yes[y])))
+        sums.append(merged)
+        if (no[x] == 0.0) == (no[y] == 0.0):
+            one_zero = False
+    bound = 2.0 * (1.0 - 2.0 * a) / ((1.0 - 2.0 * b) * n)
+    off = np.ones(n, dtype=bool)
+    off[list(L)] = False
+    failures = []
+    if max(residuals) > 1e-12:
+        failures.append("pair mass not conserved")
+    if not one_zero:
+        failures.append("some pair does not have exactly one zero endpoint")
+    if not all(s <= bound + 1e-12 for s in sums):
+        failures.append("per-pair mass bound violated")
+    if not np.array_equal(yes[off], no[off]):
+        failures.append("d_yes and d_no disagree off L")
+    if np.count_nonzero(no) > n - int(math.floor(b * n)):
+        failures.append("support size exceeds (1 - beta)n budget")
+    return np.array(residuals), np.array(sums), tuple(failures)
+
+
+def loop_relabel(yes, no, L, pairs, rng):
+    perm = rng.permutation(len(yes))
+    new_yes, new_no = np.empty(len(yes)), np.empty(len(yes))
+    new_yes[perm] = yes
+    new_no[perm] = no
+    new_pairs = tuple((int(perm[x]), int(perm[y])) for x, y in pairs)
+    return new_yes, new_no, tuple(int(perm[i]) for i in L), new_pairs
+
+
+def loop_pair_collision_bound(pmf, pairs, m):
+    return min(1.0, m * m * max(float(pmf[x] + pmf[y]) for x, y in pairs) / 2.0)
+
+
+def same_bytes(array, reference, dtype):
+    return array.dtype == dtype and array.tobytes() == np.asarray(reference, dtype=dtype).tobytes()
+
+
+def assert_matches_loop(d, params, seed):
+    """Run every vectorised step and its loop version on twin generators."""
+    m = 25
+    fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for shuffled in (False, True):
+        pairing = build_pairing(d, params.beta, fast_rng if shuffled else None)
+        L, pairs = loop_build_pairing(d.pmf, params.beta, loop_rng if shuffled else None)
+        assert same_bytes(pairing.L, L, np.int64) and same_bytes(pairing.pairs, pairs, np.int64)
+        assert pairing.pairs.shape == (len(pairs), 2)
+        assert same_bytes(pairing.pair_ids(d.n), loop_pair_ids(pairs, d.n), np.int64)
+        assert pair_collision_bound(d, pairing, m) == loop_pair_collision_bound(d.pmf, pairs, m)
+
+        merged = dno_label_invariant(d, pairing)
+        assert same_bytes(merged.pmf, loop_dno_label_invariant(d.pmf, pairs), np.float64)
+        general = dno_general(d, pairing, fast_rng)
+        assert same_bytes(general.pmf, loop_dno_general(d.pmf, pairs, loop_rng), np.float64)
+
+        pair = AdversarialPair(d_yes=d, d_no=general, pairing=pairing, params=params)
+        report = verify_adversarial(pair)
+        residuals, sums, failures = loop_verify(d.pmf, general.pmf, L, pairs, params.alpha, params.beta)
+        assert same_bytes(report.conservation_residuals, residuals, np.float64)
+        assert same_bytes(report.pair_sums, sums, np.float64)
+        assert report.failures == failures
+
+        moved = relabel(pair, fast_rng)
+        yes, no, moved_L, moved_pairs = loop_relabel(d.pmf, general.pmf, L, pairs, loop_rng)
+        assert same_bytes(moved.d_yes.pmf, yes, np.float64)
+        assert same_bytes(moved.d_no.pmf, no, np.float64)
+        assert same_bytes(moved.pairing.L, moved_L, np.int64)
+        assert same_bytes(moved.pairing.pairs, moved_pairs, np.int64)
+    assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+class TestMatchesLoopVersions:
+    def test_mass_ties_keep_the_lexsort_order(self):
+        pmf = np.arange(60) % 7 + 1.0
+        pmf[[5, 17, 40]] = 0.0
+        d = Distribution(pmf / pmf.sum())
+        for seed in range(3):
+            assert_matches_loop(d, NonConcentrationParams(0.1, 0.4), seed)
+
+    def test_zero_total_pairs_merge_into_x(self):
+        pmf = np.zeros(40)
+        pmf[::3] = 1.0
+        d = Distribution(pmf / pmf.sum())
+        pairing = build_pairing(d, 0.3, None)
+        x, y = pairing.pairs.T
+        assert (d.pmf[x] + d.pmf[y] == 0.0).sum() >= 10
+        general = dno_general(d, pairing, np.random.default_rng(4))
+        reference = loop_dno_general(d.pmf, pairing.pairs.tolist(), np.random.default_rng(4))
+        assert same_bytes(general.pmf, reference, np.float64)
+        assert_matches_loop(d, NonConcentrationParams(0.1, 0.3), 4)
+
+    def test_corrupted_bundle_trips_every_failure(self):
+        d = Distribution.uniform(8)
+        pairing = Pairing(L=(0, 1, 2, 3), pairs=((0, 1), (2, 3)))
+        no = np.array([0.3, 0.1, 0.05, 0.05, 0.125, 0.125, 0.2, 0.05])
+        params = NonConcentrationParams(0.25, 0.25)
+        bad = AdversarialPair(d_yes=d, d_no=Distribution(no), pairing=pairing, params=params)
+        report = verify_adversarial(bad)
+        residuals, sums, failures = loop_verify(d.pmf, no, pairing.L, pairing.pairs.tolist(), 0.25, 0.25)
+        assert len(report.failures) == 5
+        assert report.failures == failures
+        assert same_bytes(report.conservation_residuals, residuals, np.float64)
+        assert same_bytes(report.pair_sums, sums, np.float64)
+        with pytest.raises(ValueError):
+            report.pair_sums[0] = 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_exponential_source_at_n_10_4(self, seed):
+        raw = np.random.default_rng(seed).exponential(size=10**4)
+        assert_matches_loop(Distribution(raw / raw.sum()), NonConcentrationParams(0.1, 0.25), seed)

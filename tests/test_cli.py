@@ -250,6 +250,57 @@ class TestMainEntry:
         assert np.count_nonzero(d_no.pmf) == 80
         assert "pass" in rep.read_text()
 
+    @pytest.mark.parametrize(
+        "args, rows",
+        [
+            (
+                ["gen-adversarial", "--alpha", "0.1", "--beta", "0.25", "--mode", "general", "--permute",
+                 "--seed", "3", "--repeats", "2"],
+                [
+                    "3,0,gen-adversarial,pass,0,support_size=150 support_limit=150 "
+                    "pair_bound=1.600000000000e-02 max_residual=0.000000000000e+00",
+                    "3,1,gen-adversarial,pass,0,support_size=150 support_limit=150 "
+                    "pair_bound=1.600000000000e-02 max_residual=0.000000000000e+00",
+                ],
+            ),
+            (
+                ["gen-adversarial", "--alpha", "0.45", "--beta", "0.45", "--seed", "4"],
+                [
+                    "4,0,gen-adversarial,fail,0,support_size=110 support_limit=110 "
+                    "pair_bound=1.000000000000e-02 max_residual=0.000000000000e+00",
+                ],
+            ),
+            (
+                ["collision-rate", "--beta", "0.25", "--m", "10", "--trials", "500", "--seed", "3",
+                 "--repeats", "2"],
+                [
+                    "3,0,collision-rate,8.800000000000e-02,5000,"
+                    "union_bound=5.037783375315e-01 m=10 trials=500",
+                    "3,1,collision-rate,9.000000000000e-02,5000,"
+                    "union_bound=5.037783375315e-01 m=10 trials=500",
+                ],
+            ),
+            (
+                ["collision-rate", "--beta", "0.25", "--m", "10", "--trials", "500", "--random-pairing",
+                 "--seed", "4"],
+                [
+                    "4,0,collision-rate,7.600000000000e-02,5000,"
+                    "union_bound=4.408060453401e-01 m=10 trials=500",
+                ],
+            ),
+        ],
+    )
+    def test_adversarial_rows_pinned(self, args, rows, tmp_path):
+        # Mass ties (i % 7 + 1) make the rows depend on the tie-break order
+        # of the pairing.  The digest hashes the dist path, so it is dropped
+        # together with wall_ms.
+        dist, out = tmp_path / "ties.json", tmp_path / "o.csv"
+        pmf = np.arange(200) % 7 + 1.0
+        save_distribution(Distribution(pmf / pmf.sum()), dist)
+        main(args + ["--dist", str(dist), "--out", str(out)])
+        fields = [l.split(",") for l in out.read_text().splitlines() if not l.startswith(("#", "seed,"))]
+        assert [",".join(f[:3] + f[4:-1]) for f in fields] == rows
+
     def test_tolerant_test_row_fields(self, dist_file, tmp_path):
         out = tmp_path / "t.csv"
         code = main(

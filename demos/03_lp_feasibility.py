@@ -35,7 +35,7 @@ d_tilde = Distribution(np.array([0.7, 0.1, 0.1, 0.1]))
 est = HighEstimate(H=frozenset({0}), d_tilde=d_tilde, low_mass=0.3)
 exact_uniform = uniformity_polyhedron(n, eps=0.0)
 inst = build_feasibility_lp(exact_uniform, est.H, d_tilde, q=10, bound=0.2)
-print(f"step-5 instance: {inst.poly.M} rows over {inst.var_count} variables")
+print(f"step-5 instance: {inst.poly.M} rows over {inst.poly.N} variables")
 print(f"is some exactly-uniform distribution compatible with the 0.7 spike? "
       f"{lp_feasible(inst)}")
 print("(no: the surrogate is 0.9 away on the combined metric, over the 0.2 budget)")

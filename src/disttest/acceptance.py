@@ -30,6 +30,7 @@ from .core import (
     SamplingOracle,
     additive_chernoff_bound,
     derive_seed,
+    format_field,
     is_non_concentrated,
     l1_distance,
     multiplicative_chernoff_bound,
@@ -46,16 +47,8 @@ def load_config() -> dict:
     return json.loads(text)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12e}"
-
-
 def _metrics(**kv) -> str:
-    return ";".join(f"{k}={_fmt(v)}" for k, v in kv.items())
+    return ";".join(f"{k}={format_field(v)}" for k, v in kv.items())
 
 
 @dataclass(frozen=True)

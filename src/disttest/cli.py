@@ -12,9 +12,17 @@ summary block (success fraction, mean samples, normal-approximation
 confidence radius) follows the rows.  Everything except the wall_ms column is
 byte-reproducible for a fixed configuration.
 
-``DISTTEST_THREADS`` caps seed-level parallelism (an integer >= 1, default 1;
-any other value is a parameter error, exit code 2); rows are always written
-in (seed, repeat) order.
+:data:`COMMANDS` is the one schema of the experiment subcommands: each entry
+holds the help text, the runner and the options, every option with its params
+key and argparse settings.  The parser, the params keys that
+:class:`ExperimentConfig` accepts, the params dict (so ``params_digest``), the
+runners' defaults and the dispatch are all derived from it.  ``accept`` runs
+the acceptance suite and takes only ``--out``.
+
+Seeds must lie in ``[0, 2**64 - 1]``; any other seed is a parameter error
+(exit code 2).  ``DISTTEST_THREADS`` caps seed-level parallelism (an integer
+>= 1, default 1; any other value is a parameter error, exit code 2); rows are
+always written in (seed, repeat) order.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -41,15 +50,16 @@ from .adversarial import (
     verify_adversarial,
 )
 from .core import (
-    Distribution,
+    _SEED_MAX,
     NonConcentrationParams,
     SamplingOracle,
+    format_field,
     l1_distance,
     load_distribution,
     save_distribution,
 )
 from .errors import ParameterError, SolverError, StructureError
-from .learner import learn_adaptive, learn_known_support
+from .learner import DEFAULT_C_LEARN, DEFAULT_C_TEST, learn_adaptive, learn_known_support
 from .linprop import (
     LinearProperty,
     feasibility_report,
@@ -58,35 +68,6 @@ from .linprop import (
     uniformity_polyhedron,
 )
 from .tester import Verdict, derive_params
-
-
-KNOWN_PARAMS = {
-    "tolerant-test": {
-        "dist",
-        "property",
-        "lambda",
-        "gamma1",
-        "gamma2",
-        "c_star",
-        "c_w",
-        "c_z",
-    },
-    "lp-feasible": {"lp"},
-    "gen-adversarial": {"dist", "alpha", "beta", "mode", "out_yes", "out_no", "permute"},
-    "collision-rate": {"dist", "beta", "m", "trials", "random_pairing"},
-    "learn": {"dist", "eta", "delta", "known_s", "c_learn", "c_test"},
-}
-
-
-def _fmt(value) -> str:
-    """Locale-independent CSV field with >= 12 significant digits for floats."""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.12e}"
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -98,13 +79,16 @@ class ExperimentConfig:
     output_path: str | None
 
     def __post_init__(self):
-        if self.subcommand not in KNOWN_PARAMS:
+        if self.subcommand not in COMMANDS:
             raise ParameterError(f"unknown subcommand {self.subcommand!r}")
         if not self.seeds:
             raise ParameterError("seeds must be nonempty")
+        for seed in self.seeds:
+            if not 0 <= seed <= _SEED_MAX:
+                raise ParameterError(f"seed {seed} outside [0, 2**64 - 1]")
         if self.repeats < 1:
             raise ParameterError("repeats must be >= 1")
-        unknown = set(self.params) - KNOWN_PARAMS[self.subcommand]
+        unknown = set(self.params) - COMMANDS[self.subcommand].keys
         if unknown:
             raise ParameterError(
                 f"unknown parameter keys for {self.subcommand}: {sorted(unknown)}"
@@ -124,7 +108,7 @@ class RunRecord:
     success: bool = True
 
     def row(self) -> list:
-        packed = " ".join(f"{k}={_fmt(v)}" for k, v in self.extras.items())
+        packed = " ".join(f"{k}={format_field(v)}" for k, v in self.extras.items())
         return [
             str(self.seed),
             str(self.repeat),
@@ -133,7 +117,7 @@ class RunRecord:
             self.metric,
             str(self.samples_used),
             packed,
-            _fmt(float(self.wall_ms)),
+            format_field(float(self.wall_ms)),
         ]
 
 
@@ -152,15 +136,24 @@ def _suffixed(path: str, seed: int, repeat: int, multiple: bool) -> str:
     return str(p.with_name(f"{p.stem}.s{seed}.r{repeat}{p.suffix}"))
 
 
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1e3
+
+
 # ----------------------------------------------------------------- runners
+#
+# A runner takes (seed, repeats, params, multiple), where params already holds
+# the schema defaults and ``multiple`` says whether the batch makes more than
+# one run, and yields one (metric, samples_used, extras, wall_ms, success)
+# tuple per repeat.
 
 
-def _run_tolerant_test(seed: int, repeats: int, params: dict, digest: str) -> list:
+def _run_tolerant_test(seed: int, repeats: int, params: dict, multiple: bool):
     from .tester import tolerant_test_detailed
 
     d = load_distribution(params["dist"])
     n = d.n
-    selector = params.get("property", "uniform")
+    selector = params["property"]
     if selector == "uniform":
         prop = uniformity_polyhedron(n, 0.0)
     elif selector.startswith("lp:"):
@@ -176,8 +169,7 @@ def _run_tolerant_test(seed: int, repeats: int, params: dict, digest: str) -> li
     )
     oracle = SamplingOracle(d, seed)
     prop_oracle = linear_property_oracle(prop)
-    records = []
-    for repeat in range(repeats):
+    for _ in range(repeats):
         before = oracle.samples_drawn
         t0 = time.perf_counter()
         try:
@@ -186,27 +178,13 @@ def _run_tolerant_test(seed: int, repeats: int, params: dict, digest: str) -> li
             success = verdict is Verdict.ACCEPT
         except SolverError as exc:
             metric, extras, success = "error", {"solver_digest": exc.digest}, False
-        wall = (time.perf_counter() - t0) * 1000.0
-        records.append(
-            RunRecord(
-                seed,
-                repeat,
-                "tolerant-test",
-                digest,
-                metric,
-                oracle.samples_drawn - before,
-                extras,
-                wall,
-                success,
-            )
-        )
-    return records
+        wall = _ms_since(t0)
+        yield metric, oracle.samples_drawn - before, extras, wall, success
 
 
-def _run_lp_feasible(seed: int, repeats: int, params: dict, digest: str) -> list:
+def _run_lp_feasible(seed: int, repeats: int, params: dict, multiple: bool):
     poly = load_polyhedron(params["lp"])
-    records = []
-    for repeat in range(repeats):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         try:
             rep = feasibility_report(poly)
@@ -215,91 +193,57 @@ def _run_lp_feasible(seed: int, repeats: int, params: dict, digest: str) -> list
             success = rep.feasible
         except SolverError as exc:
             metric, extras, success = "error", {"solver_digest": exc.digest}, False
-        wall = (time.perf_counter() - t0) * 1000.0
-        records.append(
-            RunRecord(seed, repeat, "lp-feasible", digest, metric, 0, extras, wall, success)
-        )
-    return records
+        yield metric, 0, extras, _ms_since(t0), success
 
 
-def _run_gen_adversarial(
-    seed: int, repeats: int, params: dict, digest: str, multiple: bool
-) -> list:
+def _run_gen_adversarial(seed: int, repeats: int, params: dict, multiple: bool):
     d = load_distribution(params["dist"])
     nc = NonConcentrationParams(float(params["alpha"]), float(params["beta"]))
-    mode = params.get("mode", "label-invariant")
-    records = []
     for repeat in range(repeats):
         rng = np.random.default_rng([seed, repeat])
         t0 = time.perf_counter()
-        pair = make_adversarial_pair(d, nc, mode, rng)
+        pair = make_adversarial_pair(d, nc, params["mode"], rng)
         if params.get("permute"):
             pair = relabel(pair, rng)
         report = verify_adversarial(pair)
-        wall = (time.perf_counter() - t0) * 1000.0
+        wall = _ms_since(t0)
         if params.get("out_yes"):
             save_distribution(pair.d_yes, _suffixed(params["out_yes"], seed, repeat, multiple))
         if params.get("out_no"):
             save_distribution(pair.d_no, _suffixed(params["out_no"], seed, repeat, multiple))
-        records.append(
-            RunRecord(
-                seed,
-                repeat,
-                "gen-adversarial",
-                digest,
-                "pass" if report.passed else "fail",
-                0,
-                {
-                    "support_size": report.support_size,
-                    "support_limit": report.support_limit,
-                    "pair_bound": report.pair_bound,
-                    "max_residual": report.conservation_residuals.max(),
-                },
-                wall,
-                report.passed,
-            )
-        )
-    return records
+        extras = {
+            "support_size": report.support_size,
+            "support_limit": report.support_limit,
+            "pair_bound": report.pair_bound,
+            "max_residual": report.conservation_residuals.max(),
+        }
+        yield "pass" if report.passed else "fail", 0, extras, wall, report.passed
 
 
-def _run_collision_rate(seed: int, repeats: int, params: dict, digest: str) -> list:
+def _run_collision_rate(seed: int, repeats: int, params: dict, multiple: bool):
     d = load_distribution(params["dist"])
     beta = float(params["beta"])
     m = int(params["m"])
-    trials = int(params.get("trials", 1000))
-    records = []
+    trials = int(params["trials"])
     for repeat in range(repeats):
         rng = np.random.default_rng([seed, repeat])
         pair_rng = rng if params.get("random_pairing") else None
         t0 = time.perf_counter()
         pairing = build_pairing(d, beta, pair_rng)
         rate = collision_rate(d, pairing, m, trials, rng)
-        wall = (time.perf_counter() - t0) * 1000.0
-        records.append(
-            RunRecord(
-                seed,
-                repeat,
-                "collision-rate",
-                digest,
-                _fmt(rate),
-                m * trials,
-                {"union_bound": pair_collision_bound(d, pairing, m), "m": m, "trials": trials},
-                wall,
-                True,
-            )
-        )
-    return records
+        wall = _ms_since(t0)
+        extras = {"union_bound": pair_collision_bound(d, pairing, m), "m": m, "trials": trials}
+        yield format_field(rate), m * trials, extras, wall, True
 
 
-def _run_learn(seed: int, repeats: int, params: dict, digest: str) -> list:
+def _run_learn(seed: int, repeats: int, params: dict, multiple: bool):
     d = load_distribution(params["dist"])
     eta = float(params["eta"])
     delta = float(params["delta"])
-    c_learn = float(params.get("c_learn", 8.0))
-    c_test = float(params.get("c_test", 8.0))
+    c_learn = float(params.get("c_learn", DEFAULT_C_LEARN))
+    c_test = float(params.get("c_test", DEFAULT_C_TEST))
     oracle = SamplingOracle(d, seed)
-    records = []
-    for repeat in range(repeats):
+    for _ in range(repeats):
         before = oracle.samples_drawn
         t0 = time.perf_counter()
         if params.get("known_s") is not None:
@@ -308,22 +252,126 @@ def _run_learn(seed: int, repeats: int, params: dict, digest: str) -> list:
         else:
             res = learn_adaptive(oracle, eta, delta, d.n, c_learn, c_test)
             outcome, final_guess, dist = res.outcome, res.final_guess, res.distribution
-        wall = (time.perf_counter() - t0) * 1000.0
+        wall = _ms_since(t0)
         measured = l1_distance(d, dist) if dist is not None else float("nan")
-        records.append(
-            RunRecord(
-                seed,
-                repeat,
-                "learn",
-                digest,
-                outcome,
-                oracle.samples_drawn - before,
-                {"final_guess": final_guess, "measured_l1": measured},
-                wall,
-                outcome == "Learned",
-            )
-        )
-    return records
+        extras = {"final_guess": final_guess, "measured_l1": measured}
+        yield outcome, oracle.samples_drawn - before, extras, wall, outcome == "Learned"
+
+
+# ------------------------------------------------------------------ schema
+
+
+@dataclass(frozen=True)
+class Option:
+    """One command-line option: the params key it fills, its flag and its argparse settings.
+
+    ``key`` is ``None`` for an option kept out of params.
+    """
+
+    key: str | None
+    flag: str
+    settings: dict
+
+    @property
+    def dest(self) -> str:
+        return self.settings.get("dest", self.key)
+
+
+def _param(key: str, **settings) -> Option:
+    """An option filling params[key], with the flag ``--key`` (``_`` written ``-``)."""
+    return Option(key, "--" + key.replace("_", "-"), settings)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One experiment subcommand: its help text, its runner and its options."""
+
+    help: str
+    run: Callable
+    options: tuple
+
+    @property
+    def keys(self) -> set:
+        return {opt.key for opt in self.options if opt.key}
+
+    @property
+    def defaults(self) -> dict:
+        return {
+            opt.key: opt.settings["default"]
+            for opt in self.options
+            if opt.key and "default" in opt.settings
+        }
+
+
+_COMMON = (
+    Option(None, "--seed", dict(type=int, default=0, help="base 64-bit seed")),
+    Option(None, "--seeds-file", dict(help="file with one seed per line (overrides --seed)")),
+    Option(None, "--out", dict(help="CSV output path (default: stdout)")),
+    Option(None, "--config", dict(help="JSON file with seeds/repeats/params")),
+    Option(None, "--repeats", dict(type=int, default=1, help="runs per seed")),
+)
+
+COMMANDS = {
+    "tolerant-test": Command(
+        "tolerant tester on an explicit distribution",
+        _run_tolerant_test,
+        (
+            _param("dist", required=True),
+            _param("property", default="uniform", help="'uniform' or 'lp:<polyhedron file>'"),
+            _param("lambda", dest="lam", type=int, required=True),
+            _param("gamma1", type=float, required=True),
+            _param("gamma2", type=float, required=True),
+            _param("c_star", type=float),
+            _param("c_w", type=float),
+            _param("c_z", type=float),
+        ),
+    ),
+    "lp-feasible": Command(
+        "decide feasibility of a polyhedron file",
+        _run_lp_feasible,
+        (_param("lp", required=True),),
+    ),
+    "gen-adversarial": Command(
+        "generate a yes/no lower-bound instance",
+        _run_gen_adversarial,
+        (
+            _param("dist", required=True),
+            _param("alpha", type=float, required=True),
+            _param("beta", type=float, required=True),
+            _param("mode", choices=["label-invariant", "general"], default="label-invariant"),
+            _param("out_yes"),
+            _param("out_no"),
+            Option(None, "--report", dict(help="alias for --out")),
+            _param("permute", action="store_true", help="relabel the bundle uniformly at random"),
+        ),
+    ),
+    "collision-rate": Command(
+        "empirical same-pair collision rate",
+        _run_collision_rate,
+        (
+            _param("dist", required=True),
+            _param("beta", type=float, required=True),
+            _param("m", type=int, required=True),
+            _param("trials", type=int, default=1000),
+            _param("random_pairing", action="store_true"),
+        ),
+    ),
+    "learn": Command(
+        "adaptive (or known-support) learner",
+        _run_learn,
+        (
+            _param("dist", required=True),
+            _param("eta", type=float, required=True),
+            _param("delta", type=float, required=True),
+            _param("known_s", type=int),
+            _param("c_learn", type=float),
+            _param("c_test", type=float),
+        ),
+    ),
+}
+
+
+# ------------------------------------------------------------------- batch
 
 
 def _thread_cap() -> int:
@@ -341,19 +389,14 @@ def _thread_cap() -> int:
 def run_batch(config: ExperimentConfig, stream=None) -> list:
     """Execute the configured runs, write the CSV, and return the records."""
     workers = _thread_cap()
+    command = COMMANDS[config.subcommand]
     digest = params_digest(config.params)
+    params = {**command.defaults, **config.params}
     multiple = len(config.seeds) * config.repeats > 1
 
     def for_seed(seed: int) -> list:
-        if config.subcommand == "tolerant-test":
-            return _run_tolerant_test(seed, config.repeats, config.params, digest)
-        if config.subcommand == "lp-feasible":
-            return _run_lp_feasible(seed, config.repeats, config.params, digest)
-        if config.subcommand == "gen-adversarial":
-            return _run_gen_adversarial(seed, config.repeats, config.params, digest, multiple)
-        if config.subcommand == "collision-rate":
-            return _run_collision_rate(seed, config.repeats, config.params, digest)
-        return _run_learn(seed, config.repeats, config.params, digest)
+        rows = command.run(seed, config.repeats, params, multiple)
+        return [RunRecord(seed, repeat, config.subcommand, digest, *row) for repeat, row in enumerate(rows)]
 
     if workers > 1 and len(config.seeds) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(config.seeds))) as pool:
@@ -387,112 +430,26 @@ def run_batch(config: ExperimentConfig, stream=None) -> list:
 # --------------------------------------------------------------- interface
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base 64-bit seed")
-    parser.add_argument("--seeds-file", help="file with one seed per line (overrides --seed)")
-    parser.add_argument("--out", help="CSV output path (default: stdout)")
-    parser.add_argument("--config", help="JSON file with seeds/repeats/params")
-    parser.add_argument("--repeats", type=int, default=1, help="runs per seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="disttest",
         description="Seeded experiments for distribution property testing and learning.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tolerant-test", help="tolerant tester on an explicit distribution")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--property", default="uniform", help="'uniform' or 'lp:<polyhedron file>'")
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--gamma1", type=float, required=True)
-    p.add_argument("--gamma2", type=float, required=True)
-    p.add_argument("--c-star", type=float)
-    p.add_argument("--c-w", type=float)
-    p.add_argument("--c-z", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("lp-feasible", help="decide feasibility of a polyhedron file")
-    p.add_argument("--lp", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("gen-adversarial", help="generate a yes/no lower-bound instance")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--mode", choices=["label-invariant", "general"], default="label-invariant")
-    p.add_argument("--out-yes")
-    p.add_argument("--out-no")
-    p.add_argument("--report", help="alias for --out")
-    p.add_argument("--permute", action="store_true", help="relabel the bundle uniformly at random")
-    _add_common(p)
-
-    p = sub.add_parser("collision-rate", help="empirical same-pair collision rate")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--random-pairing", action="store_true")
-    _add_common(p)
-
-    p = sub.add_parser("learn", help="adaptive (or known-support) learner")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--known-s", type=int)
-    p.add_argument("--c-learn", type=float)
-    p.add_argument("--c-test", type=float)
-    _add_common(p)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options + _COMMON:
+            p.add_argument(opt.flag, **opt.settings)
 
     p = sub.add_parser("accept", help="run the acceptance suite")
     p.add_argument("--out", help="write the pass/fail lines to a file as well")
-
     return parser
 
 
-def _collect_params(args: argparse.Namespace, command: str) -> dict:
-    if command == "tolerant-test":
-        raw = {
-            "dist": args.dist,
-            "property": args.property,
-            "lambda": args.lam,
-            "gamma1": args.gamma1,
-            "gamma2": args.gamma2,
-            "c_star": args.c_star,
-            "c_w": args.c_w,
-            "c_z": args.c_z,
-        }
-    elif command == "lp-feasible":
-        raw = {"lp": args.lp}
-    elif command == "gen-adversarial":
-        raw = {
-            "dist": args.dist,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "mode": args.mode,
-            "out_yes": args.out_yes,
-            "out_no": args.out_no,
-            "permute": args.permute or None,
-        }
-    elif command == "collision-rate":
-        raw = {
-            "dist": args.dist,
-            "beta": args.beta,
-            "m": args.m,
-            "trials": args.trials,
-            "random_pairing": args.random_pairing or None,
-        }
-    else:
-        raw = {
-            "dist": args.dist,
-            "eta": args.eta,
-            "delta": args.delta,
-            "known_s": args.known_s,
-            "c_learn": args.c_learn,
-            "c_test": args.c_test,
-        }
-    return {k: v for k, v in raw.items() if v is not None}
+def _collect_params(args: argparse.Namespace) -> dict:
+    """The keyed options that were given: a ``None`` value or an unset store_true flag is absent."""
+    values = {opt.key: getattr(args, opt.dest) for opt in COMMANDS[args.command].options if opt.key}
+    return {k: v for k, v in values.items() if v is not None and v is not False}
 
 
 def _read_seeds_file(path: str) -> tuple:
@@ -520,12 +477,11 @@ def main(argv=None) -> int:
         return run_acceptance_suite()
 
     try:
-        params = _collect_params(args, args.command)
+        params = _collect_params(args)
         seeds = (args.seed,)
         repeats = args.repeats
-        out = args.out
-        if args.command == "gen-adversarial" and args.report and not out:
-            out = args.report
+        # --report is gen-adversarial's alias for --out.
+        out = args.out or getattr(args, "report", None)
         if args.config:
             doc = json.loads(Path(args.config).read_text())
             params.update(doc.get("params", {}))

@@ -30,6 +30,21 @@ def _checked_ceil(value: float) -> int:
     return int(math.ceil(value * (1.0 - _CEIL_GUARD)))
 
 
+def format_field(value) -> str:
+    """Locale-independent CSV/metric field shared by the CLI and the acceptance suite.
+
+    Strings pass through verbatim, bools print as ``True``/``False``, integers
+    in full, and everything else as a float with 13 significant digits.
+    """
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.12e}"
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Explicit pmf over the domain ``{0, ..., n-1}``.
@@ -321,11 +336,6 @@ def additive_chernoff_bound(n: int, deviation: float) -> float:
     if n < 1 or deviation <= 0:
         raise ParameterError("need n >= 1 and deviation > 0")
     return math.exp(-2.0 * deviation * deviation / n)
-
-
-def draw_samples(oracle: SamplingOracle, m: int) -> np.ndarray:
-    """``m`` i.i.d. indices from the oracle (deterministic given its seed)."""
-    return oracle.draw(m)
 
 
 def empirical_distribution(samples: np.ndarray, n: int) -> Distribution:

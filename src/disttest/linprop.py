@@ -182,10 +182,6 @@ class FeasibilityInstance:
 
     poly: SparseSystem
 
-    @property
-    def var_count(self) -> int:
-        return self.poly.N
-
 
 def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
     """The property of being within L1 distance ``eps`` of uniform over [n].
@@ -344,14 +340,6 @@ class LinearPropertyOracle:
 def linear_property_oracle(prop: LinearProperty) -> LinearPropertyOracle:
     """Property oracle answering step-5 feasibility via the LP route."""
     return LinearPropertyOracle(prop)
-
-
-def permute_columns(poly: Polyhedron, perm) -> Polyhedron:
-    """Polyhedron over relabeled variables ``w_k = z_perm[k]``."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(poly.N)):
-        raise ParameterError("perm must be a permutation of range(N)")
-    return Polyhedron(poly.A[:, perm], poly.b, poly.strict_rows)
 
 
 def save_polyhedron(poly: Polyhedron, path) -> None:

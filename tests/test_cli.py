@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import disttest.acceptance as acceptance
-from disttest.cli import ExperimentConfig, build_parser, main, run_batch
+from disttest.cli import CSV_HEADER, ExperimentConfig, build_parser, main, run_batch
 from disttest.core import Distribution, load_distribution, save_distribution
 from disttest.errors import ParameterError
 from disttest.linprop import Polyhedron, save_polyhedron
@@ -50,6 +51,12 @@ class TestExperimentConfig:
     def test_repeats_validated(self):
         with pytest.raises(ParameterError):
             ExperimentConfig("learn", (1,), 0, {"dist": "x"}, None)
+
+    def test_seed_range(self):
+        ExperimentConfig("learn", (0, 2**64 - 1), 1, {"dist": "x"}, None)
+        for bad in (-1, 2**64):
+            with pytest.raises(ParameterError, match="seed"):
+                ExperimentConfig("learn", (1, bad), 1, {"dist": "x"}, None)
 
 
 class TestRunBatch:
@@ -343,6 +350,26 @@ class TestMainEntry:
         assert err.count("\n") == 1 and "DISTTEST_THREADS" in err and repr(value) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("via_file", [False, True])
+    @pytest.mark.parametrize("seed", ["-1", str(2**70)])
+    @pytest.mark.parametrize(
+        "command",
+        [["gen-adversarial", "--alpha", "0.2", "--beta", "0.2"], ["collision-rate", "--beta", "0.25", "--m", "10"]],
+    )
+    def test_out_of_range_seed_exits_2(self, command, seed, via_file, dist_file, tmp_path, capsys):
+        if via_file:
+            seeds = tmp_path / "seeds.txt"
+            seeds.write_text(f"1\n{seed}\n")
+            flags = ["--seeds-file", str(seeds)]
+        else:
+            flags = ["--seed", seed]
+        out = tmp_path / "o.csv"
+        code = main(command + ["--dist", dist_file, "--out", str(out)] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and seed in err
+        assert not out.exists()
+
     def test_cli_entry_point_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "disttest.cli", "--help"], capture_output=True, text=True
@@ -370,3 +397,181 @@ class TestAcceptCommand:
         parser = build_parser()
         args = parser.parse_args(["accept"])
         assert args.command == "accept"
+
+
+_COMMON = [
+    (("--seed",), "seed", int, 0, False, None, None, None),
+    (("--seeds-file",), "seeds_file", None, None, False, None, None, None),
+    (("--out",), "out", None, None, False, None, None, None),
+    (("--config",), "config", None, None, False, None, None, None),
+    (("--repeats",), "repeats", int, 1, False, None, None, None),
+]
+
+_PARSER_SURFACE = {
+    "tolerant-test": [
+        (("--dist",), "dist", None, None, True, None, None, None),
+        (("--property",), "property", None, "uniform", False, None, None, None),
+        (("--lambda",), "lam", int, None, True, None, None, None),
+        (("--gamma1",), "gamma1", float, None, True, None, None, None),
+        (("--gamma2",), "gamma2", float, None, True, None, None, None),
+        (("--c-star",), "c_star", float, None, False, None, None, None),
+        (("--c-w",), "c_w", float, None, False, None, None, None),
+        (("--c-z",), "c_z", float, None, False, None, None, None),
+    ] + _COMMON,
+    "lp-feasible": [
+        (("--lp",), "lp", None, None, True, None, None, None),
+    ] + _COMMON,
+    "gen-adversarial": [
+        (("--dist",), "dist", None, None, True, None, None, None),
+        (("--alpha",), "alpha", float, None, True, None, None, None),
+        (("--beta",), "beta", float, None, True, None, None, None),
+        (("--mode",), "mode", None, "label-invariant", False, ["label-invariant", "general"], None, None),
+        (("--out-yes",), "out_yes", None, None, False, None, None, None),
+        (("--out-no",), "out_no", None, None, False, None, None, None),
+        (("--report",), "report", None, None, False, None, None, None),
+        (("--permute",), "permute", None, False, False, None, 0, True),
+    ] + _COMMON,
+    "collision-rate": [
+        (("--dist",), "dist", None, None, True, None, None, None),
+        (("--beta",), "beta", float, None, True, None, None, None),
+        (("--m",), "m", int, None, True, None, None, None),
+        (("--trials",), "trials", int, 1000, False, None, None, None),
+        (("--random-pairing",), "random_pairing", None, False, False, None, 0, True),
+    ] + _COMMON,
+    "learn": [
+        (("--dist",), "dist", None, None, True, None, None, None),
+        (("--eta",), "eta", float, None, True, None, None, None),
+        (("--delta",), "delta", float, None, True, None, None, None),
+        (("--known-s",), "known_s", int, None, False, None, None, None),
+        (("--c-learn",), "c_learn", float, None, False, None, None, None),
+        (("--c-test",), "c_test", float, None, False, None, None, None),
+    ] + _COMMON,
+    "accept": [
+        (("--out",), "out", None, None, False, None, None, None),
+    ],
+}
+
+
+def _pinned_setup():
+    save_distribution(Distribution.uniform(200), "d.json")
+    save_distribution(Distribution.uniform_on(range(4), 100), "small.json")
+    poly = Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0, 0.0]))
+    save_polyhedron(poly, "poly.json")
+    with open("seeds.txt", "w") as fh:
+        fh.write("4\n# comment\n6\n")
+    with open("cfg.json", "w") as fh:
+        json.dump({"seeds": [2, 3], "params": {"m": 20}}, fh)
+
+
+def _summary(runs, mean_samples):
+    return [
+        f"# runs={runs}",
+        "# success_fraction=1.000000000000e+00",
+        f"# mean_samples={mean_samples}",
+        "# confidence_radius=0.000000000000e+00",
+    ]
+
+
+_ADV_EXTRAS = "support_size=160 support_limit=160 pair_bound=1.000000000000e-02 max_residual=0.000000000000e+00"
+
+
+class TestSurfacePinned:
+    """The CLI surface as released: parser actions, digests and output rows."""
+
+    def test_parser_actions(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(_PARSER_SURFACE)
+        for name, expected in _PARSER_SURFACE.items():
+            got = [
+                (tuple(a.option_strings), a.dest, a.type, a.default, a.required, a.choices, a.nargs, a.const)
+                for a in sub.choices[name]._actions
+                if a.dest != "help"
+            ]
+            assert got == expected, name
+
+    @pytest.mark.parametrize(
+        "argv, rows, written",
+        [
+            (
+                ["tolerant-test", "--dist", "d.json", "--property", "uniform", "--lambda", "50", "--gamma1", "0.1",
+                 "--gamma2", "0.3", "--c-star", "10", "--c-w", "4", "--c-z", "4", "--seed", "3", "--repeats", "2",
+                 "--out", "o.csv"],
+                ["3,0,tolerant-test,741a67b2ae65,Accept,281565314427,h_size=200",
+                 "3,1,tolerant-test,741a67b2ae65,Accept,281565314427,h_size=200"]
+                + _summary(2, "2.815653144270e+11"),
+                [],
+            ),
+            (
+                ["tolerant-test", "--dist", "d.json", "--lambda", "50", "--gamma1", "0.1", "--gamma2", "0.3",
+                 "--seeds-file", "seeds.txt", "--out", "o.csv"],
+                ["4,0,tolerant-test,8a0a877404aa,Accept,281565314427,h_size=200",
+                 "6,0,tolerant-test,8a0a877404aa,Accept,281565314427,h_size=200"]
+                + _summary(2, "2.815653144270e+11"),
+                [],
+            ),
+            (
+                ["lp-feasible", "--lp", "poly.json", "--seeds-file", "seeds.txt", "--out", "o.csv"],
+                ["4,0,lp-feasible,ff5fbd5374ef,feasible,0,violation=0.000000000000e+00",
+                 "6,0,lp-feasible,ff5fbd5374ef,feasible,0,violation=0.000000000000e+00"]
+                + _summary(2, "0.000000000000e+00"),
+                [],
+            ),
+            (
+                ["gen-adversarial", "--dist", "d.json", "--alpha", "0.2", "--beta", "0.2", "--mode", "general",
+                 "--permute", "--out-yes", "yes.json", "--out-no", "no.json", "--seed", "5", "--repeats", "2",
+                 "--report", "o.csv"],
+                [f"5,0,gen-adversarial,87e40e1d7053,pass,0,{_ADV_EXTRAS}",
+                 f"5,1,gen-adversarial,87e40e1d7053,pass,0,{_ADV_EXTRAS}"]
+                + _summary(2, "0.000000000000e+00"),
+                ["no.s5.r0.json", "no.s5.r1.json", "yes.s5.r0.json", "yes.s5.r1.json"],
+            ),
+            (
+                ["gen-adversarial", "--dist", "d.json", "--alpha", "0.2", "--beta", "0.2", "--out-yes", "yes.json",
+                 "--out", "o.csv"],
+                [f"0,0,gen-adversarial,3685035ebfb4,pass,0,{_ADV_EXTRAS}"] + _summary(1, "0.000000000000e+00"),
+                ["yes.json"],
+            ),
+            (
+                ["collision-rate", "--dist", "d.json", "--beta", "0.25", "--m", "25", "--trials", "200",
+                 "--random-pairing", "--config", "cfg.json", "--out", "o.csv"],
+                ["2,0,collision-rate,a5dfc21b7db4,6.650000000000e-01,4000,"
+                 "union_bound=1.000000000000e+00 m=20 trials=200",
+                 "3,0,collision-rate,a5dfc21b7db4,6.200000000000e-01,4000,"
+                 "union_bound=1.000000000000e+00 m=20 trials=200"]
+                + _summary(2, "4.000000000000e+03"),
+                [],
+            ),
+            (
+                ["collision-rate", "--dist", "d.json", "--beta", "0.25", "--m", "25", "--seed", "2", "--out", "o.csv"],
+                ["2,0,collision-rate,f8d0b8dfb743,7.840000000000e-01,25000,"
+                 "union_bound=1.000000000000e+00 m=25 trials=1000"]
+                + _summary(1, "2.500000000000e+04"),
+                [],
+            ),
+            (
+                ["learn", "--dist", "small.json", "--eta", "0", "--delta", "0.5", "--known-s", "4", "--c-learn", "6",
+                 "--c-test", "9", "--seed", "1", "--out", "o.csv"],
+                ["1,0,learn,99dfecf2e54c,Learned,216,final_guess=4 measured_l1=1.111111111111e-01"]
+                + _summary(1, "2.160000000000e+02"),
+                [],
+            ),
+            (
+                ["learn", "--dist", "small.json", "--eta", "0", "--delta", "0.5", "--seed", "1", "--repeats", "2",
+                 "--out", "o.csv"],
+                ["1,0,learn,8f7bccef5299,Learned,19704,final_guess=1 measured_l1=2.500000000000e-01",
+                 "1,1,learn,8f7bccef5299,Learned,19704,final_guess=1 measured_l1=2.500000000000e-01"]
+                + _summary(2, "1.970400000000e+04"),
+                [],
+            ),
+        ],
+    )
+    def test_rows_and_digest(self, argv, rows, written, tmp_path, monkeypatch):
+        # Relative file names keep the temporary directory out of the digest.
+        monkeypatch.chdir(tmp_path)
+        _pinned_setup()
+        before = {p.name for p in tmp_path.iterdir()}
+        assert main(argv) == 0
+        text = (tmp_path / "o.csv").read_text()
+        assert strip_wall_ms(text) == [",".join(CSV_HEADER)] + rows
+        assert sorted({p.name for p in tmp_path.iterdir()} - before - {"o.csv"}) == written

@@ -12,8 +12,8 @@ from disttest.core import (
     SamplingOracle,
     additive_chernoff_bound,
     derive_seed,
-    draw_samples,
     empirical_distribution,
+    format_field,
     high_set,
     is_non_concentrated,
     l1_distance,
@@ -258,15 +258,15 @@ class TestSampleSize:
 class TestSamplingOracle:
     def test_draw_zero(self):
         o = SamplingOracle(Distribution.uniform(4), seed=1)
-        assert draw_samples(o, 0).size == 0
+        assert o.draw(0).size == 0
 
     def test_point_mass_draws(self):
         o = SamplingOracle(Distribution.point_mass(6, 2), seed=9)
-        assert list(draw_samples(o, 5)) == [2] * 5
+        assert list(o.draw(5)) == [2] * 5
 
     def test_uniform_frequencies(self):
         o = SamplingOracle(Distribution.uniform(4), seed=7)
-        s = draw_samples(o, 10**5)
+        s = o.draw(10**5)
         freq = np.bincount(s, minlength=4) / s.size
         assert np.all(np.abs(freq - 0.25) < 0.02)
 
@@ -418,3 +418,19 @@ class TestDistributionFiles:
         path.write_text("{not json")
         with pytest.raises(StructureError):
             load_distribution(path)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (True, "True"),
+        (np.bool_(False), "False"),
+        (7, "7"),
+        (np.int64(-3), "-3"),
+        (0.1, "1.000000000000e-01"),
+        (np.float64(2.5), "2.500000000000e+00"),
+        ("3f2a9c01bd7e", "3f2a9c01bd7e"),
+    ],
+)
+def test_format_field(value, text):
+    assert format_field(value) == text

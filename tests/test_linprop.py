@@ -14,7 +14,6 @@ from disttest.linprop import (
     linear_property_oracle,
     load_polyhedron,
     lp_feasible,
-    permute_columns,
     save_polyhedron,
     uniformity_polyhedron,
 )
@@ -96,7 +95,7 @@ class TestBuildFeasibilityLP:
         prop = uniformity_polyhedron(4, 2.0)
         dt = Distribution.uniform(4)
         inst_ok = build_feasibility_lp(prop, frozenset(), dt, q=1, bound=2.0)
-        assert inst_ok.var_count == prop.poly.N + 1
+        assert inst_ok.poly.N == prop.poly.N + 1
         assert lp_feasible(inst_ok)
         inst_bad = build_feasibility_lp(prop, frozenset(), dt, q=10, bound=2.0)
         assert not lp_feasible(inst_bad)
@@ -180,7 +179,7 @@ class TestOracleInvariants:
             rest = [i for i in range(n) if i not in est.H]
             old_of = Hs + rest  # new pmf label k corresponds to old label old_of[k]
             perm = old_of + [n + i for i in old_of]
-            poly_perm = permute_columns(prop.poly, perm)
+            poly_perm = Polyhedron(prop.poly.A[:, perm], prop.poly.b, prop.poly.strict_rows)
             prop_perm = LinearProperty.__new__(LinearProperty)
             prop_perm.poly = poly_perm
             prop_perm.n = n

@@ -16,8 +16,11 @@ byte-reproducible for a fixed configuration.
 holds the help text, the runner and the options, every option with its params
 key and argparse settings.  The parser, the params keys that
 :class:`ExperimentConfig` accepts, the params dict (so ``params_digest``), the
-runners' defaults and the dispatch are all derived from it.  ``accept`` runs
-the acceptance suite and takes only ``--out``.
+runners' defaults and the dispatch are all derived from it.  A ``--config``
+params value goes through its option's ``type`` and ``choices`` as the flag
+would; one that does not convert is a parameter error (exit code 2), and the
+digest hashes the value as written.  ``accept`` runs the acceptance suite and
+takes only ``--out``.
 
 Seeds must lie in ``[0, 2**64 - 1]``; any other seed is a parameter error
 (exit code 2).  ``DISTTEST_THREADS`` caps seed-level parallelism (an integer
@@ -93,6 +96,7 @@ class ExperimentConfig:
             raise ParameterError(
                 f"unknown parameter keys for {self.subcommand}: {sorted(unknown)}"
             )
+        COMMANDS[self.subcommand].values(self.params)
 
 
 @dataclass(frozen=True)
@@ -142,10 +146,10 @@ def _ms_since(t0: float) -> float:
 
 # ----------------------------------------------------------------- runners
 #
-# A runner takes (seed, repeats, params, multiple), where params already holds
-# the schema defaults and ``multiple`` says whether the batch makes more than
-# one run, and yields one (metric, samples_used, extras, wall_ms, success)
-# tuple per repeat.
+# A runner takes (seed, repeats, params, multiple), where params is
+# :meth:`Command.values` (the schema defaults, every value converted by its
+# option) and ``multiple`` says whether the batch makes more than one run, and
+# yields one (metric, samples_used, extras, wall_ms, success) tuple per repeat.
 
 
 def _run_tolerant_test(seed: int, repeats: int, params: dict, multiple: bool):
@@ -163,10 +167,8 @@ def _run_tolerant_test(seed: int, repeats: int, params: dict, multiple: bool):
     constants = {}
     for key, name in (("c_star", "c_star"), ("c_w", "c_W"), ("c_z", "c_Z")):
         if key in params:
-            constants[name] = float(params[key])
-    tparams = derive_params(
-        int(params["lambda"]), float(params["gamma1"]), float(params["gamma2"]), n, constants
-    )
+            constants[name] = params[key]
+    tparams = derive_params(params["lambda"], params["gamma1"], params["gamma2"], n, constants)
     oracle = SamplingOracle(d, seed)
     prop_oracle = linear_property_oracle(prop)
     for _ in range(repeats):
@@ -198,7 +200,7 @@ def _run_lp_feasible(seed: int, repeats: int, params: dict, multiple: bool):
 
 def _run_gen_adversarial(seed: int, repeats: int, params: dict, multiple: bool):
     d = load_distribution(params["dist"])
-    nc = NonConcentrationParams(float(params["alpha"]), float(params["beta"]))
+    nc = NonConcentrationParams(params["alpha"], params["beta"])
     for repeat in range(repeats):
         rng = np.random.default_rng([seed, repeat])
         t0 = time.perf_counter()
@@ -222,9 +224,7 @@ def _run_gen_adversarial(seed: int, repeats: int, params: dict, multiple: bool):
 
 def _run_collision_rate(seed: int, repeats: int, params: dict, multiple: bool):
     d = load_distribution(params["dist"])
-    beta = float(params["beta"])
-    m = int(params["m"])
-    trials = int(params["trials"])
+    beta, m, trials = params["beta"], params["m"], params["trials"]
     for repeat in range(repeats):
         rng = np.random.default_rng([seed, repeat])
         pair_rng = rng if params.get("random_pairing") else None
@@ -238,17 +238,16 @@ def _run_collision_rate(seed: int, repeats: int, params: dict, multiple: bool):
 
 def _run_learn(seed: int, repeats: int, params: dict, multiple: bool):
     d = load_distribution(params["dist"])
-    eta = float(params["eta"])
-    delta = float(params["delta"])
-    c_learn = float(params.get("c_learn", DEFAULT_C_LEARN))
-    c_test = float(params.get("c_test", DEFAULT_C_TEST))
+    eta, delta = params["eta"], params["delta"]
+    c_learn = params.get("c_learn", DEFAULT_C_LEARN)
+    c_test = params.get("c_test", DEFAULT_C_TEST)
     oracle = SamplingOracle(d, seed)
     for _ in range(repeats):
         before = oracle.samples_drawn
         t0 = time.perf_counter()
-        if params.get("known_s") is not None:
-            learned = learn_known_support(oracle, int(params["known_s"]), delta, c_learn)
-            outcome, final_guess, dist = "Learned", int(params["known_s"]), learned
+        if "known_s" in params:
+            learned = learn_known_support(oracle, params["known_s"], delta, c_learn)
+            outcome, final_guess, dist = "Learned", params["known_s"], learned
         else:
             res = learn_adaptive(oracle, eta, delta, d.n, c_learn, c_test)
             outcome, final_guess, dist = res.outcome, res.final_guess, res.distribution
@@ -276,6 +275,25 @@ class Option:
     def dest(self) -> str:
         return self.settings.get("dest", self.key)
 
+    def convert(self, value):
+        """A params value through the option's ``type`` and ``choices``, as argparse treats a flag."""
+        convert = self.settings.get("type")
+        if convert is not None:
+            value = _converted(convert, value, f"parameter {self.key!r}")
+        elif "action" not in self.settings and not isinstance(value, str):
+            raise ParameterError(f"parameter {self.key!r} must be a string, got {value!r}")
+        choices = self.settings.get("choices")
+        if choices is not None and value not in choices:
+            raise ParameterError(f"parameter {self.key!r} must be one of {choices}, got {value!r}")
+        return value
+
+
+def _converted(convert: Callable, value, what: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{what} must be {convert.__name__}, got {value!r}") from None
+
 
 def _param(key: str, **settings) -> Option:
     """An option filling params[key], with the flag ``--key`` (``_`` written ``-``)."""
@@ -301,6 +319,18 @@ class Command:
             for opt in self.options
             if opt.key and "default" in opt.settings
         }
+
+    def values(self, params: dict) -> dict:
+        """The defaults overlaid with ``params``, each converted by :meth:`Option.convert`.
+
+        A ``None`` value stands for an option not given, as on the command line.
+        """
+        given = {
+            opt.key: opt.convert(params[opt.key])
+            for opt in self.options
+            if params.get(opt.key) is not None
+        }
+        return {**self.defaults, **given}
 
 
 _COMMON = (
@@ -391,7 +421,7 @@ def run_batch(config: ExperimentConfig, stream=None) -> list:
     workers = _thread_cap()
     command = COMMANDS[config.subcommand]
     digest = params_digest(config.params)
-    params = {**command.defaults, **config.params}
+    params = command.values(config.params)
     multiple = len(config.seeds) * config.repeats > 1
 
     def for_seed(seed: int) -> list:
@@ -457,7 +487,7 @@ def _read_seeds_file(path: str) -> tuple:
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
-            seeds.append(int(line))
+            seeds.append(_converted(int, line, f"seed in {path}"))
     if not seeds:
         raise ParameterError(f"seeds file {path} holds no seeds")
     return tuple(seeds)
@@ -484,11 +514,13 @@ def main(argv=None) -> int:
         out = args.out or getattr(args, "report", None)
         if args.config:
             doc = json.loads(Path(args.config).read_text())
+            if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
+                raise ParameterError("a config must be a JSON object, its 'params' an object")
             params.update(doc.get("params", {}))
             if "seeds" in doc:
-                seeds = tuple(int(s) for s in doc["seeds"])
+                seeds = tuple(_converted(int, s, "a config seed") for s in doc["seeds"])
             if "repeats" in doc:
-                repeats = int(doc["repeats"])
+                repeats = _converted(int, doc["repeats"], "config 'repeats'")
         if args.seeds_file:
             seeds = _read_seeds_file(args.seeds_file)
         config = ExperimentConfig(

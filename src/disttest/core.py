@@ -356,6 +356,16 @@ def save_distribution(d: Distribution, path) -> None:
         fh.write("\n")
 
 
+def _is_int(x) -> bool:
+    """Whether a JSON value is an integer (``true``/``false`` are not)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_numbers(x) -> bool:
+    """Whether a JSON value is an array of numbers (``true``/``false`` are not)."""
+    return isinstance(x, list) and all(_is_int(v) or isinstance(v, float) for v in x)
+
+
 def load_distribution(path) -> Distribution:
     """Read a distribution file, rejecting anything violating the invariants."""
     try:
@@ -367,9 +377,9 @@ def load_distribution(path) -> Distribution:
         raise StructureError("distribution file must carry fields 'n' and 'pmf'")
     n = doc["n"]
     pmf = doc["pmf"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise StructureError("field 'n' must be an integer")
-    if not isinstance(pmf, list) or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pmf):
+    if not _is_numbers(pmf):
         raise StructureError("field 'pmf' must be an array of numbers")
     if len(pmf) != n:
         raise StructureError(f"pmf length {len(pmf)} does not match n={n}")

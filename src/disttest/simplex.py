@@ -105,24 +105,22 @@ def _pinch(lower: np.ndarray, upper: np.ndarray, tol: float) -> float:
     return widest
 
 
-def extract_bounds(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL):
+def extract_bounds(A: Triplets, b: np.ndarray, tol: float = FEAS_TOL):
     """Fold singleton rows of ``Ax <= b`` into per-variable bounds.
 
-    Returns ``(A2, b2, lower, upper, consistent)`` where ``A2 x <= b2`` holds
-    the remaining multi-variable rows and ``consistent`` is False when the
-    folded bounds (or a constant row) are already contradictory.  Bounds
+    ``A`` is :class:`Triplets` with no duplicate coordinates or zeros.  Returns
+    ``(A2, b2, lower, upper, consistent)`` where ``A2 x <= b2`` keeps the
+    multi-variable rows, renumbered in order, and ``consistent`` is False when
+    the folded bounds (or a constant row) are already contradictory.  Bounds
     that cross by at most ``tol`` pin the variable.
     """
-    A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    n = A.shape[1]
-    nonzero = A != 0.0
-    count = nonzero.sum(axis=1)
+    m, n = A.shape
+    count = np.bincount(A.rows, minlength=m)
     consistent = not np.any(b[count == 0] < -tol)
-    single = np.flatnonzero(count == 1)
-    j = nonzero[single].argmax(axis=1) if single.size else single
-    a = A[single, j]
-    bound = b[single] / a
+    single = count[A.rows] == 1
+    j, a = A.cols[single], A.vals[single]
+    bound = b[A.rows[single]] / a
     up = a > 0
     lower = np.full(n, -np.inf)
     upper = np.full(n, np.inf)
@@ -130,7 +128,10 @@ def extract_bounds(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL):
     np.maximum.at(lower, j[~up], bound[~up])
     consistent &= _pinch(lower, upper, tol) <= tol
     keep = count > 1
-    return A[keep], b[keep], lower, upper, consistent
+    multi = keep[A.rows]
+    rows = (np.cumsum(keep) - 1)[A.rows[multi]]
+    A2 = Triplets(rows, A.cols[multi], A.vals[multi], (int(keep.sum()), n))
+    return A2, b[keep], lower, upper, consistent
 
 
 def _initial_point(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from disttest.linprop import (
     Polyhedron,
     build_feasibility_lp,
     feasibility_report,
-    fold_property,
     lp_feasible,
     uniformity_polyhedron,
 )
@@ -135,14 +134,14 @@ class TestBackendsAgree:
     @pytest.mark.parametrize("n, lam", [(64, 30), (200, 50)])
     def test_step5_instances_from_the_tester(self, monkeypatch, n, lam):
         params = derive_params(lam, 0.1, 0.3, n)
-        folded = fold_property(uniformity_polyhedron(n, 0.0))
+        prop = uniformity_polyhedron(n, 0.0)
         verdicts = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for dist in (Distribution.uniform(n), Distribution.uniform_on(range(n // 2), n)):
                 for seed in range(3):
                     est = estimate_high_part(SamplingOracle(dist, seed), params, n)
-                    inst = build_feasibility_lp(folded, est.H, est.d_tilde, params.q, params.bound)
+                    inst = build_feasibility_lp(prop, est.H, est.d_tilde, params.q, params.bound)
                     highs, dense = both(monkeypatch, lambda: lp_feasible(inst))
                     assert highs == dense
                     verdicts.append(highs)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import disttest.acceptance as acceptance
-from disttest.cli import CSV_HEADER, ExperimentConfig, build_parser, main, run_batch
+from disttest.cli import CSV_HEADER, ExperimentConfig, build_parser, main, params_digest, run_batch
 from disttest.core import Distribution, load_distribution, save_distribution
 from disttest.errors import ParameterError
 from disttest.linprop import Polyhedron, save_polyhedron
@@ -369,6 +369,65 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and seed in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"M": 1, "N": 1, "A": ["x"], "b": [0.0]},
+            {"M": 1, "N": 1, "A": [1.0], "b": [None]},
+            {"M": True, "N": 1, "A": [1.0], "b": [0.0]},
+            {"M": 1, "N": True, "A": [1.0], "b": [0.0]},
+            {"M": 2, "N": 1, "A": [1.0, -1.0], "b": [0.0, 0.0], "strict_rows": [True]},
+        ],
+        ids=["string-in-A", "null-in-b", "bool-M", "bool-N", "bool-strict-row"],
+    )
+    def test_malformed_polyhedron_exits_2(self, doc, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["lp-feasible", "--lp", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_integer_seed_line_exits_2(self, dist_file, tmp_path, capsys):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("1\nx\n")
+        out = tmp_path / "o.csv"
+        argv = ["collision-rate", "--dist", dist_file, "--beta", "0.25", "--m", "10"]
+        assert main(argv + ["--seeds-file", str(seeds), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'x'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            (["collision-rate", "--beta", "0.25", "--m", "10"], {"m": "abc"}),
+            (["collision-rate", "--beta", "0.25", "--m", "10"], {"trials": [5]}),
+            (["gen-adversarial", "--alpha", "0.2", "--beta", "0.2"], {"mode": "sideways"}),
+            (["gen-adversarial", "--alpha", "0.2", "--beta", "0.2"], {"out_yes": 5}),
+        ],
+        ids=["int", "list-for-int", "choices", "number-for-path"],
+    )
+    def test_config_param_checked_like_its_flag(self, command, params, dist_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": params}))
+        out = tmp_path / "o.csv"
+        assert main(command + ["--dist", dist_file, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        key, value = next(iter(params.items()))
+        assert err.count("\n") == 1 and repr(key) in err and repr(value) in err
+        assert not out.exists()
+
+    def test_config_params_keep_their_digest(self, dist_file, tmp_path):
+        # A string "25" for an int option runs as before, digested as written.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"m": "25", "trials": None}}))
+        argv = ["collision-rate", "--dist", dist_file, "--beta", "0.25", "--m", "1", "--seed", "2"]
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[3] == params_digest({"dist": dist_file, "beta": 0.25, "m": "25", "trials": None})
+        assert row[5] == "25000" and row[6].endswith("m=25 trials=1000")
 
     def test_cli_entry_point_installed(self):
         proc = subprocess.run(

@@ -18,6 +18,7 @@ from disttest.linprop import (
     uniformity_polyhedron,
 )
 from disttest.reference import simplex_grid, vertex_enumeration_feasible
+from disttest.simplex import Triplets
 from disttest.tester import HighEstimate, check_conditions
 
 from conftest import random_pmf
@@ -179,10 +180,11 @@ class TestOracleInvariants:
             rest = [i for i in range(n) if i not in est.H]
             old_of = Hs + rest  # new pmf label k corresponds to old label old_of[k]
             perm = old_of + [n + i for i in old_of]
-            poly_perm = Polyhedron(prop.poly.A[:, perm], prop.poly.b, prop.poly.strict_rows)
-            prop_perm = LinearProperty.__new__(LinearProperty)
-            prop_perm.poly = poly_perm
-            prop_perm.n = n
+            A = prop.poly.A
+            moved = Triplets(A.rows, np.argsort(perm)[A.cols], A.vals, A.shape)
+            # The constructor appends the (permuted) sum rows once more,
+            # which leaves the feasible set as it is.
+            prop_perm = LinearProperty(Polyhedron(moved, prop.poly.b, prop.poly.strict_rows), n)
             dt_perm = Distribution(est.d_tilde.pmf[old_of])
             h_perm = frozenset(range(len(Hs)))
             bound = float(rng.uniform(0.0, 1.0))
@@ -242,6 +244,70 @@ class TestLinearPropertyValidation:
         poly = Polyhedron(np.zeros((1, 3)), np.zeros(1))
         with pytest.raises(ParameterError):
             LinearProperty(poly, n=4)
+
+
+class TestTripletStorage:
+    def test_duplicates_summed_and_zeros_dropped(self):
+        A = Triplets(
+            np.array([1, 0, 1, 0, 1, 0]),
+            np.array([0, 1, 0, 0, 1, 1]),
+            np.array([2.0, 1.0, 3.0, 0.0, 4.0, -1.0]),
+            (2, 2),
+        )
+        poly = Polyhedron(A, [1.0, 2.0])
+        # Row 0 holds only zeros once (0,1) sums to 0; row 1 is (5, 4).
+        assert poly.A.rows.tolist() == [1, 1]
+        assert poly.A.cols.tolist() == [0, 1]
+        assert poly.A.vals.tolist() == [5.0, 4.0]
+        assert poly.A.shape == (2, 2)
+        for part in (poly.A.rows, poly.A.cols, poly.A.vals, poly.b):
+            assert not part.flags.writeable
+
+    @pytest.mark.parametrize(
+        "rows, cols, vals",
+        [
+            ([0, 2], [0, 1], [1.0, 1.0]),
+            ([0, 1], [0, 2], [1.0, 1.0]),
+            ([0, -1], [0, 0], [1.0, 1.0]),
+            ([0, 1], [0, 1], [1.0, np.nan]),
+            ([0, 1], [0, 1], [np.inf, 1.0]),
+            ([0.0, 1.0], [0, 1], [1.0, 1.0]),
+            ([0, 1], [0], [1.0, 1.0]),
+        ],
+        ids=["row-out", "col-out", "negative", "nan", "inf", "float-rows", "lengths"],
+    )
+    def test_malformed_triplets_rejected(self, rows, cols, vals):
+        A = Triplets(np.array(rows), np.array(cols), np.array(vals), (2, 2))
+        with pytest.raises(StructureError):
+            Polyhedron(A, [0.0, 0.0])
+
+    def test_dense_and_triplet_forms_agree(self, rng):
+        for _ in range(20):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            dense = rng.uniform(-2, 2, size=(m, n)) * (rng.random((m, n)) < 0.5)
+            b = rng.uniform(-2, 2, size=m)
+            t = Triplets.from_dense(dense)
+            # Out of order, every entry split into two halves, plus an explicit zero.
+            rows = np.concatenate([t.rows, t.rows, [m - 1]])
+            cols = np.concatenate([t.cols, t.cols, [n - 1]])
+            vals = np.concatenate([t.vals / 2, t.vals / 2, [0.0]])
+            order = rng.permutation(rows.size)
+            scrambled = Triplets(rows[order], cols[order], vals[order], (m, n))
+            a, c = Polyhedron(dense, b), Polyhedron(scrambled, b)
+            assert a.digest() == c.digest()
+            assert np.array_equal(np.asarray(c.A), dense)
+            assert LinearProperty(a, 1).system.digest() == LinearProperty(c, 1).system.digest()
+
+    def test_uniformity_at_n_10_4_is_stored_sparse(self):
+        n = 10**4
+        prop = uniformity_polyhedron(n, 0.0)
+        # The budget, sign, pair and sum rows hold n, 2n, 4n and 2n entries.
+        assert prop.poly.A.nnz == 9 * n
+        # Folded: the sign rows become bounds; the budget, 2n pair rows and the
+        # two sum rows remain, with n, 4n and 2n entries.
+        assert prop.system.A.shape == (2 * n + 3, 2 * n)
+        assert prop.system.A.nnz == 7 * n
+        assert np.all(prop.system.lower == 0.0)
 
 
 class TestPolyhedronFiles:

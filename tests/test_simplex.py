@@ -3,11 +3,11 @@ import pytest
 
 from disttest.errors import SolverError
 from disttest.reference import vertex_enumeration_feasible
-from disttest.simplex import extract_bounds, solve_feasibility
+from disttest.simplex import Triplets, extract_bounds, solve_feasibility
 
 
 def check_against_oracle(A, b, box=1e4):
-    A2, b2, lower, upper, consistent = extract_bounds(A, b)
+    A2, b2, lower, upper, consistent = extract_bounds(Triplets.from_dense(A), b)
     if consistent:
         res = solve_feasibility(A2, b2, lower=lower, upper=upper)
         got = res.feasible
@@ -57,8 +57,24 @@ class TestExtractBounds:
                 A[0], A[-1] = 0.0, 0.0
                 A[0, 0], A[-1, 0] = 1.0, -1.0
                 b[-1] = -b[0] - rng.choice([0.0, 5e-10, 2e-9])
-            got = extract_bounds(A, b)
+            got = extract_bounds(Triplets.from_dense(A), b)
             want = extract_bounds_rows(A, b)
+            for g, w in zip(got[:4], want[:4]):
+                assert np.array_equal(g, w)
+            assert got[4] == want[4]
+
+    def test_entry_order_does_not_change_the_fold(self):
+        rng = np.random.default_rng(45)
+        for _ in range(100):
+            m, n = int(rng.integers(0, 10)), int(rng.integers(1, 5))
+            A = rng.uniform(-2, 2, size=(m, n)) * (rng.random((m, n)) < 0.4)
+            b = rng.uniform(-2, 2, size=m)
+            t = Triplets.from_dense(A)
+            order = rng.permutation(t.nnz)
+            shuffled = Triplets(t.rows[order], t.cols[order], t.vals[order], t.shape)
+            got = extract_bounds(shuffled, b)
+            want = extract_bounds_rows(A, b)
+            assert got[0].shape == want[0].shape
             for g, w in zip(got[:4], want[:4]):
                 assert np.array_equal(g, w)
             assert got[4] == want[4]
@@ -66,7 +82,7 @@ class TestExtractBounds:
     def test_singleton_rows_become_bounds(self):
         A = np.array([[2.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
         b = np.array([4.0, -3.0, 10.0])
-        A2, b2, lower, upper, consistent = extract_bounds(A, b)
+        A2, b2, lower, upper, consistent = extract_bounds(Triplets.from_dense(A), b)
         assert consistent
         assert A2.shape == (1, 2)
         assert upper[0] == 2.0 and lower[1] == 3.0
@@ -74,19 +90,19 @@ class TestExtractBounds:
     def test_contradictory_singletons(self):
         A = np.array([[1.0], [-1.0]])
         b = np.array([0.0, -1.0])  # z <= 0 and z >= 1
-        *_, consistent = extract_bounds(A, b)
+        *_, consistent = extract_bounds(Triplets.from_dense(A), b)
         assert not consistent
 
     def test_zero_row_negative_rhs(self):
         A = np.zeros((1, 2))
         b = np.array([-0.5])
-        *_, consistent = extract_bounds(A, b)
+        *_, consistent = extract_bounds(Triplets.from_dense(A), b)
         assert not consistent
 
     def test_pinched_bounds_within_tolerance(self):
         A = np.array([[1.0], [-1.0]])
         b = np.array([1.0, -1.0 - 1e-10])  # z <= 1 and z >= 1 + 1e-10
-        *_, consistent = extract_bounds(A, b)
+        *_, consistent = extract_bounds(Triplets.from_dense(A), b)
         assert consistent
 
 

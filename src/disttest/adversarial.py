@@ -10,7 +10,8 @@ ensemble.  ``d_no`` loses a ``floor(beta*n)``-sized chunk of its support, so
 it cannot be non-concentrated.
 
 Pairings are int64 arrays and every per-pair step is whole-array numpy work:
-:func:`build_pairing` costs O(n log n) for its sort, the rest O(k) for k pairs.
+:func:`build_pairing` costs O(n + k log k) to select and order its 2k elements,
+the rest O(k) for k pairs.
 """
 
 from __future__ import annotations
@@ -98,13 +99,21 @@ def build_pairing(d_yes: Distribution, beta: float, rng: np.random.Generator | N
     matching is uniformly random (the label-invariant construction); without
     it, elements adjacent in the (mass, index) order are paired, a fixed
     choice standing in for "arbitrary".
+
+    The selection equals ``argsort(pmf, kind="stable")[:2k]`` without sorting
+    all n: a partition finds the 2k-th smallest mass, every element below it
+    is stable-sorted by mass, and ties at it follow in index order.
     """
     if not 0.0 < beta < 0.5:
         raise ParameterError("beta must lie in (0, 1/2)")
     k = int(math.floor(beta * d_yes.n))
     if k < 1:
         raise ParameterError(f"beta*n rounds below one pair (beta={beta}, n={d_yes.n})")
-    L = np.argsort(d_yes.pmf, kind="stable")[: 2 * k]
+    pmf = d_yes.pmf
+    threshold = np.partition(pmf, 2 * k - 1)[2 * k - 1]
+    below = np.flatnonzero(pmf < threshold)
+    ties = np.flatnonzero(pmf == threshold)[: 2 * k - below.size]
+    L = np.concatenate([below[np.argsort(pmf[below], kind="stable")], ties])
     if rng is not None:
         L = rng.permutation(L)
     return Pairing(L=L, pairs=L.reshape(k, 2))

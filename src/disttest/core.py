@@ -2,7 +2,9 @@
 
 The domain is always ``{0, 1, ..., n-1}``.  A :class:`Distribution` is an
 explicit probability mass function; a :class:`SamplingOracle` produces seeded
-i.i.d. draws from one (or from an opaque sampling procedure).  The remaining
+i.i.d. draws from one (or from an opaque sampling procedure), at O(1)
+expected per draw from an O(s) table cached on the distribution for a
+support of size s.  The remaining
 functions implement the distance and mass machinery the testers and learners
 are built on, plus Chernoff-based sample-size utilities.
 """
@@ -13,6 +15,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Union
 
 import numpy as np
@@ -45,6 +48,63 @@ def format_field(value) -> str:
     return f"{float(value):.12e}"
 
 
+def _check_masses(probs: np.ndarray) -> None:
+    """Reject masses that are not finite and non-negative or do not sum to 1 within ``PMF_SUM_TOL``."""
+    if not np.all(np.isfinite(probs)):
+        raise ParameterError("pmf entries must be finite")
+    if np.any(probs < 0.0):
+        raise ParameterError("pmf entries must be non-negative")
+    total = float(probs.sum())
+    if abs(total - 1.0) > PMF_SUM_TOL:
+        raise ParameterError(
+            f"pmf must sum to 1 within {PMF_SUM_TOL:g}; got {total!r}"
+        )
+
+
+class _GuideTable:
+    """Inverse-CDF table over a pmf's support, with a guide table (Chen & Asau, 1974).
+
+    ``atoms`` are the support indices, ascending, and ``cdf`` their cumulative
+    masses normalised to end at 1.  Zero-mass entries add exactly 0.0 to a
+    cumulative sum, so this is the full-domain table restricted to the atoms,
+    and the slot ``searchsorted(cdf, u, side="right")`` of a key never lands
+    on a zero-mass index.  The guide cuts [0, 1) into K >= 2s buckets, K a
+    power of two, so ``floor(u*K)`` is exact and a key in bucket b has its
+    slot between ``lo[b]`` = #{cdf <= b/K} and #{cdf < (b+1)/K}.  ``lo[b]``
+    plus one compare against ``cdf[lo[b]]`` is exact when the bucket holds at
+    most one cdf value (and the compare is skipped when no bucket holds one);
+    keys in a bucket holding two or more take a binary search.  Those buckets
+    cover under a quarter of [0, 1) and, for most pmfs, far less, so a key
+    costs O(1) expected.  All arrays are read-only.
+    """
+
+    def __init__(self, pmf: np.ndarray):
+        atoms = np.flatnonzero(pmf > 0.0)
+        cdf = np.cumsum(pmf[atoms])
+        cdf /= cdf[-1]
+        self.buckets = 1 << (2 * atoms.size - 1).bit_length()
+        edges = np.arange(self.buckets + 1) / self.buckets
+        lo = np.searchsorted(cdf, edges[:-1], side="right")
+        inside = np.searchsorted(cdf, edges[1:], side="left") - lo
+        deep = inside >= 2
+        for arr in (atoms, cdf, lo, deep):
+            arr.flags.writeable = False
+        self.atoms, self.cdf, self.lo = atoms, cdf, lo
+        self.compare = bool(inside.any())
+        self.deep = deep if deep.any() else None
+
+    def slots(self, u: np.ndarray) -> np.ndarray:
+        """``searchsorted(cdf, u, side="right")`` for keys in [0, 1), at O(1) expected per key."""
+        bucket = (u * self.buckets).astype(np.intp)
+        slot = self.lo[bucket]
+        if self.compare:
+            slot += self.cdf[slot] <= u
+        if self.deep is not None:
+            search = np.flatnonzero(self.deep[bucket])
+            slot[search] = np.searchsorted(self.cdf, u[search], side="right")
+        return slot
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Explicit pmf over the domain ``{0, ..., n-1}``.
@@ -52,7 +112,8 @@ class Distribution:
     Invariants enforced at construction: every entry is >= 0, the entries sum
     to 1 within ``PMF_SUM_TOL``, and the domain is nonempty.  Instances are
     immutable (the underlying array is locked), so they are safe to share
-    between threads.
+    between threads; the sampling table is built from the pmf on the first
+    explicit draw and cached on the instance.
     """
 
     pmf: np.ndarray
@@ -61,18 +122,31 @@ class Distribution:
         arr = np.asarray(self.pmf, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("pmf must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("pmf entries must be finite")
-        if np.any(arr < 0.0):
-            raise ParameterError("pmf entries must be non-negative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PMF_SUM_TOL:
-            raise ParameterError(
-                f"pmf must sum to 1 within {PMF_SUM_TOL:g}; got {total!r}"
-            )
+        _check_masses(arr)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "pmf", arr)
+
+    @classmethod
+    def _on_atoms(cls, atoms: np.ndarray, probs: np.ndarray, n: int) -> "Distribution":
+        """Mass ``probs`` on the distinct indices ``atoms`` of a domain of size ``n >= 1``.
+
+        The s masses get the constructor's checks; the length-n pmf is then
+        built fresh and locked without the O(n) validation and copy.
+        """
+        probs = np.asarray(probs, dtype=np.float64)
+        _check_masses(probs)
+        pmf = np.zeros(n)
+        pmf[atoms] = probs
+        pmf.flags.writeable = False
+        d = cls.__new__(cls)
+        object.__setattr__(d, "pmf", pmf)
+        return d
+
+    @cached_property
+    def _guide(self) -> _GuideTable:
+        """The sampling table, built on the first explicit draw and shared by every oracle over this pmf."""
+        return _GuideTable(self.pmf)
 
     @property
     def n(self) -> int:
@@ -154,8 +228,9 @@ class SamplingOracle:
     ``source`` is either an explicit :class:`Distribution` or an opaque
     callable ``(generator, size) -> indices`` (in which case ``n`` must be
     given).  Rebuilding an oracle with the same seed and source replays the
-    identical sample sequence.  An explicit-pmf draw costs O(log s) for a
-    support of size s.
+    identical sample sequence.  An explicit-pmf draw costs O(1) expected, from
+    an O(s) table over the support of size s that the :class:`Distribution`
+    builds on the first draw and caches for every oracle over it.
 
     The oracle is stateful (it owns an RNG position): use one oracle per
     thread of execution, and derive independent oracles with :meth:`split`.
@@ -172,14 +247,6 @@ class SamplingOracle:
             self._dist = source
             self._proc = None
             self._n = source.n
-            # The CDF runs over the support atoms only.  Zero-mass entries add
-            # exactly 0.0 to a cumulative sum, so this table is the full-domain
-            # table restricted to the atoms, and side="right" search never
-            # lands on a zero-mass index: the draws are the same, at O(log s).
-            self._atoms = np.flatnonzero(source.pmf > 0.0)
-            cdf = np.cumsum(source.pmf[self._atoms])
-            cdf /= cdf[-1]
-            self._cdf = cdf
         elif callable(source):
             if n is None:
                 raise ParameterError("opaque sources require an explicit domain size n")
@@ -188,8 +255,6 @@ class SamplingOracle:
             self._dist = None
             self._proc = source
             self._n = int(n)
-            self._atoms = None
-            self._cdf = None
         else:
             raise ParameterError("source must be a Distribution or a callable")
 
@@ -213,8 +278,8 @@ class SamplingOracle:
         if m == 0:
             return np.empty(0, dtype=np.int64)
         if self._dist is not None:
-            u = self._gen.random(m)
-            out = self._atoms[np.searchsorted(self._cdf, u, side="right")]
+            table = self._dist._guide
+            out = table.atoms[table.slots(self._gen.random(m))]
         else:
             out = np.asarray(self._proc(self._gen, m), dtype=np.int64)
             if out.shape != (m,):
@@ -223,6 +288,23 @@ class SamplingOracle:
                 raise StructureError("draw procedure returned indices outside the domain")
         self.samples_drawn += m
         return out
+
+    def draw_tally(self, m: int) -> tuple:
+        """Distinct values of ``m`` i.i.d. draws, ascending, and how often each occurs.
+
+        Equal to ``np.unique(self.draw(m), return_counts=True)``, and leaves
+        the generator and ``samples_drawn`` where ``draw(m)`` would.  For an
+        explicit pmf it tallies the atom slots with one ``bincount``: O(m + s)
+        and no sort.
+        """
+        m = int(m)
+        if self._dist is None or m <= 0:
+            return np.unique(self.draw(m), return_counts=True)
+        table = self._dist._guide
+        counts = np.bincount(table.slots(self._gen.random(m)), minlength=table.atoms.size)
+        self.samples_drawn += m
+        hit = np.flatnonzero(counts)
+        return table.atoms[hit], counts[hit]
 
     def draw_counts(self, m: int) -> np.ndarray:
         """Occurrence counts of ``m`` i.i.d. draws, as a length-n vector.
@@ -383,4 +465,8 @@ def load_distribution(path) -> Distribution:
         raise StructureError("field 'pmf' must be an array of numbers")
     if len(pmf) != n:
         raise StructureError(f"pmf length {len(pmf)} does not match n={n}")
-    return Distribution(np.asarray(pmf, dtype=np.float64))
+    try:
+        arr = np.asarray(pmf, dtype=np.float64)
+    except OverflowError as exc:
+        raise StructureError(f"pmf entries must be finite: {exc}") from exc
+    return Distribution(arr)

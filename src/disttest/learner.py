@@ -7,10 +7,11 @@ it work without knowing ``s`` by guessing 1, 2, 4, ... and letting a tolerant
 identity test decide when the current empirical guess is close enough.
 
 Candidates stay sparse while the guess grows: a guess that makes m draws
-sorts its learn draws into (support, counts) and maps its test draws onto
-that support by binary search, so it costs O(m log m) time and nothing
-proportional to n.  Only the accepted candidate is densified into a
-:class:`Distribution`.
+tallies its learn draws into (support, counts) through
+:meth:`SamplingOracle.draw_tally` and maps the distinct values of its test
+draws onto that support by binary search, so over a source supported on s
+elements it costs O(m + s) time and nothing proportional to n.  Only the
+accepted candidate is densified into a :class:`Distribution`, in O(s) work.
 """
 
 from __future__ import annotations
@@ -131,13 +132,13 @@ def _identity_verdict(
 ) -> Verdict:
     """The test of :func:`tol_identity_test` against mass ``probs`` on the ascending atoms ``supp``.
 
-    The draws are tallied by value (a sort), and each distinct value lands in
-    the slot of its atom, found by binary search, or in slot ``s`` when it
-    misses the support.
+    The draws are tallied by value, and each distinct value lands in the slot
+    of its atom, found by binary search, or in slot ``s`` when it misses the
+    support.
     """
     s = int(supp.size)
     m = identity_test_sample_size(s, params, c_test)
-    values, hits = np.unique(oracle.draw(m), return_counts=True)
+    values, hits = oracle.draw_tally(m)
     slots = np.searchsorted(supp, values)
     slots[supp[np.minimum(slots, s - 1)] != values] = s
     counts = np.bincount(slots, weights=hits, minlength=s + 1)
@@ -188,7 +189,7 @@ def learn_adaptive(
         k += 1
         kappa = 1.0 / (100.0 * k * k)
         m_learn = _checked_ceil(c_learn * s / (delta * delta))
-        supp, hits = np.unique(oracle.draw(m_learn), return_counts=True)
+        supp, hits = oracle.draw_tally(m_learn)
         probs = hits / m_learn
         before = oracle.samples_drawn
         verdict = _identity_verdict(
@@ -201,10 +202,8 @@ def learn_adaptive(
         )
         total += m_learn + test_draws
         if accepted:
-            pmf = np.zeros(n)
-            pmf[supp] = probs
             return LearnResult(
-                distribution=Distribution(pmf),
+                distribution=Distribution._on_atoms(supp, probs, n),
                 total_samples=total,
                 final_guess=s,
                 iterations=tuple(records),

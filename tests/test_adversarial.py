@@ -101,6 +101,27 @@ class TestPairing:
             assert all(d.pmf[i] <= cap + 1e-12 for i in p.L)
         assert checked >= 90
 
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            np.r_[np.full(3, 0.05), np.full(10, 0.07), np.full(5, 0.018)],
+            np.r_[0.0, 0.25, 0.0, 0.25, 0.0, 0.25, 0.0, 0.25],
+            np.full(40, 1 / 40),
+            None,
+        ],
+        ids=["ties-at-threshold", "zeros", "all-equal", "exponential-1e5"],
+    )
+    @pytest.mark.parametrize("beta", [0.125, 0.25, 0.49])
+    def test_selection_equals_stable_argsort(self, pmf, beta):
+        if pmf is None:
+            raw = np.random.default_rng(1).exponential(size=10**5)
+            pmf = raw / raw.sum()
+        d = Distribution(pmf / pmf.sum())
+        k = math.floor(beta * d.n)
+        L = build_pairing(d, beta).L
+        assert L.dtype == np.int64
+        assert np.array_equal(L, np.argsort(d.pmf, kind="stable")[: 2 * k])
+
     def test_beta_too_small(self):
         with pytest.raises(ParameterError):
             build_pairing(Distribution.uniform(3), beta=0.2)

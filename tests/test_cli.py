@@ -162,6 +162,16 @@ class TestMainEntry:
         )
         assert code == 2
 
+    def test_dist_integer_beyond_float64_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        bad.write_text('{"n": 2, "pmf": [1' + "0" * 400 + ', 0]}')
+        out = tmp_path / "o.csv"
+        code = main(["learn", "--dist", str(bad), "--eta", "0", "--delta", "0.5", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_seeds_file(self, small_dist_file, tmp_path):
         seeds = tmp_path / "seeds.txt"
         seeds.write_text("4\n5\n# comment\n6\n")

@@ -255,6 +255,26 @@ class TestSampleSize:
             sample_size_additive(0.1, 1.0)
 
 
+def _exponential_pmf(size: int) -> np.ndarray:
+    raw = np.random.default_rng(3).exponential(size=size)
+    return raw / raw.sum()
+
+
+# pmfs that stress the guide table: CDF values exactly on bucket edges, a
+# bucket holding one step, equal CDF values inside one bucket, many steps
+# crowded below 1, a single atom, and a support in the 10^5s.
+GUIDE_PMFS = {
+    "uniform-64": np.full(64, 1 / 64),
+    "dyadic": np.r_[0.5 ** np.arange(1, 10), 0.5**9],
+    "one-step": np.array([0.3, 0.0, 0.7]),
+    "tiny-atom-absorbed": np.array([0.3, 1e-17, 0.0, 0.7]),
+    "heavy-plus-tiny": np.r_[1 - 1e-6, np.full(1000, 1e-9)],
+    "s-1": np.array([0.0, 1.0, 0.0]),
+    "point-mass-at-last": np.r_[np.zeros(99), 1.0],
+    "exponential-1e5": _exponential_pmf(10**5),
+}
+
+
 class TestSamplingOracle:
     def test_draw_zero(self):
         o = SamplingOracle(Distribution.uniform(4), seed=1)
@@ -309,23 +329,29 @@ class TestSamplingOracle:
             [0.0, 0.0, 0.0, 1.0],
             [0.0, 0.5, 1e-300, 0.0, 0.5, 0.0],
             list(np.arange(1.0, 65.0) / np.arange(1.0, 65.0).sum()),
+            *GUIDE_PMFS.values(),
         ],
-        ids=["leading", "interior", "trailing", "mass-at-0", "mass-at-last", "tiny-atom", "dense"],
+        ids=["leading", "interior", "trailing", "mass-at-0", "mass-at-last", "tiny-atom", "dense", *GUIDE_PMFS],
     )
     def test_draws_match_full_domain_table(self, pmf):
         d = Distribution(np.array(pmf))
         full = np.cumsum(d.pmf)
         full /= full[-1]
+        atoms = np.flatnonzero(d.pmf > 0.0)
+        cdf = np.cumsum(d.pmf[atoms])
+        cdf /= cdf[-1]
         for seed in (0, 1, 2, 99, 2**63 + 5):
             oracle = SamplingOracle(d, seed=seed)
             gen = np.random.Generator(np.random.PCG64(seed))
             drawn = 0
             for m in (1, 0, 1000, 37):
-                expected = np.searchsorted(full, gen.random(m), side="right")
+                u = gen.random(m)
+                expected = np.searchsorted(full, u, side="right")
                 got = oracle.draw(m)
                 drawn += m
                 assert got.dtype == np.int64
                 assert np.array_equal(got, expected)
+                assert np.array_equal(got, atoms[np.searchsorted(cdf, u, side="right")])
                 assert oracle.samples_drawn == drawn
 
     def test_draw_counts_matches_pmf_at_scale(self):
@@ -348,6 +374,103 @@ class TestSamplingOracle:
     def test_seed_validation(self):
         with pytest.raises(ParameterError):
             SamplingOracle(Distribution.uniform(2), seed=-1)
+
+
+class TestGuideTable:
+    @pytest.mark.parametrize("pmf", GUIDE_PMFS.values(), ids=GUIDE_PMFS.keys())
+    def test_slots_exact_on_boundary_keys(self, pmf):
+        # Random keys almost never hit a CDF value or a bucket edge exactly;
+        # these keys do, together with their float neighbours.
+        table = Distribution(pmf)._guide
+        edges = np.arange(table.buckets) / table.buckets
+        keys = np.concatenate([table.cdf, edges])
+        keys = np.concatenate([keys, np.nextafter(keys, 0.0), np.nextafter(keys, 1.0)])
+        keys = keys[(keys >= 0.0) & (keys < 1.0)]
+        expected = np.searchsorted(table.cdf, keys, side="right")
+        assert np.array_equal(table.slots(keys), expected)
+
+    def test_stress_pmfs_reach_every_branch(self):
+        tables = {name: Distribution(pmf)._guide for name, pmf in GUIDE_PMFS.items()}
+        assert not tables["uniform-64"].compare and tables["uniform-64"].deep is None
+        assert tables["one-step"].compare and tables["one-step"].deep is None
+        for name in ("tiny-atom-absorbed", "heavy-plus-tiny", "exponential-1e5"):
+            assert tables[name].deep is not None
+        assert tables["s-1"].buckets == 2
+
+    def test_bucket_count_depends_on_support_size_only(self):
+        for s, buckets in ((1, 2), (2, 4), (3, 8), (64, 128), (65, 256)):
+            small = Distribution.uniform_on(range(s), 1000)
+            spread = Distribution(np.r_[np.zeros(5), _exponential_pmf(s)])
+            assert small._guide.buckets == spread._guide.buckets == buckets
+
+    @pytest.mark.parametrize("pmf", GUIDE_PMFS.values(), ids=GUIDE_PMFS.keys())
+    def test_tally_matches_unique_of_draw(self, pmf):
+        d = Distribution(pmf)
+        for m in (0, 1, 20000):
+            by_tally, by_draw = SamplingOracle(d, seed=11), SamplingOracle(d, seed=11)
+            values, counts = by_tally.draw_tally(m)
+            want_values, want_counts = np.unique(by_draw.draw(m), return_counts=True)
+            assert values.dtype == want_values.dtype and counts.dtype == want_counts.dtype
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(counts, want_counts)
+            assert by_tally.samples_drawn == by_draw.samples_drawn == m
+            assert np.array_equal(by_tally.draw(100), by_draw.draw(100))
+
+    def test_tally_of_opaque_source(self):
+        def proc(gen, size):
+            return gen.integers(0, 5, size=size)
+
+        by_tally, by_draw = SamplingOracle(proc, seed=4, n=5), SamplingOracle(proc, seed=4, n=5)
+        values, counts = by_tally.draw_tally(300)
+        want = np.unique(by_draw.draw(300), return_counts=True)
+        assert np.array_equal(values, want[0]) and np.array_equal(counts, want[1])
+        assert by_tally.samples_drawn == 300
+        with pytest.raises(ParameterError):
+            by_tally.draw_tally(-1)
+
+    def test_table_read_only_and_shared(self):
+        d = Distribution(np.array([0.2, 0.0, 0.3, 0.5]))
+        parent = SamplingOracle(d, seed=1)
+        parent.draw(1)
+        table = d._guide
+        for child in (SamplingOracle(d, seed=2), parent.split(0), parent.split(5)):
+            child.draw(10)
+            assert child.source._guide is table
+        for arr in (table.atoms, table.cdf, table.lo):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_draw_counts_builds_no_table(self):
+        d = Distribution.uniform(8)
+        SamplingOracle(d, seed=1).draw_counts(100)
+        assert "_guide" not in vars(d)
+
+
+class TestSparseConstruction:
+    def test_equals_dense_construction(self):
+        atoms = np.array([2, 5, 9])
+        probs = np.array([0.25, 0.5, 0.25])
+        d = Distribution._on_atoms(atoms, probs, 12)
+        pmf = np.zeros(12)
+        pmf[atoms] = probs
+        assert d == Distribution(pmf)
+        assert d.pmf.dtype == np.float64 and not d.pmf.flags.writeable
+        assert d.n == 12 and np.array_equal(d.support(), atoms)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.5, np.nan], [0.5, np.inf], [1.5, -0.5], [0.5, 0.4], [0.6, 0.6], []],
+        ids=["nan", "inf", "negative", "under-sum", "over-sum", "empty"],
+    )
+    def test_rejects_what_the_constructor_rejects(self, probs):
+        atoms = np.arange(len(probs))
+        pmf = np.zeros(4)
+        pmf[atoms] = probs
+        with pytest.raises(ParameterError):
+            Distribution(pmf)
+        with pytest.raises(ParameterError):
+            Distribution._on_atoms(atoms, np.array(probs, dtype=np.float64), 4)
 
 
 class TestEmpiricalDistribution:
@@ -416,6 +539,12 @@ class TestDistributionFiles:
     def test_reader_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        with pytest.raises(StructureError):
+            load_distribution(path)
+
+    def test_reader_rejects_integer_beyond_float64(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 2, "pmf": [1' + "0" * 400 + ', 0]}')
         with pytest.raises(StructureError):
             load_distribution(path)
 

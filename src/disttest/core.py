@@ -4,9 +4,9 @@ The domain is always ``{0, 1, ..., n-1}``.  A :class:`Distribution` is an
 explicit probability mass function; a :class:`SamplingOracle` produces seeded
 i.i.d. draws from one (or from an opaque sampling procedure), at O(1)
 expected per draw from an O(s) table cached on the distribution for a
-support of size s.  The remaining
-functions implement the distance and mass machinery the testers and learners
-are built on, plus Chernoff-based sample-size utilities.
+support of size s.  The remaining functions implement the distance and mass
+machinery the testers and learners are built on, plus Chernoff-based
+sample-size utilities.
 """
 
 from __future__ import annotations
@@ -70,12 +70,12 @@ class _GuideTable:
     and the slot ``searchsorted(cdf, u, side="right")`` of a key never lands
     on a zero-mass index.  The guide cuts [0, 1) into K >= 2s buckets, K a
     power of two, so ``floor(u*K)`` is exact and a key in bucket b has its
-    slot between ``lo[b]`` = #{cdf <= b/K} and #{cdf < (b+1)/K}.  ``lo[b]``
-    plus one compare against ``cdf[lo[b]]`` is exact when the bucket holds at
-    most one cdf value (and the compare is skipped when no bucket holds one);
-    keys in a bucket holding two or more take a binary search.  Those buckets
-    cover under a quarter of [0, 1) and, for most pmfs, far less, so a key
-    costs O(1) expected.  All arrays are read-only.
+    slot between ``lo[b]`` = #{cdf <= b/K} and ``hi[b]`` = #{cdf < (b+1)/K}.
+    Every key takes one compare against ``cdf[lo[b]]``, which is exact when
+    the bucket holds at most one cdf value; keys in a bucket holding two or
+    more then bisect that bucket's own slots.  A bucket holding j values costs
+    its keys O(log j) and covers 1/K of [0, 1), and the j sum to at most s <=
+    K/2, so a key costs O(1) expected.  All arrays are read-only.
     """
 
     def __init__(self, pmf: np.ndarray):
@@ -85,23 +85,30 @@ class _GuideTable:
         self.buckets = 1 << (2 * atoms.size - 1).bit_length()
         edges = np.arange(self.buckets + 1) / self.buckets
         lo = np.searchsorted(cdf, edges[:-1], side="right")
-        inside = np.searchsorted(cdf, edges[1:], side="left") - lo
-        deep = inside >= 2
-        for arr in (atoms, cdf, lo, deep):
+        hi = np.searchsorted(cdf, edges[1:], side="left")
+        deep = hi - lo >= 2
+        for arr in (atoms, cdf, lo, hi, deep):
             arr.flags.writeable = False
-        self.atoms, self.cdf, self.lo = atoms, cdf, lo
-        self.compare = bool(inside.any())
-        self.deep = deep if deep.any() else None
+        self.atoms, self.cdf, self.lo, self.hi, self.deep = atoms, cdf, lo, hi, deep
 
     def slots(self, u: np.ndarray) -> np.ndarray:
         """``searchsorted(cdf, u, side="right")`` for keys in [0, 1), at O(1) expected per key."""
         bucket = (u * self.buckets).astype(np.intp)
         slot = self.lo[bucket]
-        if self.compare:
-            slot += self.cdf[slot] <= u
-        if self.deep is not None:
-            search = np.flatnonzero(self.deep[bucket])
-            slot[search] = np.searchsorted(self.cdf, u[search], side="right")
+        slot += self.cdf[slot] <= u
+        # Bisect [slot, hi] for the first cdf value above the key; a key
+        # leaves once its range has closed on that slot.
+        keys = np.flatnonzero(self.deep[bucket])
+        left, right, key = slot[keys], self.hi[bucket[keys]], u[keys]
+        while keys.size:
+            mid = (left + right) >> 1
+            above = self.cdf[mid] > key
+            right = np.where(above, mid, right)
+            left = np.where(above, left, mid + 1)
+            done = left == right
+            slot[keys[done]] = left[done]
+            open_ = ~done
+            keys, left, right, key = keys[open_], left[open_], right[open_], key[open_]
         return slot
 
 
@@ -270,6 +277,11 @@ class SamplingOracle:
     def source(self):
         return self._dist if self._dist is not None else self._proc
 
+    def _slots(self, m: int) -> tuple:
+        """The explicit pmf's sampling table and the slots in its ``atoms`` of ``m >= 1`` fresh draws."""
+        table = self._dist._guide
+        return table, table.slots(self._gen.random(m))
+
     def draw(self, m: int) -> np.ndarray:
         """Draw ``m`` i.i.d. indices; deterministic given the seed."""
         m = int(m)
@@ -278,8 +290,8 @@ class SamplingOracle:
         if m == 0:
             return np.empty(0, dtype=np.int64)
         if self._dist is not None:
-            table = self._dist._guide
-            out = table.atoms[table.slots(self._gen.random(m))]
+            table, slots = self._slots(m)
+            out = table.atoms[slots]
         else:
             out = np.asarray(self._proc(self._gen, m), dtype=np.int64)
             if out.shape != (m,):
@@ -300,8 +312,8 @@ class SamplingOracle:
         m = int(m)
         if self._dist is None or m <= 0:
             return np.unique(self.draw(m), return_counts=True)
-        table = self._dist._guide
-        counts = np.bincount(table.slots(self._gen.random(m)), minlength=table.atoms.size)
+        table, slots = self._slots(m)
+        counts = np.bincount(slots, minlength=table.atoms.size)
         self.samples_drawn += m
         hit = np.flatnonzero(counts)
         return table.atoms[hit], counts[hit]
@@ -448,6 +460,14 @@ def _is_numbers(x) -> bool:
     return isinstance(x, list) and all(_is_int(v) or isinstance(v, float) for v in x)
 
 
+def _float_array(values: list, what: str) -> np.ndarray:
+    """A checked JSON number array as float64; an integer beyond float64 is a :class:`StructureError`."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise StructureError(f"{what} entries must be finite: {exc}") from exc
+
+
 def load_distribution(path) -> Distribution:
     """Read a distribution file, rejecting anything violating the invariants."""
     try:
@@ -465,8 +485,4 @@ def load_distribution(path) -> Distribution:
         raise StructureError("field 'pmf' must be an array of numbers")
     if len(pmf) != n:
         raise StructureError(f"pmf length {len(pmf)} does not match n={n}")
-    try:
-        arr = np.asarray(pmf, dtype=np.float64)
-    except OverflowError as exc:
-        raise StructureError(f"pmf entries must be finite: {exc}") from exc
-    return Distribution(arr)
+    return Distribution(_float_array(pmf, "pmf"))

@@ -11,7 +11,8 @@ tallies its learn draws into (support, counts) through
 :meth:`SamplingOracle.draw_tally` and maps the distinct values of its test
 draws onto that support by binary search, so over a source supported on s
 elements it costs O(m + s) time and nothing proportional to n.  Only the
-accepted candidate is densified into a :class:`Distribution`, in O(s) work.
+accepted candidate is densified into a :class:`Distribution`, with checks
+on its s masses only.
 """
 
 from __future__ import annotations

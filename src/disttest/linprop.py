@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Distribution, _is_int, _is_numbers
+from .core import Distribution, _float_array, _is_int, _is_numbers
 from .errors import ParameterError, StructureError
 from .simplex import FEAS_TOL, Triplets, extract_bounds, solve_feasibility
 
@@ -372,9 +372,5 @@ def load_polyhedron(path) -> Polyhedron:
     strict = doc.get("strict_rows", [])
     if not isinstance(strict, list) or not all(_is_int(i) for i in strict):
         raise StructureError("'strict_rows' must be a list of row indices")
-    try:
-        A = np.asarray(flat, dtype=np.float64).reshape(M, N)
-        b = np.asarray(b, dtype=np.float64)
-    except OverflowError as exc:
-        raise StructureError(f"polyhedron entries must be finite: {exc}") from exc
-    return Polyhedron(A, b, frozenset(strict))
+    A = _float_array(flat, "polyhedron").reshape(M, N)
+    return Polyhedron(A, _float_array(b, "polyhedron"), frozenset(strict))

@@ -389,12 +389,18 @@ class TestGuideTable:
         expected = np.searchsorted(table.cdf, keys, side="right")
         assert np.array_equal(table.slots(keys), expected)
 
-    def test_stress_pmfs_reach_every_branch(self):
+    def test_stress_pmfs_reach_every_bucket_kind(self):
+        # hi - lo counts the CDF values strictly inside a bucket: none when
+        # they all sit on edges, one for a plain compare, two or more for a
+        # bisection, and ~1000 for one that takes ten rounds.
         tables = {name: Distribution(pmf)._guide for name, pmf in GUIDE_PMFS.items()}
-        assert not tables["uniform-64"].compare and tables["uniform-64"].deep is None
-        assert tables["one-step"].compare and tables["one-step"].deep is None
+        held = {name: table.hi - table.lo for name, table in tables.items()}
+        assert held["uniform-64"].max() == 0
+        assert held["one-step"].max() == 1
         for name in ("tiny-atom-absorbed", "heavy-plus-tiny", "exponential-1e5"):
-            assert tables[name].deep is not None
+            assert held[name].max() >= 2
+            assert np.array_equal(tables[name].deep, held[name] >= 2)
+        assert held["heavy-plus-tiny"].max() >= 512
         assert tables["s-1"].buckets == 2
 
     def test_bucket_count_depends_on_support_size_only(self):
@@ -436,7 +442,7 @@ class TestGuideTable:
         for child in (SamplingOracle(d, seed=2), parent.split(0), parent.split(5)):
             child.draw(10)
             assert child.source._guide is table
-        for arr in (table.atoms, table.cdf, table.lo):
+        for arr in (table.atoms, table.cdf, table.lo, table.hi, table.deep):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0

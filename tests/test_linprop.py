@@ -343,3 +343,12 @@ class TestPolyhedronFiles:
         path.write_text("[1, 2")
         with pytest.raises(StructureError):
             load_polyhedron(path)
+
+    @pytest.mark.parametrize("field", ["A", "b"])
+    def test_reader_rejects_integer_beyond_float64(self, tmp_path, field):
+        doc = {"M": 1, "N": 1, "A": [1.0], "b": [0.0]}
+        doc[field] = ["HUGE"]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 400))
+        with pytest.raises(StructureError, match="finite"):
+            load_polyhedron(path)

@@ -1,4 +1,4 @@
-"""Linear properties, slack linearization, and the phase-1 feasibility solver.
+"""Linear properties, slack linearization, and the HiGHS feasibility seam.
 
 Run with:  python3 demos/03_lp_feasibility.py
 """

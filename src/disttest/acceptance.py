@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -471,8 +472,6 @@ def criterion_13_determinism(first: list, second: list) -> CriterionResult:
 
 def run_acceptance_suite(stream=None) -> int:
     """Run every criterion, print one pass/fail line each, return an exit code."""
-    import sys
-
     out = stream or sys.stdout
     first = run_all()
     for res in first:

@@ -282,6 +282,7 @@ def collision_rate(
         raise ParameterError("m must be >= 2")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    _check_domain(pairing, d.n)
     cdf = np.cumsum(d.pmf)
     cdf /= cdf[-1]
     draws = np.searchsorted(cdf, rng.random((trials, m)), side="right")
@@ -293,6 +294,7 @@ def collision_rate(
 
 def pair_collision_bound(d: Distribution, pairing: Pairing, m: int) -> float:
     """Union bound m^2 * p_max / 2 on the same-pair collision probability."""
+    _check_domain(pairing, d.n)
     x, y = pairing.pairs.T
     p_max = float((d.pmf[x] + d.pmf[y]).max())
     return min(1.0, m * m * p_max / 2.0)

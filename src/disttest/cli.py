@@ -70,7 +70,7 @@ from .linprop import (
     load_polyhedron,
     uniformity_polyhedron,
 )
-from .tester import Verdict, derive_params
+from .tester import Verdict, derive_params, tolerant_test_detailed
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,6 @@ def _ms_since(t0: float) -> float:
 
 
 def _run_tolerant_test(seed: int, repeats: int, params: dict, multiple: bool):
-    from .tester import tolerant_test_detailed
-
     d = load_distribution(params["dist"])
     n = d.n
     selector = params["property"]

@@ -10,8 +10,7 @@ tester's high-mass estimate, :func:`build_feasibility_lp` appends the
 slack-linearized rows whose feasibility answers "is there a member of the
 property close to the surrogate distribution with its heavy elements inside
 H?".  :func:`lp_feasible` and :func:`feasibility_report` pass every system to
-the solve seam :func:`disttest.simplex.solve_feasibility`, which picks the
-backend.
+the solve seam :func:`disttest.simplex.solve_feasibility`.
 """
 
 from __future__ import annotations

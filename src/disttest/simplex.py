@@ -2,24 +2,14 @@
 
 Every feasibility question in disttest goes through :func:`solve_feasibility`.
 It takes the rows as a dense matrix or as COO :class:`Triplets` and decides
-the system with the first backend that imports:
-
-- HiGHS's dual simplex, through ``scipy.optimize.linprog(method="highs")``
-  (the optional ``fast`` extra).  scipy is imported inside the seam, so
-  importing disttest does not load it.
-- Otherwise the dense phase-1 simplex in this module, which needs only numpy.
-  The tests also use it as the reference the HiGHS verdicts are compared to.
-
-The dense phase 1 is the classic artificial-variable method: start from the
-slack basis, give every violated row an artificial variable equal to its
-violation, and minimize the total artificial mass.  The system is feasible
-exactly when that minimum is (numerically) zero.  Pivoting uses Dantzig
-pricing for speed and switches to Bland's rule when the objective stalls,
-which guarantees termination on degenerate instances.
+the system with HiGHS's dual simplex, through
+``scipy.optimize.linprog(method="highs")``.  scipy is imported inside the
+seam, at the first system the start point does not already satisfy, so
+importing disttest does not load it.
 
 Singleton rows should be folded into variable bounds with
-:func:`extract_bounds` first; both backends handle general lower/upper
-bounds, including free variables.
+:func:`extract_bounds` first; the seam handles general lower/upper bounds,
+including free variables.
 """
 
 from __future__ import annotations
@@ -33,10 +23,6 @@ from .errors import SolverError
 
 FEAS_TOL = 1e-9
 
-_RTOL = 1e-10       # reduced-cost threshold for entering columns
-_PTOL = 1e-10       # pivot magnitude threshold
-_STALL_LIMIT = 64   # iterations without progress before switching to Bland
-_REFRESH_EVERY = 128
 _HIGHS_MIN_TOL = 1e-10  # the smallest primal feasibility tolerance HiGHS accepts
 
 
@@ -47,10 +33,8 @@ class FeasibilityResult:
     ``violation`` is the least total row violation ``sum(max(Ax - b, 0))``
     over the points within the bounds; when the bounds themselves cross, it
     is the widest crossing instead.  A feasible result reports the residual
-    left at ``x``.  On infeasible systems HiGHS measures the minimum with one
-    extra elastic solve, and reports ``nan`` when the caller skipped it.  The
-    dense phase 1 keeps the rows satisfied at its starting point satisfied,
-    so its value there is an upper bound on the minimum, not the minimum.
+    left at ``x``.  On infeasible systems one extra elastic solve measures
+    the minimum, and it is ``nan`` when the caller skipped that solve.
     ``iterations`` counts simplex iterations of the feasibility solve.
     """
 
@@ -174,16 +158,14 @@ def solve_feasibility(
     names the instance in a :class:`SolverError`; a callable is only called
     when one is raised.
 
-    HiGHS decides when scipy imports, the dense phase 1 otherwise.  HiGHS
-    holds every row within ``tol`` (its primal feasibility tolerance, at
-    least 1e-10); phase 1 holds the total violation within ``tol``.  On
-    either backend, reaching ``max_iter`` iterations raises
+    HiGHS decides, holding every row within ``tol`` (its primal feasibility
+    tolerance, at least 1e-10).  Reaching ``max_iter`` iterations raises
     :class:`SolverError`, and so does a feasible point whose total violation
     exceeds ``max(100 * tol, 1e-6)``.
 
     ``violation`` is described on :class:`FeasibilityResult`.  With
-    ``measure_violation`` false, HiGHS skips the elastic solve that measures
-    it on infeasible systems.
+    ``measure_violation`` false, the elastic solve that measures it on
+    infeasible systems is skipped.
     """
     if not isinstance(A, Triplets):
         A = np.asarray(A, dtype=np.float64)
@@ -199,14 +181,12 @@ def solve_feasibility(
     beta0 = b - A @ x0
     if m == 0 or not np.any(beta0 < 0.0):
         return FeasibilityResult(True, 0.0, x0, 0)
-    try:
-        from scipy.optimize import linprog
-    except ImportError:
-        return _phase1(np.asarray(A), b, lower, upper, x0, beta0, tol, max_iter, digest)
-    return _highs(linprog, A, b, lower, upper, tol, max_iter, digest, measure_violation)
+    return _highs(A, b, lower, upper, tol, max_iter, digest, measure_violation)
 
 
-def _highs(linprog, A, b, lower, upper, tol, max_iter, digest, measure_violation):
+def _highs(A, b, lower, upper, tol, max_iter, digest, measure_violation):
+    # Imported here: loading scipy.optimize costs more than importing disttest.
+    from scipy.optimize import linprog
     from scipy.sparse import csr_array
 
     options = {"primal_feasibility_tolerance": max(tol, _HIGHS_MIN_TOL), "maxiter": max_iter}
@@ -254,182 +234,3 @@ def _highs(linprog, A, b, lower, upper, tol, max_iter, digest, measure_violation
         violation = float(least.fun)
     return FeasibilityResult(False, violation, None, int(res.nit))
 
-
-def _phase1(A, b, lower, upper, x0, beta0, tol, max_iter, digest) -> FeasibilityResult:
-    """The dense phase-1 simplex from the start point ``x0`` with residuals ``beta0 = b - A x0``."""
-    m, n = A.shape
-    bad = np.flatnonzero(beta0 < 0.0)
-
-    k = bad.size
-    ncols = n + m + k
-    tab = np.zeros((m, ncols))
-    tab[:, :n] = A
-    tab[np.arange(m), n + np.arange(m)] = 1.0
-    rhs = b.astype(np.float64).copy()
-    tab[bad] *= -1.0
-    rhs[bad] *= -1.0
-    art_cols = n + m + np.arange(k)
-    tab[bad, art_cols] = 1.0
-
-    lower_all = np.concatenate([lower, np.zeros(m + k)])
-    upper_all = np.concatenate([upper, np.full(m + k, np.inf)])
-    is_art = np.zeros(ncols, dtype=bool)
-    is_art[n + m :] = True
-    frozen = np.zeros(ncols, dtype=bool)
-
-    vals = np.zeros(ncols)
-    vals[:n] = x0
-    vals[n : n + m] = np.maximum(beta0, 0.0)
-    vals[n + np.asarray(bad)] = 0.0
-    vals[art_cols] = -beta0[bad]
-
-    basis = (n + np.arange(m)).astype(np.int64)
-    basis[bad] = art_cols
-    in_basis = np.zeros(ncols, dtype=bool)
-    in_basis[basis] = True
-    beta = vals[basis].copy()
-
-    cost = is_art.astype(np.float64)
-
-    def refresh_nonbasic():
-        nz = np.flatnonzero((~in_basis) & (vals != 0.0))
-        return rhs - tab[:, nz] @ vals[nz] if nz.size else rhs.copy()
-
-    def refresh_cost_row():
-        rows = np.flatnonzero(is_art[basis])
-        return cost - tab[rows].sum(axis=0) if rows.size else cost.copy()
-
-    r = refresh_cost_row()
-    z = float(beta[is_art[basis]].sum())
-    best_z = z
-    stall = 0
-    bland = False
-    iters = 0
-
-    while True:
-        if z <= tol:
-            beta = refresh_nonbasic()
-            z = float(beta[is_art[basis]].sum())
-            if z <= tol:
-                break
-
-        movable_up = (~in_basis) & (~frozen) & (vals < upper_all) & (r < -_RTOL)
-        movable_dn = (~in_basis) & (~frozen) & (vals > lower_all) & (r > _RTOL)
-        candidates = movable_up | movable_dn
-        if not candidates.any():
-            beta = refresh_nonbasic()
-            z = float(beta[is_art[basis]].sum())
-            break
-
-        idx = np.flatnonzero(candidates)
-        j = int(idx[0]) if bland else int(idx[np.argmax(np.abs(r[idx]))])
-        d = 1.0 if movable_up[j] else -1.0
-
-        y = tab[:, j]
-        rate = d * y
-        theta = upper_all[j] - vals[j] if d > 0 else vals[j] - lower_all[j]
-        blocker = -1  # -1: own bound, else blocking row
-        hit_upper = False
-
-        lo_rows = np.flatnonzero((rate > _PTOL) & np.isfinite(lower_all[basis]))
-        if lo_rows.size:
-            th = (beta[lo_rows] - lower_all[basis[lo_rows]]) / rate[lo_rows]
-            i_rel = int(np.argmin(th))
-            if th[i_rel] < theta:
-                theta = th[i_rel]
-                blocker = int(lo_rows[i_rel])
-                hit_upper = False
-        up_rows = np.flatnonzero((rate < -_PTOL) & np.isfinite(upper_all[basis]))
-        if up_rows.size:
-            th = (upper_all[basis[up_rows]] - beta[up_rows]) / (-rate[up_rows])
-            i_rel = int(np.argmin(th))
-            if th[i_rel] < theta:
-                theta = th[i_rel]
-                blocker = int(up_rows[i_rel])
-                hit_upper = True
-
-        if not np.isfinite(theta):
-            raise SolverError("phase-1 descent direction is unblocked", _name(digest))
-        theta = max(theta, 0.0)
-
-        if blocker >= 0:
-            tie = np.flatnonzero(
-                (rate > _PTOL)
-                & np.isfinite(lower_all[basis])
-                & (beta - lower_all[basis] <= theta * rate + 1e-12)
-            )
-            tie_up = np.flatnonzero(
-                (rate < -_PTOL)
-                & np.isfinite(upper_all[basis])
-                & (upper_all[basis] - beta <= -theta * rate + 1e-12)
-            )
-            if bland:
-                # Bland: leave the tied basic variable of smallest index.
-                best_key = int(basis[blocker])
-                for cand in tie:
-                    if int(basis[cand]) < best_key:
-                        blocker, best_key, hit_upper = int(cand), int(basis[cand]), False
-                for cand in tie_up:
-                    if int(basis[cand]) < best_key:
-                        blocker, best_key, hit_upper = int(cand), int(basis[cand]), True
-            else:
-                # Among (near-)ties prefer the largest pivot magnitude.
-                best_mag = abs(rate[blocker])
-                for cand in tie:
-                    if abs(rate[cand]) > best_mag:
-                        blocker, best_mag, hit_upper = int(cand), abs(rate[cand]), False
-                for cand in tie_up:
-                    if abs(rate[cand]) > best_mag:
-                        blocker, best_mag, hit_upper = int(cand), abs(rate[cand]), True
-
-        delta = d * theta
-        r_j = r[j]
-        if blocker < 0:
-            vals[j] += delta
-            beta -= theta * rate
-            z += r_j * delta
-        else:
-            leave = int(basis[blocker])
-            piv = tab[blocker, j]
-            beta -= theta * rate
-            entering_val = vals[j] + delta
-            col = tab[:, j].copy()
-            tab[blocker] /= piv
-            rhs[blocker] /= piv
-            col[blocker] = 0.0
-            nzr = np.flatnonzero(col)
-            if nzr.size:
-                tab[nzr] -= np.outer(col[nzr], tab[blocker])
-                rhs[nzr] -= col[nzr] * rhs[blocker]
-            r = r - r_j * tab[blocker]
-            basis[blocker] = j
-            in_basis[j] = True
-            in_basis[leave] = False
-            vals[leave] = upper_all[leave] if hit_upper else lower_all[leave]
-            beta[blocker] = entering_val
-            if is_art[leave]:
-                frozen[leave] = True
-            z += r_j * delta
-
-        iters += 1
-        if z < best_z - 1e-13:
-            best_z = z
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                bland = True
-        if iters % _REFRESH_EVERY == 0:
-            beta = refresh_nonbasic()
-            r = refresh_cost_row()
-            z = float(beta[is_art[basis]].sum())
-        if iters > max_iter:
-            raise SolverError(f"iteration cap {max_iter} exceeded", _name(digest))
-
-    x = vals[:n].copy()
-    struct_rows = np.flatnonzero(basis < n)
-    x[basis[struct_rows]] = beta[struct_rows]
-    feasible = z <= tol
-    if feasible:
-        _check_residual(A, x, b, lower, upper, tol, digest)
-    return FeasibilityResult(bool(feasible), float(max(z, 0.0)), x if feasible else None, iters)

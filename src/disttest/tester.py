@@ -232,9 +232,3 @@ def majority_tolerant_test(
     )
     return Verdict.ACCEPT if 2 * accepts > repeats else Verdict.REJECT
 
-
-class AlwaysFeasibleOracle:
-    """Property oracle that accepts everything (useful as a dominance control)."""
-
-    def __call__(self, H, d_tilde, q, bound) -> bool:
-        return True

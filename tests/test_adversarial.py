@@ -84,6 +84,10 @@ class TestPairing:
             dno_label_invariant(d, pairing)
         with pytest.raises(StructureError, match="outside the domain"):
             dno_general(d, pairing, np.random.default_rng(0))
+        with pytest.raises(StructureError, match="outside the domain"):
+            collision_rate(d, pairing, 5, 10, np.random.default_rng(0))
+        with pytest.raises(StructureError, match="outside the domain"):
+            pair_collision_bound(d, pairing, 5)
 
     def test_low_mass_bound_on_non_concentrated_instances(self, rng):
         # Every element of L obeys the (1-2a)/((1-2b)n) mass cap whenever the

@@ -143,12 +143,15 @@ class TestSolveFeasibility:
 
     def test_random_systems_match_vertex_enumeration(self):
         rng = np.random.default_rng(42)
+        feasible = 0
         for _ in range(120):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 9))
             A = rng.uniform(-2, 2, size=(m, n))
             b = rng.uniform(-2, 2, size=m)
-            check_against_oracle(A, b)
+            feasible += check_against_oracle(A, b)
+        # Both verdicts occur often enough for the agreement to mean something.
+        assert 30 <= feasible <= 120 - 30
 
     def test_random_systems_with_singletons(self):
         rng = np.random.default_rng(43)

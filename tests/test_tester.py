@@ -8,7 +8,6 @@ from disttest.core import Distribution, SamplingOracle
 from disttest.errors import DimensionError, ParameterError
 from disttest.linprop import linear_property_oracle, uniformity_polyhedron
 from disttest.tester import (
-    AlwaysFeasibleOracle,
     HighEstimate,
     TesterParams,
     Verdict,
@@ -184,7 +183,7 @@ class TestTolerantTest:
         params = small_params()
         for d in (Distribution.uniform(100), Distribution.point_mass(100, 3)):
             oracle = SamplingOracle(d, seed=5)
-            assert tolerant_test(oracle, AlwaysFeasibleOracle(), params, 100) is Verdict.ACCEPT
+            assert tolerant_test(oracle, lambda *args: True, params, 100) is Verdict.ACCEPT
 
     def test_deterministic_and_exact_sample_count(self):
         params = small_params()
@@ -224,9 +223,9 @@ class TestTolerantTest:
         params = small_params()
         oracle = SamplingOracle(Distribution.uniform(100), seed=1)
         with pytest.raises(ParameterError):
-            majority_tolerant_test(oracle, AlwaysFeasibleOracle(), params, 100, repeats=2)
+            majority_tolerant_test(oracle, lambda *args: True, params, 100, repeats=2)
         assert (
-            majority_tolerant_test(oracle, AlwaysFeasibleOracle(), params, 100, repeats=3)
+            majority_tolerant_test(oracle, lambda *args: True, params, 100, repeats=3)
             is Verdict.ACCEPT
         )
         assert oracle.samples_drawn == 3 * (params.W + params.Z_size)

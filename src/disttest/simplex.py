@@ -2,10 +2,12 @@
 
 Every feasibility question in disttest goes through :func:`solve_feasibility`.
 It takes the rows as a dense matrix or as COO :class:`Triplets` and decides
-the system with HiGHS's dual simplex, through
-``scipy.optimize.linprog(method="highs")``.  scipy is imported inside the
-seam, at the first system the start point does not already satisfy, so
-importing disttest does not load it.
+the system with HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018),
+called through the bindings scipy ships as ``scipy.optimize._highspy`` with
+the options ``linprog(method="highs")`` would set, so verdicts and points
+are the ones linprog gives.  scipy is imported inside the seam, at the first
+system the start point does not already satisfy, so importing disttest does
+not load it.
 
 Singleton rows should be folded into variable bounds with
 :func:`extract_bounds` first; the seam handles general lower/upper bounds,
@@ -19,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import ParameterError, SolverError
 
 FEAS_TOL = 1e-9
 
 _HIGHS_MIN_TOL = 1e-10  # the smallest primal feasibility tolerance HiGHS accepts
+_SCIPY_FLOOR = "1.15"  # the first scipy that ships scipy.optimize._highspy
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,26 @@ def _check_residual(A, x, b, lower, upper, tol, digest) -> float:
     return total
 
 
+def _check_inputs(A, b, lower, upper, max_iter) -> None:
+    """Raise :class:`ParameterError` on a system no solver should be handed."""
+    m, n = A.shape
+    if b.shape != (m,) or lower.shape != (n,) or upper.shape != (n,):
+        raise ParameterError(
+            f"A is {m}x{n} but b, lower and upper have shapes {b.shape}, {lower.shape}, {upper.shape}"
+        )
+    vals = A
+    if isinstance(A, Triplets):
+        vals = A.vals
+        if A.nnz and (A.rows.min() < 0 or A.rows.max() >= m or A.cols.min() < 0 or A.cols.max() >= n):
+            raise ParameterError(f"a triplet lies outside the {m}x{n} shape")
+    if not (np.isfinite(vals).all() and np.isfinite(b).all()):
+        raise ParameterError("A and b must be finite")
+    if np.isnan(lower).any() or np.isnan(upper).any() or (lower == np.inf).any() or (upper == -np.inf).any():
+        raise ParameterError("bounds must not be nan, and lower must not be +inf nor upper -inf")
+    if not max_iter >= 0:
+        raise ParameterError(f"max_iter must be >= 0, not {max_iter}")
+
+
 def solve_feasibility(
     A,
     b: np.ndarray,
@@ -161,7 +184,10 @@ def solve_feasibility(
     HiGHS decides, holding every row within ``tol`` (its primal feasibility
     tolerance, at least 1e-10).  Reaching ``max_iter`` iterations raises
     :class:`SolverError`, and so does a feasible point whose total violation
-    exceeds ``max(100 * tol, 1e-6)``.
+    exceeds ``max(100 * tol, 1e-6)``.  :class:`ParameterError` is raised
+    before any solve when ``A`` or ``b`` holds a non-finite entry, a bound is
+    nan, ``lower`` is +inf or ``upper`` is -inf, a length does not match
+    ``A.shape``, a triplet lies outside it, or ``max_iter`` is negative.
 
     ``violation`` is described on :class:`FeasibilityResult`.  With
     ``measure_violation`` false, the elastic solve that measures it on
@@ -173,6 +199,7 @@ def solve_feasibility(
     m, n = A.shape
     lower = np.full(n, -np.inf) if lower is None else np.array(lower, dtype=np.float64)
     upper = np.full(n, np.inf) if upper is None else np.array(upper, dtype=np.float64)
+    _check_inputs(A, b, lower, upper, max_iter)
     widest = _pinch(lower, upper, tol)
     if widest > tol:
         return FeasibilityResult(False, widest, None, 0)
@@ -184,34 +211,74 @@ def solve_feasibility(
     return _highs(A, b, lower, upper, tol, max_iter, digest, measure_violation)
 
 
+def _csc(t: Triplets):
+    """``(start, index, value)`` of ``t`` in compressed-column form, duplicates summed."""
+    order = np.lexsort((t.rows, t.cols))
+    rows, cols, vals = t.rows[order], t.cols[order], t.vals[order]
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    if not new.all():
+        first = np.flatnonzero(new)
+        rows, cols, vals = rows[first], cols[first], np.add.reduceat(vals, first)
+    start = np.zeros(t.shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=t.shape[1]), out=start[1:])
+    return start, rows.astype(np.int32), vals
+
+
 def _highs(A, b, lower, upper, tol, max_iter, digest, measure_violation):
     # Imported here: loading scipy.optimize costs more than importing disttest.
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_array
+    # The bindings are called directly because linprog's Python layer (option
+    # checks, sparse format conversions, dual bookkeeping we discard) took
+    # longer per call than the solve itself.
+    try:
+        from scipy.optimize._highspy import _core as highs
+    except ImportError as exc:
+        raise ImportError(f"disttest needs scipy>={_SCIPY_FLOOR}, which ships the HiGHS bindings") from exc
 
-    options = {"primal_feasibility_tolerance": max(tol, _HIGHS_MIN_TOL), "maxiter": max_iter}
+    status = highs.HighsModelStatus
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.output_flag = False
+    options.log_to_console = False
+    options.primal_feasibility_tolerance = max(tol, _HIGHS_MIN_TOL)
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.simplex_iteration_limit = options.ipm_iteration_limit = min(max_iter, highs.kHighsIInf)
 
-    def solve(t: Triplets, c, lo, hi):
-        res = linprog(
-            c,
-            A_ub=csr_array((t.vals, (t.rows, t.cols)), shape=t.shape),
-            b_ub=b,
-            bounds=np.column_stack([lo, hi]),
-            method="highs",
-            options=options,
+    def solve(t: Triplets, cost, lo, hi):
+        """``(x, iterations, objective)``; ``x`` is None when the system is infeasible."""
+        m, n = t.shape
+        start, index, value = _csc(t)
+        solver = highs._Highs()  # one per solve, so concurrent callers share nothing
+        if solver.passOptions(options) != highs.HighsStatus.kOk:
+            raise SolverError(f"HiGHS rejects tol={tol} or max_iter={max_iter}", _name(digest))
+        # The array form of passModel: every column continuous, no objective offset.
+        passed = solver.passModel(
+            n, m, value.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+            cost, lo, hi, np.full(m, -np.inf), b, start, index, value, np.zeros(n, dtype=np.int32),
         )
-        if res.status == 1:
+        if passed == highs.HighsStatus.kError:
+            # HiGHS refuses, say, an entry beyond 1e15; linprog calls that infeasible too.
+            return None, 0, math.nan
+        solver.run()
+        model = solver.getModelStatus()
+        if model in (status.kIterationLimit, status.kTimeLimit):
             raise SolverError(f"iteration cap {max_iter} exceeded", _name(digest))
-        if res.status not in (0, 2):
-            raise SolverError(f"HiGHS: {res.message}", _name(digest))
-        return res
+        # HiGHS calls a model without columns empty; one reaches here only with some b < 0.
+        if model not in (status.kOptimal, status.kInfeasible, status.kModelError, status.kModelEmpty):
+            raise SolverError(f"HiGHS: {solver.modelStatusToString(model)}", _name(digest))
+        info = solver.getInfo()
+        if model != status.kOptimal:
+            # An empty model leaves the count at -1.
+            return None, max(info.simplex_iteration_count, 0), math.nan
+        x = np.array(solver.getSolution().col_value)
+        return x, info.simplex_iteration_count, info.objective_function_value
 
     t = A if isinstance(A, Triplets) else Triplets.from_dense(A)
     m, n = t.shape
-    res = solve(t, np.zeros(n), lower, upper)
-    if res.status == 0:
-        violation = _check_residual(t, res.x, b, lower, upper, tol, digest)
-        return FeasibilityResult(True, violation, res.x, int(res.nit))
+    x, iterations, _ = solve(t, np.zeros(n), lower, upper)
+    if x is not None:
+        violation = _check_residual(t, x, b, lower, upper, tol, digest)
+        return FeasibilityResult(True, violation, x, iterations)
     violation = math.nan
     if measure_violation:
         # Elastic form: Ax - s <= b with s >= 0, minimising sum(s).
@@ -223,14 +290,13 @@ def _highs(A, b, lower, upper, tol, max_iter, digest, measure_violation):
             (m, n + m),
         )
         cost = np.concatenate([np.zeros(n), np.ones(m)])
-        least = solve(
+        least, _, fun = solve(
             elastic,
             cost,
             np.concatenate([lower, np.zeros(m)]),
             np.concatenate([upper, np.full(m, np.inf)]),
         )
-        if least.status != 0:
+        if least is None:
             raise SolverError("elastic solve found no point within the bounds", _name(digest))
-        violation = float(least.fun)
-    return FeasibilityResult(False, violation, None, int(res.nit))
-
+        violation = float(fun)
+    return FeasibilityResult(False, violation, None, iterations)

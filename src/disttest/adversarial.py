@@ -9,9 +9,13 @@ single-draw law of every pair identical between ``d_yes`` and the ``d_no``
 ensemble.  ``d_no`` loses a ``floor(beta*n)``-sized chunk of its support, so
 it cannot be non-concentrated.
 
-Pairings are int64 arrays and every per-pair step is whole-array numpy work:
-:func:`build_pairing` costs O(n + k log k) to select and order its 2k elements,
-the rest O(k) for k pairs.
+Pairings are int64 arrays and every per-pair step is whole-array numpy work.
+:func:`build_pairing` costs O(n + k log k) to select and order its 2k elements
+on its first call for a distribution and pair count k; the ordered pairing is
+cached on the :class:`~disttest.core.Distribution`, so later calls reuse it
+(and a random matching costs one O(k) permutation of it).  The rest is O(k)
+for k pairs, and :func:`collision_rate` looks up its draws in ascending key
+order, which keeps the inverse-CDF bisection in cache.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ CONSERVATION_TOL = 1e-12
 
 
 def _indices(values) -> np.ndarray:
-    """Read-only int64 copy of ``values``, which must be non-negative integers."""
+    """Read-only int64 copy of ``values``, which must be non-negative integers (not booleans)."""
     raw = np.asarray(values)
+    if raw.dtype == np.bool_:
+        raise StructureError("pairing indices must be non-negative integers, not booleans")
     with np.errstate(invalid="ignore"):
         idx = raw.astype(np.int64)
     if not np.array_equal(raw, idx) or (idx < 0).any():
@@ -51,8 +57,11 @@ class Pairing:
         pairs = _indices(self.pairs)
         if L.shape != (pairs.size,) or pairs.shape[1:] != (2,) or not pairs.size:
             raise StructureError("pairs must cover L with floor(beta*n) disjoint pairs")
-        flat = np.sort(pairs, axis=None)
-        if (flat[1:] <= flat[:-1]).any() or not np.array_equal(flat, np.sort(L)):
+        # Pairs read row by row as L (every pairing built here) hold the
+        # same set as L, so one sort checks them for duplicates.
+        same_order = np.array_equal(pairs.ravel(), L)
+        flat = np.sort(L if same_order else pairs, axis=None)
+        if (flat[1:] <= flat[:-1]).any() or not (same_order or np.array_equal(flat, np.sort(L))):
             raise StructureError("pairs must partition L into disjoint pairs")
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "pairs", pairs)
@@ -102,20 +111,27 @@ def build_pairing(d_yes: Distribution, beta: float, rng: np.random.Generator | N
 
     The selection equals ``argsort(pmf, kind="stable")[:2k]`` without sorting
     all n: a partition finds the 2k-th smallest mass, every element below it
-    is stable-sorted by mass, and ties at it follow in index order.
+    is stable-sorted by mass, and ties at it follow in index order.  That
+    selection depends on the pmf and k alone, so the rng-free pairing is
+    built once per (distribution, k) and cached on ``d_yes``; with ``rng``
+    each call permutes the cached order.
     """
     if not 0.0 < beta < 0.5:
         raise ParameterError("beta must lie in (0, 1/2)")
     k = int(math.floor(beta * d_yes.n))
     if k < 1:
         raise ParameterError(f"beta*n rounds below one pair (beta={beta}, n={d_yes.n})")
-    pmf = d_yes.pmf
-    threshold = np.partition(pmf, 2 * k - 1)[2 * k - 1]
-    below = np.flatnonzero(pmf < threshold)
-    ties = np.flatnonzero(pmf == threshold)[: 2 * k - below.size]
-    L = np.concatenate([below[np.argsort(pmf[below], kind="stable")], ties])
-    if rng is not None:
-        L = rng.permutation(L)
+    ordered = d_yes._pairings.get(k)
+    if ordered is None:
+        pmf = d_yes.pmf
+        threshold = np.partition(pmf, 2 * k - 1)[2 * k - 1]
+        below = np.flatnonzero(pmf < threshold)
+        ties = np.flatnonzero(pmf == threshold)[: 2 * k - below.size]
+        L = np.concatenate([below[np.argsort(pmf[below], kind="stable")], ties])
+        ordered = d_yes._pairings[k] = Pairing(L=L, pairs=L.reshape(k, 2))
+    if rng is None:
+        return ordered
+    L = rng.permutation(ordered.L)
     return Pairing(L=L, pairs=L.reshape(k, 2))
 
 
@@ -275,6 +291,10 @@ def collision_rate(
     A repeated element counts as a collision when it belongs to L.  This is
     the empirical probability of the event whose rarity makes the yes/no
     ensembles indistinguishable at small sample sizes.
+
+    The draws are ``searchsorted(cdf, rng.random((trials, m)), side="right")``
+    bit for bit, from the same keys, but the keys are looked up in ascending
+    order, so each bisection starts near the last one's cache lines.
     """
     m = int(m)
     trials = int(trials)
@@ -285,8 +305,11 @@ def collision_rate(
     _check_domain(pairing, d.n)
     cdf = np.cumsum(d.pmf)
     cdf /= cdf[-1]
-    draws = np.searchsorted(cdf, rng.random((trials, m)), side="right")
-    ids = pairing.pair_ids(d.n)[draws]
+    keys = rng.random(trials * m)
+    order = np.argsort(keys)
+    draws = np.empty(keys.size, dtype=np.intp)
+    draws[order] = np.searchsorted(cdf, keys[order], side="right")
+    ids = pairing.pair_ids(d.n)[draws.reshape(trials, m)]
     ids.sort(axis=1)
     same = (ids[:, 1:] == ids[:, :-1]) & (ids[:, 1:] >= 0)
     return float(same.any(axis=1).mean())

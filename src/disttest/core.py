@@ -119,8 +119,10 @@ class Distribution:
     Invariants enforced at construction: every entry is >= 0, the entries sum
     to 1 within ``PMF_SUM_TOL``, and the domain is nonempty.  Instances are
     immutable (the underlying array is locked), so they are safe to share
-    between threads; the sampling table is built from the pmf on the first
-    explicit draw and cached on the instance.
+    between threads.  Two things derived from the pmf alone are cached on the
+    instance: the sampling table, built on the first explicit draw, and the
+    mass-ordered pairing of :func:`disttest.adversarial.build_pairing`, built
+    on its first call for each pair count.
     """
 
     pmf: np.ndarray
@@ -155,6 +157,11 @@ class Distribution:
         """The sampling table, built on the first explicit draw and shared by every oracle over this pmf."""
         return _GuideTable(self.pmf)
 
+    @cached_property
+    def _pairings(self) -> dict:
+        """Pair count k -> the rng-free pairing of the 2k lightest elements, filled by ``build_pairing``."""
+        return {}
+
     @property
     def n(self) -> int:
         """Domain size."""
@@ -187,10 +194,12 @@ class Distribution:
         return cls(pmf)
 
     def mass(self, indices: Iterable[int]) -> float:
-        """Total probability mass of a set of indices."""
-        idx = np.asarray(list(indices), dtype=np.int64)
+        """Total probability mass of a set of indices; a repeated index counts once."""
+        idx = np.unique(np.asarray(list(indices), dtype=np.int64))
         if idx.size == 0:
             return 0.0
+        if idx[0] < 0 or idx[-1] >= self.n:
+            raise ParameterError(f"indices outside the domain of size {self.n}")
         return float(self.pmf[idx].sum())
 
     def support(self) -> np.ndarray:

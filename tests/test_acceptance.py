@@ -5,9 +5,21 @@ asserted individually so failures are reported by name; criterion 13 reruns
 the whole suite and compares metric columns byte for byte.
 """
 
+import warnings
+
+import numpy as np
 import pytest
 
-from disttest.acceptance import criterion_13_determinism, run_all
+from disttest.acceptance import (
+    _metrics,
+    _rng,
+    criterion_09_conditional_law,
+    criterion_13_determinism,
+    load_config,
+    run_all,
+)
+from disttest.adversarial import build_pairing
+from disttest.core import Distribution
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +45,50 @@ def test_criterion_13_determinism(first_run, second_run):
     assert result.passed, result.line()
     for a, b in zip(first_run, second_run):
         assert a.metrics == b.metrics, f"{a.cid}: {a.metrics} != {b.metrics}"
+
+
+def loop_conditional_law_deviation(cfg):
+    """Criterion 09's measurement with one Python loop per pair, the reference
+    its whole-array version must reproduce bit for bit."""
+    n = cfg["n"]
+    raw = _rng(cfg["seed"], 0).exponential(size=n)
+    pmf = cfg["theta"] / n + (1 - cfg["theta"]) * raw / raw.sum()
+    d_yes = Distribution(pmf / pmf.sum())
+    pairing = build_pairing(d_yes, cfg["beta"], None)
+    trials = cfg["draws"]
+    draw_gen = _rng(cfg["seed"], 1)
+    coins = draw_gen.random((trials, pairing.size))
+    pmfs = np.tile(d_yes.pmf, (trials, 1))
+    for t, (x, y) in enumerate(pairing.pairs):
+        total = d_yes.pmf[x] + d_yes.pmf[y]
+        to_x = coins[:, t] < (d_yes.pmf[x] / total if total > 0 else 1.0)
+        pmfs[to_x, x] = total
+        pmfs[to_x, y] = 0.0
+        pmfs[~to_x, x] = 0.0
+        pmfs[~to_x, y] = total
+    cdfs = np.cumsum(pmfs, axis=1)
+    u = draw_gen.random(trials)
+    draws = (cdfs < (u * cdfs[:, -1])[:, None]).sum(axis=1)
+    ids = pairing.pair_ids(n)[draws]
+    max_dev, unhit = 0.0, 0
+    for t, (x, y) in enumerate(pairing.pairs):
+        expect = d_yes.pmf[x] / (d_yes.pmf[x] + d_yes.pmf[y])
+        in_pair = ids == t
+        unhit += not in_pair.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            freq = float(np.mean(draws[in_pair] == x))
+        # max() skips the nan of a pair no draw landed in.
+        max_dev = max(max_dev, abs(freq - expect))
+    return max_dev, unhit
+
+
+@pytest.mark.parametrize(
+    "seed, n, draws",
+    [(109, 20, 100000), (3, 64, 4000), (4, 400, 200), (5, 400, 40)],
+)
+def test_criterion_09_matches_its_per_pair_loops(seed, n, draws):
+    cfg = dict(load_config()["criteria"]["c09"], seed=seed, n=n, draws=draws)
+    max_dev, unhit = loop_conditional_law_deviation(cfg)
+    assert (unhit > 0) == (draws <= 200)
+    assert criterion_09_conditional_law(cfg).metrics == _metrics(max_deviation=max_dev, tol=cfg["tol"])

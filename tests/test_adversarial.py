@@ -23,7 +23,12 @@ from disttest.core import (
 )
 from disttest.errors import ParameterError, StructureError
 
-from conftest import mixture_distribution
+from conftest import mixture_distribution, random_pmf
+
+
+def two_level_pmf(n):
+    pmf = np.where(np.arange(n) % 3 == 0, 2.0, 1.0)
+    return pmf / pmf.sum()
 
 
 class TestPairing:
@@ -62,6 +67,30 @@ class TestPairing:
     )
     def test_negative_and_non_integral_indices_rejected(self, L, pairs):
         with pytest.raises(StructureError, match="non-negative integers"):
+            Pairing(L=L, pairs=pairs)
+
+    def test_boolean_indices_rejected(self):
+        with pytest.raises(StructureError, match="not booleans"):
+            Pairing(L=[True, False], pairs=[[1, 0]])
+        with pytest.raises(StructureError, match="not booleans"):
+            Pairing(L=[1, 0], pairs=np.array([[True, False]]))
+
+    def test_duplicate_rejected_when_pairs_read_as_L(self):
+        # pairs.ravel() equals L: the single-sort branch.
+        L = np.array([4, 2, 7, 2])
+        with pytest.raises(StructureError, match="disjoint pairs"):
+            Pairing(L=L, pairs=L.reshape(2, 2))
+
+    @pytest.mark.parametrize(
+        "L, pairs",
+        [
+            ((0, 1, 2, 3), ((0, 1), (2, 5))),
+            ((0, 1, 2, 3), ((3, 1), (2, 2))),
+            ((0, 1, 2, 2), ((0, 1), (2, 3))),
+        ],
+    )
+    def test_set_mismatch_rejected_when_pairs_reorder_L(self, L, pairs):
+        with pytest.raises(StructureError, match="disjoint pairs"):
             Pairing(L=L, pairs=pairs)
 
     def test_fields_are_read_only_int64_copies(self):
@@ -111,24 +140,57 @@ class TestPairing:
             np.r_[np.full(3, 0.05), np.full(10, 0.07), np.full(5, 0.018)],
             np.r_[0.0, 0.25, 0.0, 0.25, 0.0, 0.25, 0.0, 0.25],
             np.full(40, 1 / 40),
+            two_level_pmf(999),
             None,
         ],
-        ids=["ties-at-threshold", "zeros", "all-equal", "exponential-1e5"],
+        ids=["ties-at-threshold", "zeros", "all-equal", "two-levels", "exponential-1e5"],
     )
     @pytest.mark.parametrize("beta", [0.125, 0.25, 0.49])
     def test_selection_equals_stable_argsort(self, pmf, beta):
         if pmf is None:
-            raw = np.random.default_rng(1).exponential(size=10**5)
-            pmf = raw / raw.sum()
+            pmf = random_pmf(np.random.default_rng(1), 10**5)
         d = Distribution(pmf / pmf.sum())
         k = math.floor(beta * d.n)
-        L = build_pairing(d, beta).L
-        assert L.dtype == np.int64
-        assert np.array_equal(L, np.argsort(d.pmf, kind="stable")[: 2 * k])
+        reference = np.argsort(d.pmf, kind="stable")[: 2 * k]
+        cold = build_pairing(d, beta)
+        cached = build_pairing(d, beta)
+        assert cached is cold
+        assert same_bytes(cold.L, reference, np.int64)
+        assert same_bytes(cold.pairs, reference.reshape(k, 2), np.int64)
 
     def test_beta_too_small(self):
         with pytest.raises(ParameterError):
             build_pairing(Distribution.uniform(3), beta=0.2)
+
+
+class TestPairingCache:
+    def test_two_betas_keep_their_own_entries(self):
+        d = Distribution(two_level_pmf(600))
+        small, large = build_pairing(d, 0.1), build_pairing(d, 0.4)
+        assert (small.size, large.size) == (60, 240)
+        order = np.argsort(d.pmf, kind="stable")
+        for beta, pairing in ((0.1, small), (0.4, large), (0.1, small)):
+            again = build_pairing(d, beta)
+            assert again is pairing
+            assert same_bytes(again.L, order[: 2 * pairing.size], np.int64)
+
+    @pytest.mark.parametrize(
+        "pmf", [random_pmf(np.random.default_rng(3), 5000), two_level_pmf(300)], ids=["exponential", "two-levels"]
+    )
+    def test_random_matching_permutes_the_cached_selection(self, pmf):
+        d = Distribution(pmf)
+        k = math.floor(0.25 * d.n)
+        reference = np.argsort(d.pmf, kind="stable")[: 2 * k]
+        # Seed 0 finds the cache empty, the later seeds find it filled.
+        for seed in range(3):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            pairing = build_pairing(d, 0.25, rng)
+            expected = twin.permutation(reference)
+            assert same_bytes(pairing.L, expected, np.int64)
+            assert same_bytes(pairing.pairs, expected.reshape(k, 2), np.int64)
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert build_pairing(d, 0.25) is build_pairing(d, 0.25)
+        assert same_bytes(build_pairing(d, 0.25).L, reference, np.int64)
 
 
 class TestLabelInvariantConstruction:
@@ -332,6 +394,27 @@ class TestCollisionRate:
         rate_no = hits / trials
         l1_between_indicator_laws = 2 * abs(rate_yes - rate_no)
         assert l1_between_indicator_laws <= 0.1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "n, m, trials, random_pairing",
+        [(10**4, 200, 300, False), (2000, 60, 50, True), (300, 40, 17, False), (8, 2, 500, True)],
+    )
+    def test_draws_match_unsorted_searchsorted(self, seed, n, m, trials, random_pairing):
+        # The draws as they were before keys were looked up in sorted order;
+        # every shape here collides in some trials and not in others.
+        d = Distribution(random_pmf(np.random.default_rng(3), n))
+        pairing = build_pairing(d, 0.25, np.random.default_rng(seed) if random_pairing else None)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        rate = collision_rate(d, pairing, m, trials, rng)
+
+        cdf = np.cumsum(d.pmf)
+        cdf /= cdf[-1]
+        ids = pairing.pair_ids(n)[np.searchsorted(cdf, twin.random((trials, m)), side="right")]
+        ids.sort(axis=1)
+        same = (ids[:, 1:] == ids[:, :-1]) & (ids[:, 1:] >= 0)
+        assert rate == float(same.any(axis=1).mean())
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_parameter_errors(self):
         d = Distribution.uniform(6)

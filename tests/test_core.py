@@ -45,6 +45,17 @@ class TestDistribution:
         assert d.mass([1]) == 0.75
         assert list(d.support()) == [0, 1]
 
+    def test_mass_counts_each_index_once(self):
+        d = Distribution(np.array([0.2, 0.7, 0.1]))
+        assert d.mass([2, 2]) == 0.1
+        assert d.mass((i for i in [1, 0, 1, 0])) == d.mass([0, 1]) == 0.2 + 0.7
+        assert d.mass([]) == 0.0
+
+    @pytest.mark.parametrize("indices", [[-1], [5], [3], [0, -2], [1, 3]])
+    def test_mass_rejects_indices_outside_the_domain(self, indices):
+        with pytest.raises(ParameterError, match="outside the domain"):
+            Distribution(np.array([0.2, 0.7, 0.1])).mass(indices)
+
     @pytest.mark.parametrize(
         "pmf",
         [

@@ -61,6 +61,20 @@ def _check_masses(probs: np.ndarray) -> None:
         )
 
 
+def _index_set(indices: Iterable[int], n: int) -> np.ndarray:
+    """The distinct ``indices``, ascending, as int64; each must be an integer
+    (not a boolean) in ``[0, n)``."""
+    raw = np.asarray(list(indices))
+    with np.errstate(invalid="ignore"):
+        idx = raw.astype(np.int64)
+    if raw.dtype == np.bool_ or not np.array_equal(raw, idx):
+        raise ParameterError("indices must be integers, not booleans or fractions")
+    idx = np.unique(idx)
+    if idx.size and (idx[0] < 0 or idx[-1] >= n):
+        raise ParameterError(f"indices outside the domain of size {n}")
+    return idx
+
+
 class _GuideTable:
     """Inverse-CDF table over a pmf's support, with a guide table (Chen & Asau, 1974).
 
@@ -119,10 +133,8 @@ class Distribution:
     Invariants enforced at construction: every entry is >= 0, the entries sum
     to 1 within ``PMF_SUM_TOL``, and the domain is nonempty.  Instances are
     immutable (the underlying array is locked), so they are safe to share
-    between threads.  Two things derived from the pmf alone are cached on the
-    instance: the sampling table, built on the first explicit draw, and the
-    mass-ordered pairing of :func:`disttest.adversarial.build_pairing`, built
-    on its first call for each pair count.
+    between threads; the sampling table is built from the pmf on the first
+    explicit draw and cached on the instance.
     """
 
     pmf: np.ndarray
@@ -157,11 +169,6 @@ class Distribution:
         """The sampling table, built on the first explicit draw and shared by every oracle over this pmf."""
         return _GuideTable(self.pmf)
 
-    @cached_property
-    def _pairings(self) -> dict:
-        """Pair count k -> the rng-free pairing of the 2k lightest elements, filled by ``build_pairing``."""
-        return {}
-
     @property
     def n(self) -> int:
         """Domain size."""
@@ -184,23 +191,16 @@ class Distribution:
     @classmethod
     def uniform_on(cls, indices: Iterable[int], n: int) -> "Distribution":
         """Uniform distribution restricted to ``indices`` inside a size-n domain."""
-        idx = np.unique(np.asarray(list(indices), dtype=np.int64))
+        idx = _index_set(indices, n)
         if idx.size == 0:
             raise ParameterError("support must be nonempty")
-        if idx.min() < 0 or idx.max() >= n:
-            raise ParameterError("support indices outside domain")
         pmf = np.zeros(n)
         pmf[idx] = 1.0 / idx.size
         return cls(pmf)
 
     def mass(self, indices: Iterable[int]) -> float:
         """Total probability mass of a set of indices; a repeated index counts once."""
-        idx = np.unique(np.asarray(list(indices), dtype=np.int64))
-        if idx.size == 0:
-            return 0.0
-        if idx[0] < 0 or idx[-1] >= self.n:
-            raise ParameterError(f"indices outside the domain of size {self.n}")
-        return float(self.pmf[idx].sum())
+        return float(self.pmf[_index_set(indices, self.n)].sum())
 
     def support(self) -> np.ndarray:
         """Indices with strictly positive mass, ascending."""

@@ -5,6 +5,7 @@ import pytest
 
 from disttest.adversarial import (
     AdversarialPair,
+    _stable_order,
     Pairing,
     build_pairing,
     collision_rate,
@@ -29,6 +30,20 @@ from conftest import mixture_distribution, random_pmf
 def two_level_pmf(n):
     pmf = np.where(np.arange(n) % 3 == 0, 2.0, 1.0)
     return pmf / pmf.sum()
+
+
+def one_tie_pmf(n):
+    # Distinct masses but for one tie among the lightest few.
+    raw = np.random.default_rng(5).exponential(size=n)
+    order = np.argsort(raw)
+    raw[order[5]] = raw[order[3]]
+    return raw / raw.sum()
+
+
+def many_levels_pmf(n):
+    # Masses on ~100 levels: long runs of ties below any threshold.
+    raw = np.ceil(np.random.default_rng(6).exponential(size=n) * 20)
+    return raw / raw.sum()
 
 
 class TestPairing:
@@ -141,9 +156,11 @@ class TestPairing:
             np.r_[0.0, 0.25, 0.0, 0.25, 0.0, 0.25, 0.0, 0.25],
             np.full(40, 1 / 40),
             two_level_pmf(999),
+            one_tie_pmf(2000),
+            many_levels_pmf(5000),
             None,
         ],
-        ids=["ties-at-threshold", "zeros", "all-equal", "two-levels", "exponential-1e5"],
+        ids=["ties-at-threshold", "zeros", "all-equal", "two-levels", "one-tie", "many-levels", "exponential-1e5"],
     )
     @pytest.mark.parametrize("beta", [0.125, 0.25, 0.49])
     def test_selection_equals_stable_argsort(self, pmf, beta):
@@ -152,36 +169,17 @@ class TestPairing:
         d = Distribution(pmf / pmf.sum())
         k = math.floor(beta * d.n)
         reference = np.argsort(d.pmf, kind="stable")[: 2 * k]
-        cold = build_pairing(d, beta)
-        cached = build_pairing(d, beta)
-        assert cached is cold
-        assert same_bytes(cold.L, reference, np.int64)
-        assert same_bytes(cold.pairs, reference.reshape(k, 2), np.int64)
-
-    def test_beta_too_small(self):
-        with pytest.raises(ParameterError):
-            build_pairing(Distribution.uniform(3), beta=0.2)
-
-
-class TestPairingCache:
-    def test_two_betas_keep_their_own_entries(self):
-        d = Distribution(two_level_pmf(600))
-        small, large = build_pairing(d, 0.1), build_pairing(d, 0.4)
-        assert (small.size, large.size) == (60, 240)
-        order = np.argsort(d.pmf, kind="stable")
-        for beta, pairing in ((0.1, small), (0.4, large), (0.1, small)):
-            again = build_pairing(d, beta)
-            assert again is pairing
-            assert same_bytes(again.L, order[: 2 * pairing.size], np.int64)
+        pairing = build_pairing(d, beta)
+        assert same_bytes(pairing.L, reference, np.int64)
+        assert same_bytes(pairing.pairs, reference.reshape(k, 2), np.int64)
 
     @pytest.mark.parametrize(
         "pmf", [random_pmf(np.random.default_rng(3), 5000), two_level_pmf(300)], ids=["exponential", "two-levels"]
     )
-    def test_random_matching_permutes_the_cached_selection(self, pmf):
+    def test_random_matching_permutes_the_selection(self, pmf):
         d = Distribution(pmf)
         k = math.floor(0.25 * d.n)
         reference = np.argsort(d.pmf, kind="stable")[: 2 * k]
-        # Seed 0 finds the cache empty, the later seeds find it filled.
         for seed in range(3):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
             pairing = build_pairing(d, 0.25, rng)
@@ -189,8 +187,19 @@ class TestPairingCache:
             assert same_bytes(pairing.L, expected, np.int64)
             assert same_bytes(pairing.pairs, expected.reshape(k, 2), np.int64)
             assert rng.bit_generator.state == twin.bit_generator.state
-        assert build_pairing(d, 0.25) is build_pairing(d, 0.25)
-        assert same_bytes(build_pairing(d, 0.25).L, reference, np.int64)
+
+    def test_stable_order_matches_stable_argsort(self):
+        # Random tie patterns, signed zeros and the empty and one-element cases.
+        rng = np.random.default_rng(7)
+        for size in (0, 1, 2, 3, 50, 1000):
+            for levels in (1, 2, 30, None):
+                values = rng.random(size) if levels is None else rng.integers(0, levels, size) / 8.0
+                values[rng.random(size) < 0.1] = -0.0
+                assert same_bytes(_stable_order(values), np.argsort(values, kind="stable"), np.intp)
+
+    def test_beta_too_small(self):
+        with pytest.raises(ParameterError):
+            build_pairing(Distribution.uniform(3), beta=0.2)
 
 
 class TestLabelInvariantConstruction:

@@ -56,6 +56,30 @@ class TestDistribution:
         with pytest.raises(ParameterError, match="outside the domain"):
             Distribution(np.array([0.2, 0.7, 0.1])).mass(indices)
 
+    @pytest.mark.parametrize("indices", [[1.7], [True], [False, True], np.array([0.0, 0.5])])
+    def test_mass_rejects_non_integer_indices(self, indices):
+        # astype(int64) would read 1.7 and True both as index 1.
+        with pytest.raises(ParameterError, match="must be integers"):
+            Distribution(np.array([0.2, 0.7, 0.1])).mass(indices)
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ([0, 3], "outside the domain"),
+            ([-1], "outside the domain"),
+            ([1.5], "must be integers"),
+            ([True], "must be integers"),
+        ],
+    )
+    def test_uniform_on_rejects_bad_indices(self, indices, message):
+        with pytest.raises(ParameterError, match=message):
+            Distribution.uniform_on(indices, 3)
+
+    def test_integral_float_indices_accepted(self):
+        d = Distribution(np.array([0.2, 0.7, 0.1]))
+        assert d.mass(np.array([1.0, 2.0])) == d.mass([1, 2])
+        assert Distribution.uniform_on([0.0, 2.0], 3) == Distribution.uniform_on([0, 2], 3)
+
     @pytest.mark.parametrize(
         "pmf",
         [

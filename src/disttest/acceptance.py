@@ -8,6 +8,7 @@ of the suite are comparable byte for byte.  The same functions back both
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -40,7 +41,7 @@ from .core import (
 from .learner import IdentityTestParams, learn_adaptive, learn_known_support, tol_identity_test
 from .linprop import Polyhedron, linear_property_oracle, lp_feasible, uniformity_polyhedron
 from .reference import min_permutation_l1, min_subset_mass, vertex_enumeration_feasible
-from .tester import Verdict, derive_params, estimate_high_part, tolerant_test
+from .tester import Verdict, derive_params, tolerant_test_detailed
 
 
 def load_config() -> dict:
@@ -65,6 +66,29 @@ class CriterionResult:
         return f"{status}  {self.cid}  {self.name}  [{self.metrics}]  ({self.elapsed_s:.2f}s)"
 
 
+def _criterion(cid: str, name: str):
+    """Declare a criterion: ``check(cfg, *shared) -> (ok, metrics)`` becomes a
+    runner with the same arguments that returns a :class:`CriterionResult`.
+
+    The runner times the check and passes it only when ``ok`` holds and the
+    check finished within ``cfg["budget_s"]`` (no limit when the section sets
+    none); ``metrics`` is a dict, formatted with :func:`_metrics`.
+    """
+
+    def declare(check):
+        @functools.wraps(check)
+        def run(cfg, *shared) -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, metrics = check(cfg, *shared)
+            elapsed = time.perf_counter() - t0
+            passed = bool(ok) and elapsed < cfg.get("budget_s", math.inf)
+            return CriterionResult(cid, name, passed, _metrics(**metrics), elapsed)
+
+        return run
+
+    return declare
+
+
 def _rng(seed, *key) -> np.random.Generator:
     return np.random.default_rng([int(seed), *map(int, key)])
 
@@ -74,8 +98,8 @@ def _dirichlet_pmf(rng, n) -> np.ndarray:
     return raw / raw.sum()
 
 
-def criterion_01_sorted_distance(cfg) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("criterion-01", "sorted-distance equals exhaustive permutation minimum")
+def criterion_01_sorted_distance(cfg):
     max_dev = 0.0
     for n in cfg["n_values"]:
         rng = _rng(cfg["seed"], n)
@@ -84,19 +108,11 @@ def criterion_01_sorted_distance(cfg) -> CriterionResult:
             b = Distribution(_dirichlet_pmf(rng, n))
             dev = abs(sorted_l1_distance(a, b) - min_permutation_l1(a.pmf, b.pmf))
             max_dev = max(max_dev, dev)
-    elapsed = time.perf_counter() - t0
-    passed = max_dev <= cfg["tol"] and elapsed < cfg["budget_s"]
-    return CriterionResult(
-        "criterion-01",
-        "sorted-distance equals exhaustive permutation minimum",
-        passed,
-        _metrics(max_deviation=max_dev),
-        elapsed,
-    )
+    return max_dev <= cfg["tol"], dict(max_deviation=max_dev)
 
 
-def criterion_02_non_concentration(cfg) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("criterion-02", "non-concentration equals subset enumeration")
+def criterion_02_non_concentration(cfg):
     rng = _rng(cfg["seed"])
     params = NonConcentrationParams(cfg["alpha"], cfg["beta"])
     k = math.floor(cfg["beta"] * cfg["n"])
@@ -105,19 +121,11 @@ def criterion_02_non_concentration(cfg) -> CriterionResult:
         d = Distribution(_dirichlet_pmf(rng, cfg["n"]))
         brute = min_subset_mass(d.pmf, k) >= cfg["alpha"]
         agreements += is_non_concentrated(d, params) == brute
-    elapsed = time.perf_counter() - t0
-    passed = agreements == cfg["trials"] and elapsed < cfg["budget_s"]
-    return CriterionResult(
-        "criterion-02",
-        "non-concentration equals subset enumeration",
-        passed,
-        _metrics(agreements=agreements, trials=cfg["trials"]),
-        elapsed,
-    )
+    return agreements == cfg["trials"], dict(agreements=agreements, trials=cfg["trials"])
 
 
-def criterion_03_chernoff_envelope(cfg) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("criterion-03", "empirical tails stay under both Chernoff bounds (3x3 grid)")
+def criterion_03_chernoff_envelope(cfg):
     p = cfg["p"]
     trials = cfg["trials"]
     worst = -np.inf
@@ -137,15 +145,7 @@ def criterion_03_chernoff_envelope(cfg) -> CriterionResult:
             worst = max(
                 worst, freq_mult - bound_mult, freq_up - bound_add, freq_dn - bound_add
             )
-    elapsed = time.perf_counter() - t0
-    passed = ok and elapsed < cfg["budget_s"]
-    return CriterionResult(
-        "criterion-03",
-        "empirical tails stay under both Chernoff bounds (3x3 grid)",
-        passed,
-        _metrics(worst_excess=worst),
-        elapsed,
-    )
+    return ok, dict(worst_excess=worst)
 
 
 def _tester_bundle(cfg) -> dict:
@@ -164,22 +164,21 @@ def _tester_bundle(cfg) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for i in range(cfg["runs"]):
-            seed_yes = derive_seed(cfg["seed"], 2 * i)
-            oracle = SamplingOracle(uniform, seed_yes)
-            verdict = tolerant_test(oracle, prop, params, n)
+            oracle = SamplingOracle(uniform, derive_seed(cfg["seed"], 2 * i))
+            verdict, est = tolerant_test_detailed(oracle, prop, params, n)
             accepts += verdict is Verdict.ACCEPT
             exact_consumption &= oracle.samples_drawn == params.W + params.Z_size
-            replay = estimate_high_part(SamplingOracle(uniform, seed_yes), params, n)
-            containment += high_true <= replay.H
-            err = sum(abs(uniform.pmf[j] - replay.d_tilde.pmf[j]) for j in replay.H)
+            containment += high_true <= est.H
+            err = sum(abs(uniform.pmf[j] - est.d_tilde.pmf[j]) for j in est.H)
             lem3 += err <= 10 * params.eta_prime
 
             oracle_no = SamplingOracle(half, derive_seed(cfg["seed"], 2 * i + 1))
-            verdict_no = tolerant_test(oracle_no, prop, params, n)
+            verdict_no, _ = tolerant_test_detailed(oracle_no, prop, params, n)
             rejects += verdict_no is Verdict.REJECT
             exact_consumption &= oracle_no.samples_drawn == params.W + params.Z_size
     return {
         "params": params,
+        "runs": cfg["runs"],
         "accepts": accepts,
         "rejects": rejects,
         "containment": containment,
@@ -188,49 +187,40 @@ def _tester_bundle(cfg) -> dict:
     }
 
 
-def criterion_04_tolerant_tester(cfg, bundle, elapsed: float) -> CriterionResult:
+@_criterion("criterion-04", "tolerant tester accepts uniform / rejects half-support (LP oracle)")
+def criterion_04_tolerant_tester(cfg, tester_runs):
+    bundle = tester_runs()
     ok = (
         bundle["accepts"] >= cfg["min_successes"]
         and bundle["rejects"] >= cfg["min_successes"]
         and bundle["exact_consumption"]
     )
-    passed = ok and elapsed < cfg["budget_s"]
     p = bundle["params"]
-    return CriterionResult(
-        "criterion-04",
-        "tolerant tester accepts uniform / rejects half-support (LP oracle)",
-        passed,
-        _metrics(
-            accepts=bundle["accepts"],
-            rejects=bundle["rejects"],
-            runs=cfg["runs"],
-            W=p.W,
-            Z_size=p.Z_size,
-            exact_consumption=bundle["exact_consumption"],
-        ),
-        elapsed,
+    return ok, dict(
+        accepts=bundle["accepts"],
+        rejects=bundle["rejects"],
+        runs=cfg["runs"],
+        W=p.W,
+        Z_size=p.Z_size,
+        exact_consumption=bundle["exact_consumption"],
     )
 
 
-def criterion_05_estimator_diagnostics(cfg4, cfg5, bundle) -> CriterionResult:
-    need = math.ceil(cfg5["min_fraction"] * cfg4["runs"])
-    passed = bundle["containment"] >= need and bundle["lem3"] >= need
-    return CriterionResult(
-        "criterion-05",
-        "heavy-set containment and summed-error bound during tester runs",
-        passed,
-        _metrics(
-            containment=bundle["containment"],
-            summed_error_ok=bundle["lem3"],
-            needed=need,
-            runs=cfg4["runs"],
-        ),
-        0.0,
+@_criterion("criterion-05", "heavy-set containment and summed-error bound during tester runs")
+def criterion_05_estimator_diagnostics(cfg, tester_runs):
+    bundle = tester_runs()
+    need = math.ceil(cfg["min_fraction"] * bundle["runs"])
+    ok = bundle["containment"] >= need and bundle["lem3"] >= need
+    return ok, dict(
+        containment=bundle["containment"],
+        summed_error_ok=bundle["lem3"],
+        needed=need,
+        runs=bundle["runs"],
     )
 
 
-def criterion_06_lp_oracle(cfg) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("criterion-06", "LP feasibility equals vertex enumeration; uniformity classification")
+def criterion_06_lp_oracle(cfg):
     rng = _rng(cfg["seed"])
     agreements = 0
     for _ in range(cfg["systems"]):
@@ -242,24 +232,16 @@ def criterion_06_lp_oracle(cfg) -> CriterionResult:
     prop = uniformity_polyhedron(4, 0.1)
     uniform_in = prop.contains(Distribution.uniform(4))
     point_out = not prop.contains(Distribution.point_mass(4, 0))
-    elapsed = time.perf_counter() - t0
-    passed = agreements == cfg["systems"] and uniform_in and point_out and elapsed < cfg["budget_s"]
-    return CriterionResult(
-        "criterion-06",
-        "LP feasibility equals vertex enumeration; uniformity classification",
-        passed,
-        _metrics(
-            agreements=agreements,
-            systems=cfg["systems"],
-            uniform_in=uniform_in,
-            point_excluded=point_out,
-        ),
-        elapsed,
+    return agreements == cfg["systems"] and uniform_in and point_out, dict(
+        agreements=agreements,
+        systems=cfg["systems"],
+        uniform_in=uniform_in,
+        point_excluded=point_out,
     )
 
 
-def criterion_07_adversarial_structure(cfg) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("criterion-07", "both adversarial constructions verify exactly (100 instances)")
+def criterion_07_adversarial_structure(cfg):
     params = NonConcentrationParams(cfg["alpha"], cfg["beta"])
     n = cfg["n"]
     # With alpha = beta = 0.2 and an integral beta*n, the uniform distribution
@@ -275,39 +257,22 @@ def criterion_07_adversarial_structure(cfg) -> CriterionResult:
         pair_g = make_adversarial_pair(d_yes, params, "general", _rng(cfg["seed"], i, 1))
         rep_g = verify_adversarial(pair_g)
         ok_general += rep_g.passed and rep_g.support_size <= support_cap
-    elapsed = time.perf_counter() - t0
-    passed = (
-        ok_label == cfg["instances"] and ok_general == cfg["instances"] and elapsed < cfg["budget_s"]
-    )
-    return CriterionResult(
-        "criterion-07",
-        "both adversarial constructions verify exactly (100 instances)",
-        passed,
-        _metrics(label_invariant_ok=ok_label, general_ok=ok_general, instances=cfg["instances"]),
-        elapsed,
-    )
+    ok = ok_label == cfg["instances"] and ok_general == cfg["instances"]
+    return ok, dict(label_invariant_ok=ok_label, general_ok=ok_general, instances=cfg["instances"])
 
 
-def criterion_08_collision_regime(cfg) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("criterion-08", "same-pair collision rate under the union bound (birthday regime)")
+def criterion_08_collision_regime(cfg):
     d = Distribution.uniform(cfg["n"])
     pairing = build_pairing(d, cfg["beta"], _rng(cfg["seed"], 0))
     rate = collision_rate(d, pairing, cfg["m"], cfg["trials"], _rng(cfg["seed"], 1))
     bound = pair_collision_bound(d, pairing, cfg["m"])
     sigma = math.sqrt(bound * (1 - bound) / cfg["trials"])
-    elapsed = time.perf_counter() - t0
-    passed = rate <= bound + 3 * sigma and elapsed < cfg["budget_s"]
-    return CriterionResult(
-        "criterion-08",
-        "same-pair collision rate under the union bound (birthday regime)",
-        passed,
-        _metrics(rate=rate, union_bound=bound, sigma=sigma),
-        elapsed,
-    )
+    return rate <= bound + 3 * sigma, dict(rate=rate, union_bound=bound, sigma=sigma)
 
 
-def criterion_09_conditional_law(cfg) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("criterion-09", "within-pair conditional law matches the mass ratio (d_no ensemble)")
+def criterion_09_conditional_law(cfg):
     n = cfg["n"]
     gen = _rng(cfg["seed"], 0)
     raw = gen.exponential(size=n)
@@ -343,38 +308,22 @@ def criterion_09_conditional_law(cfg) -> CriterionResult:
     hit = landed > 0
     deviation = np.abs(on_x[hit] / landed[hit] - share[hit])
     max_dev = float(deviation.max(initial=0.0))
-    elapsed = time.perf_counter() - t0
-    passed = max_dev <= cfg["tol"] and elapsed < cfg["budget_s"]
-    return CriterionResult(
-        "criterion-09",
-        "within-pair conditional law matches the mass ratio (d_no ensemble)",
-        passed,
-        _metrics(max_deviation=max_dev, tol=cfg["tol"]),
-        elapsed,
-    )
+    return max_dev <= cfg["tol"], dict(max_deviation=max_dev, tol=cfg["tol"])
 
 
-def criterion_10_known_support(cfg) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("criterion-10", "known-support learner succeeds at rate >= 9/10")
+def criterion_10_known_support(cfg):
     d = Distribution.uniform_on(range(cfg["support"]), cfg["n"])
     successes = 0
     for i in range(cfg["seeds"]):
         oracle = SamplingOracle(d, derive_seed(cfg["seed"], i))
         learned = learn_known_support(oracle, cfg["support"], cfg["delta"])
         successes += l1_distance(learned, d) <= cfg["delta"]
-    elapsed = time.perf_counter() - t0
-    passed = successes >= cfg["min_successes"] and elapsed < cfg["budget_s"]
-    return CriterionResult(
-        "criterion-10",
-        "known-support learner succeeds at rate >= 9/10",
-        passed,
-        _metrics(successes=successes, seeds=cfg["seeds"]),
-        elapsed,
-    )
+    return successes >= cfg["min_successes"], dict(successes=successes, seeds=cfg["seeds"])
 
 
-def criterion_11_adaptive_learner(cfg) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("criterion-11", "adaptive learner: success rate, guess cap, and sample budget")
+def criterion_11_adaptive_learner(cfg):
     d = Distribution.uniform_on(range(cfg["support"]), cfg["n"])
     successes = 0
     good_guesses = 0
@@ -390,30 +339,22 @@ def criterion_11_adaptive_learner(cfg) -> CriterionResult:
             good_guesses += res.final_guess <= cfg["guess_cap_factor"] * cfg["support"]
     mean_samples = float(np.mean(totals))
     sample_cap = cfg["sample_cap_factor"] * 8.0 * cfg["support"] / cfg["delta"] ** 2
-    elapsed = time.perf_counter() - t0
-    passed = (
+    ok = (
         successes >= cfg["min_successes"]
         and (successes == 0 or good_guesses >= cfg["guess_fraction"] * successes)
         and mean_samples <= sample_cap
-        and elapsed < cfg["budget_s"]
     )
-    return CriterionResult(
-        "criterion-11",
-        "adaptive learner: success rate, guess cap, and sample budget",
-        passed,
-        _metrics(
-            successes=successes,
-            seeds=cfg["seeds"],
-            good_guesses=good_guesses,
-            mean_samples=mean_samples,
-            sample_cap=sample_cap,
-        ),
-        elapsed,
+    return ok, dict(
+        successes=successes,
+        seeds=cfg["seeds"],
+        good_guesses=good_guesses,
+        mean_samples=mean_samples,
+        sample_cap=sample_cap,
     )
 
 
-def criterion_12_identity_test(cfg) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("criterion-12", "identity-test substitute: accept/reject rates >= 1 - kappa")
+def criterion_12_identity_test(cfg):
     n = cfg["n"]
     s = cfg["s"]
     d_k = Distribution.uniform_on(range(s), n)
@@ -431,36 +372,38 @@ def criterion_12_identity_test(cfg) -> CriterionResult:
         o_far = SamplingOracle(d_far, derive_seed(cfg["seed"], 2 * i + 1))
         rejects += tol_identity_test(o_far, d_k, params) is Verdict.REJECT
     need = math.ceil((1.0 - cfg["kappa"]) * cfg["seeds"])
-    elapsed = time.perf_counter() - t0
-    passed = accepts >= need and rejects >= need and elapsed < cfg["budget_s"]
-    return CriterionResult(
-        "criterion-12",
-        "identity-test substitute: accept/reject rates >= 1 - kappa",
-        passed,
-        _metrics(accepts=accepts, rejects=rejects, needed=need, seeds=cfg["seeds"]),
-        elapsed,
+    return accepts >= need and rejects >= need, dict(
+        accepts=accepts, rejects=rejects, needed=need, seeds=cfg["seeds"]
     )
 
 
+#: Criteria 1-12 in run order, each with the key of its ``acceptance_config.json`` section.
+CRITERIA = (
+    ("c01", criterion_01_sorted_distance),
+    ("c02", criterion_02_non_concentration),
+    ("c03", criterion_03_chernoff_envelope),
+    ("c04", criterion_04_tolerant_tester),
+    ("c05", criterion_05_estimator_diagnostics),
+    ("c06", criterion_06_lp_oracle),
+    ("c07", criterion_07_adversarial_structure),
+    ("c08", criterion_08_collision_regime),
+    ("c09", criterion_09_conditional_law),
+    ("c10", criterion_10_known_support),
+    ("c11", criterion_11_adaptive_learner),
+    ("c12", criterion_12_identity_test),
+)
+
+
 def run_all(config: dict | None = None) -> list:
-    """Run criteria 1 through 12 once, in order."""
+    """Run criteria 1 through 12 once, in order.
+
+    Criteria 04 and 05 judge one set of tester runs, made when 04 first asks
+    for them, so 04's time covers them.
+    """
     cfg = (config or load_config())["criteria"]
-    results = []
-    results.append(criterion_01_sorted_distance(cfg["c01"]))
-    results.append(criterion_02_non_concentration(cfg["c02"]))
-    results.append(criterion_03_chernoff_envelope(cfg["c03"]))
-    t0 = time.perf_counter()
-    bundle = _tester_bundle(cfg["c04"])
-    results.append(criterion_04_tolerant_tester(cfg["c04"], bundle, time.perf_counter() - t0))
-    results.append(criterion_05_estimator_diagnostics(cfg["c04"], cfg["c05"], bundle))
-    results.append(criterion_06_lp_oracle(cfg["c06"]))
-    results.append(criterion_07_adversarial_structure(cfg["c07"]))
-    results.append(criterion_08_collision_regime(cfg["c08"]))
-    results.append(criterion_09_conditional_law(cfg["c09"]))
-    results.append(criterion_10_known_support(cfg["c10"]))
-    results.append(criterion_11_adaptive_learner(cfg["c11"]))
-    results.append(criterion_12_identity_test(cfg["c12"]))
-    return results
+    tester_runs = functools.cache(lambda: _tester_bundle(cfg["c04"]))
+    shared = {"c04": (tester_runs,), "c05": (tester_runs,)}
+    return [criterion(cfg[key], *shared.get(key, ())) for key, criterion in CRITERIA]
 
 
 def criterion_13_determinism(first: list, second: list) -> CriterionResult:

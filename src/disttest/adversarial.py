@@ -42,29 +42,29 @@ def _indices(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Pairing:
-    """A perfect matching on the low-mass set L, both fields read-only int64
-    copies of what is given: ``L`` of shape (2k,), ``pairs`` of shape (k, 2)."""
+    """A perfect matching on the low-mass set L: pair i is ``(L[2i], L[2i+1])``.
+
+    ``L`` is a read-only int64 copy of what is given, of shape (2k,);
+    ``pairs`` is its read-only (k, 2) view."""
 
     L: np.ndarray
-    pairs: np.ndarray
 
     def __post_init__(self):
         L = _indices(self.L)
-        pairs = _indices(self.pairs)
-        if L.shape != (pairs.size,) or pairs.shape[1:] != (2,) or not pairs.size:
-            raise StructureError("pairs must cover L with floor(beta*n) disjoint pairs")
-        # Pairs read row by row as L (every pairing built here) hold the
-        # same set as L, so one sort checks them for duplicates.
-        same_order = np.array_equal(pairs.ravel(), L)
-        flat = np.sort(L if same_order else pairs, axis=None)
-        if (flat[1:] <= flat[:-1]).any() or not (same_order or np.array_equal(flat, np.sort(L))):
+        if L.shape != (L.size,) or not L.size or L.size % 2:
+            raise StructureError("L must be a flat, nonempty list of index pairs")
+        flat = np.sort(L)
+        if (flat[1:] <= flat[:-1]).any():
             raise StructureError("pairs must partition L into disjoint pairs")
         object.__setattr__(self, "L", L)
-        object.__setattr__(self, "pairs", pairs)
+
+    @property
+    def pairs(self) -> np.ndarray:
+        return self.L.reshape(-1, 2)
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return self.L.size // 2
 
     def pair_ids(self, n: int) -> np.ndarray:
         """Length-n lookup: index -> pair number, or -1 off L."""
@@ -131,7 +131,7 @@ def build_pairing(d_yes: Distribution, beta: float, rng: np.random.Generator | N
     L = np.concatenate([below[_stable_order(pmf[below])], ties])
     if rng is not None:
         L = rng.permutation(L)
-    return Pairing(L=L, pairs=L.reshape(k, 2))
+    return Pairing(L)
 
 
 def dno_label_invariant(d_yes: Distribution, pairing: Pairing) -> Distribution:
@@ -269,7 +269,7 @@ def relabel(pair: AdversarialPair, rng: np.random.Generator) -> AdversarialPair:
     return AdversarialPair(
         d_yes=Distribution._on_atoms(perm, pair.d_yes.pmf, n),
         d_no=Distribution._on_atoms(perm, pair.d_no.pmf, n),
-        pairing=Pairing(L=perm[pair.pairing.L], pairs=perm[pair.pairing.pairs]),
+        pairing=Pairing(perm[pair.pairing.L]),
         params=pair.params,
     )
 

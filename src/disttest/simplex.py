@@ -135,13 +135,16 @@ def _name(digest) -> str:
 
 
 def _check_residual(A, x, b, lower, upper, tol, digest) -> float:
-    """Total violation of ``x``; raises when a point reported feasible is not."""
-    total = float(np.clip(A @ x - b, 0.0, None).sum())
-    total += float(np.clip(lower - x, 0.0, None).sum())
-    total += float(np.clip(x - upper, 0.0, None).sum())
-    if total > max(100 * tol, 1e-6):
+    """Total violation of ``x``; raises when a point reported feasible misses
+    some row or bound by more than ``max(100 * tol, 1e-6)``."""
+    excess = (
+        np.clip(A @ x - b, 0.0, None),
+        np.clip(lower - x, 0.0, None),
+        np.clip(x - upper, 0.0, None),
+    )
+    if max(float(e.max(initial=0.0)) for e in excess) > max(100 * tol, 1e-6):
         raise SolverError("feasible vertex fails residual check", _name(digest))
-    return total
+    return sum(float(e.sum()) for e in excess)
 
 
 def _check_inputs(A, b, lower, upper, max_iter) -> None:
@@ -183,11 +186,11 @@ def solve_feasibility(
 
     HiGHS decides, holding every row within ``tol`` (its primal feasibility
     tolerance, at least 1e-10).  Reaching ``max_iter`` iterations raises
-    :class:`SolverError`, and so does a feasible point whose total violation
-    exceeds ``max(100 * tol, 1e-6)``.  :class:`ParameterError` is raised
-    before any solve when ``A`` or ``b`` holds a non-finite entry, a bound is
-    nan, ``lower`` is +inf or ``upper`` is -inf, a length does not match
-    ``A.shape``, a triplet lies outside it, or ``max_iter`` is negative.
+    :class:`SolverError`, and so does a feasible point that misses a single
+    row or bound by more than ``max(100 * tol, 1e-6)``.  :class:`ParameterError`
+    is raised before any solve when ``A`` or ``b`` holds a non-finite entry, a
+    bound is nan, ``lower`` is +inf or ``upper`` is -inf, a length does not
+    match ``A.shape``, a triplet lies outside it, or ``max_iter`` is negative.
 
     ``violation`` is described on :class:`FeasibilityResult`.  With
     ``measure_violation`` false, the elastic solve that measures it on

@@ -215,20 +215,3 @@ def tolerant_test(
     verdict, _ = tolerant_test_detailed(oracle, prop, params, n)
     return verdict
 
-
-def majority_tolerant_test(
-    oracle: SamplingOracle,
-    prop: PropertyOracle,
-    params: TesterParams,
-    n: int,
-    repeats: int = 1,
-) -> Verdict:
-    """Repeat the tester an odd number of times and take the majority verdict."""
-    repeats = int(repeats)
-    if repeats < 1 or repeats % 2 == 0:
-        raise ParameterError("repeats must be a positive odd integer")
-    accepts = sum(
-        tolerant_test(oracle, prop, params, n) is Verdict.ACCEPT for _ in range(repeats)
-    )
-    return Verdict.ACCEPT if 2 * accepts > repeats else Verdict.REJECT
-

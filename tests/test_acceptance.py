@@ -10,7 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
+import disttest.acceptance as acceptance
 from disttest.acceptance import (
+    CRITERIA,
+    _criterion,
     _metrics,
     _rng,
     criterion_09_conditional_law,
@@ -20,6 +23,7 @@ from disttest.acceptance import (
 )
 from disttest.adversarial import build_pairing
 from disttest.core import Distribution
+from disttest.tester import derive_params
 
 
 @pytest.fixture(scope="session")
@@ -32,11 +36,51 @@ def second_run():
     return run_all()
 
 
-@pytest.mark.parametrize("index", range(12))
+@pytest.mark.parametrize("index", range(len(CRITERIA)))
 def test_criterion(first_run, index):
+    key, _ = CRITERIA[index]
     result = first_run[index]
     print(result.line())
+    assert result.cid == f"criterion-{key[1:]}"
     assert result.passed, result.line()
+
+
+def test_every_verdict_is_a_python_bool(first_run):
+    assert [type(r.passed) for r in first_run] == [bool] * len(CRITERIA)
+
+
+@_criterion("criterion-99", "a check that holds")
+def holds(cfg):
+    return np.bool_(True), dict(checked=np.int64(3), flag=np.bool_(True))
+
+
+def test_the_runner_passes_a_check_that_holds_within_its_budget():
+    result = holds({"budget_s": 60.0})
+    assert result.passed is True
+    assert (result.cid, result.name, result.metrics) == ("criterion-99", "a check that holds", "checked=3;flag=True")
+    # A section without a budget sets no time limit.
+    assert holds({}).passed is True
+    # Past its budget, or with a check that fails, the criterion fails.
+    assert holds({"budget_s": 0.0}).passed is False
+    fails = _criterion("criterion-98", "a check that fails")(lambda cfg: (False, {}))
+    assert fails({"budget_s": 60.0}).passed is False
+
+
+def test_criteria_04_and_05_share_one_set_of_tester_runs(monkeypatch):
+    c04 = load_config()["criteria"]["c04"]
+    made = []
+
+    def fake_bundle(cfg):
+        made.append(cfg)
+        runs = cfg["runs"]
+        params = derive_params(cfg["lambda"], cfg["gamma1"], cfg["gamma2"], cfg["n"])
+        return dict(params=params, runs=runs, accepts=runs, rejects=runs, containment=runs, lem3=runs, exact_consumption=True)
+
+    monkeypatch.setattr(acceptance, "_tester_bundle", fake_bundle)
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(e for e in CRITERIA if e[0] in ("c04", "c05")))
+    results = run_all()
+    assert made == [c04]
+    assert [(r.cid, r.passed) for r in results] == [("criterion-04", True), ("criterion-05", True)]
 
 
 def test_criterion_13_determinism(first_run, second_run):

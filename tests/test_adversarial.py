@@ -60,57 +60,37 @@ class TestPairing:
 
     def test_structure_validation(self):
         with pytest.raises(StructureError):
-            Pairing(L=(0, 1, 2, 3), pairs=((0, 1), (1, 2)))
+            Pairing((0, 1, 1, 2))
         with pytest.raises(StructureError):
-            Pairing(L=(0, 1), pairs=((0, 0),))
+            Pairing((0, 0))
         with pytest.raises(StructureError):
-            Pairing(L=(0, 1, 1, 2), pairs=((0, 1), (1, 2)))
+            Pairing((0, 1, 2))
         with pytest.raises(StructureError):
-            Pairing(L=(0, 1, 2), pairs=((0, 1, 2),))
+            Pairing(((0, 1), (2, 3)))
         with pytest.raises(StructureError):
-            Pairing(L=(), pairs=())
+            Pairing(())
 
     @pytest.mark.parametrize(
-        "L, pairs",
-        [
-            ((-1, 0), ((-1, 0),)),
-            ((0, 1, -2, 3), ((0, 1), (-2, 3))),
-            ((0.7, 1.2), ((0.2, 1.9),)),
-            ((0, 1), ((0, 1.5),)),
-            ((0, np.nan), ((0, np.nan),)),
-        ],
+        "L",
+        [(-1, 0), (0, 1, -2, 3), (0.7, 1.2), (0, 1.5), (0, np.nan)],
     )
-    def test_negative_and_non_integral_indices_rejected(self, L, pairs):
+    def test_negative_and_non_integral_indices_rejected(self, L):
         with pytest.raises(StructureError, match="non-negative integers"):
-            Pairing(L=L, pairs=pairs)
+            Pairing(L)
 
     def test_boolean_indices_rejected(self):
         with pytest.raises(StructureError, match="not booleans"):
-            Pairing(L=[True, False], pairs=[[1, 0]])
+            Pairing([True, False])
         with pytest.raises(StructureError, match="not booleans"):
-            Pairing(L=[1, 0], pairs=np.array([[True, False]]))
+            Pairing(np.array([True, False, True, False]))
 
     def test_duplicate_rejected_when_pairs_read_as_L(self):
-        # pairs.ravel() equals L: the single-sort branch.
-        L = np.array([4, 2, 7, 2])
         with pytest.raises(StructureError, match="disjoint pairs"):
-            Pairing(L=L, pairs=L.reshape(2, 2))
-
-    @pytest.mark.parametrize(
-        "L, pairs",
-        [
-            ((0, 1, 2, 3), ((0, 1), (2, 5))),
-            ((0, 1, 2, 3), ((3, 1), (2, 2))),
-            ((0, 1, 2, 2), ((0, 1), (2, 3))),
-        ],
-    )
-    def test_set_mismatch_rejected_when_pairs_reorder_L(self, L, pairs):
-        with pytest.raises(StructureError, match="disjoint pairs"):
-            Pairing(L=L, pairs=pairs)
+            Pairing(np.array([4, 2, 7, 2]))
 
     def test_fields_are_read_only_int64_copies(self):
         L = np.array([3, 1, 0, 2])
-        p = Pairing(L=L, pairs=L.reshape(2, 2))
+        p = Pairing(L)
         L[0] = 9
         assert p.L.dtype == p.pairs.dtype == np.int64
         assert p.L.tolist() == [3, 1, 0, 2] and p.pairs.tolist() == [[3, 1], [0, 2]]
@@ -119,9 +99,18 @@ class TestPairing:
         with pytest.raises(ValueError):
             p.L[0] = 5
 
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_pairs_is_a_read_only_view_of_L(self, seed):
+        d = Distribution(random_pmf(np.random.default_rng(2), 40))
+        built = build_pairing(d, 0.25, None if seed is None else np.random.default_rng(seed))
+        pair = make_adversarial_pair(d, NonConcentrationParams(0.1, 0.25), "general", np.random.default_rng(1))
+        for p in (built, relabel(pair, np.random.default_rng(4)).pairing, Pairing((5, 2, 0, 9))):
+            assert np.shares_memory(p.pairs, p.L) and not p.pairs.flags.writeable
+            assert p.pairs.shape == (p.size, 2) and p.pairs.ravel().tolist() == p.L.tolist()
+
     def test_indices_outside_the_domain_rejected(self):
         d = Distribution.uniform(4)
-        pairing = Pairing(L=(0, 1, 2, 4), pairs=((0, 1), (2, 4)))
+        pairing = Pairing((0, 1, 2, 4))
         with pytest.raises(StructureError, match="outside the domain"):
             AdversarialPair(d_yes=d, d_no=d, pairing=pairing, params=NonConcentrationParams(0.2, 0.25))
         with pytest.raises(StructureError, match="outside the domain"):
@@ -205,7 +194,7 @@ class TestPairing:
 class TestLabelInvariantConstruction:
     def test_uniform_four_merge(self):
         d = Distribution.uniform(4)
-        pairing = Pairing(L=(0, 1, 2, 3), pairs=((0, 1), (2, 3)))
+        pairing = Pairing((0, 1, 2, 3))
         d_no = dno_label_invariant(d, pairing)
         assert np.allclose(d_no.pmf, [0.5, 0.0, 0.5, 0.0])
 
@@ -229,7 +218,7 @@ class TestGeneralConstruction:
         pmf[0] = 0.3
         pmf[2] = 0.7
         d = Distribution(pmf)
-        pairing = Pairing(L=(0, 1, 4, 5), pairs=((0, 1), (4, 5)))
+        pairing = Pairing((0, 1, 4, 5))
         d_no = dno_general(d, pairing, np.random.default_rng(0))
         assert d_no.pmf[0] == 0.3 and d_no.pmf[1] == 0.0
         # A pair with no mass merges into its first endpoint by convention.
@@ -238,7 +227,7 @@ class TestGeneralConstruction:
 
     def test_balanced_coin_frequency(self):
         d = Distribution(np.array([0.25, 0.25, 0.25, 0.25]))
-        pairing = Pairing(L=(0, 1, 2, 3), pairs=((0, 1), (2, 3)))
+        pairing = Pairing((0, 1, 2, 3))
         rng = np.random.default_rng(123)
         hits = 0
         trials = 10**4
@@ -314,7 +303,7 @@ class TestVerifyAdversarial:
 
     def test_corrupted_pair_reported(self):
         d = Distribution.uniform(4)
-        pairing = Pairing(L=(0, 1, 2, 3), pairs=((0, 1), (2, 3)))
+        pairing = Pairing((0, 1, 2, 3))
         good = dno_label_invariant(d, pairing)
         corrupted = good.pmf.copy()
         corrupted[1] = corrupted[0] / 2
@@ -363,12 +352,12 @@ class TestCollisionRate:
         pmf = np.zeros(6)
         pmf[0] = 1.0
         d = Distribution(pmf)
-        pairing = Pairing(L=(0, 1, 2, 3), pairs=((0, 1), (2, 3)))
+        pairing = Pairing((0, 1, 2, 3))
         assert collision_rate(d, pairing, m=2, trials=50, rng=np.random.default_rng(0)) == 1.0
 
     def test_off_l_support_never_collides(self):
         d = Distribution.uniform_on([4, 5], 6)
-        pairing = Pairing(L=(0, 1, 2, 3), pairs=((0, 1), (2, 3)))
+        pairing = Pairing((0, 1, 2, 3))
         assert collision_rate(d, pairing, m=2, trials=50, rng=np.random.default_rng(0)) == 0.0
 
     def test_birthday_regime_under_union_bound(self):
@@ -427,7 +416,7 @@ class TestCollisionRate:
 
     def test_parameter_errors(self):
         d = Distribution.uniform(6)
-        pairing = Pairing(L=(0, 1, 2, 3), pairs=((0, 1), (2, 3)))
+        pairing = Pairing((0, 1, 2, 3))
         with pytest.raises(ParameterError):
             collision_rate(d, pairing, m=1, trials=10, rng=np.random.default_rng(0))
         with pytest.raises(ParameterError):
@@ -570,7 +559,7 @@ class TestMatchesLoopVersions:
 
     def test_corrupted_bundle_trips_every_failure(self):
         d = Distribution.uniform(8)
-        pairing = Pairing(L=(0, 1, 2, 3), pairs=((0, 1), (2, 3)))
+        pairing = Pairing((0, 1, 2, 3))
         no = np.array([0.3, 0.1, 0.05, 0.05, 0.125, 0.125, 0.2, 0.05])
         params = NonConcentrationParams(0.25, 0.25)
         bad = AdversarialPair(d_yes=d, d_no=Distribution(no), pairing=pairing, params=params)

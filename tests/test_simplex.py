@@ -3,7 +3,7 @@ import pytest
 
 from disttest.errors import SolverError
 from disttest.reference import vertex_enumeration_feasible
-from disttest.simplex import Triplets, extract_bounds, solve_feasibility
+from disttest.simplex import FEAS_TOL, Triplets, _check_residual, extract_bounds, solve_feasibility
 
 
 def check_against_oracle(A, b, box=1e4):
@@ -222,3 +222,31 @@ class TestSolveFeasibility:
         )
         assert res.feasible
         assert res.x[0] == 1.0
+
+
+class TestCheckResidual:
+    """A point reported feasible is judged row by row, not by its summed violation."""
+
+    @staticmethod
+    def rows_over(excess):
+        # Row i reads x_0 <= -excess[i], so x = 0 misses it by excess[i].
+        m = len(excess)
+        A = Triplets(np.arange(m), np.zeros(m, dtype=np.int64), np.ones(m), (m, 1))
+        return A, np.zeros(1), -np.asarray(excess, dtype=np.float64)
+
+    def test_many_rows_each_within_tolerance_pass(self):
+        A, x, b = self.rows_over(np.full(2000, 9e-10))
+        total = _check_residual(A, x, b, np.full(1, -np.inf), np.full(1, np.inf), FEAS_TOL, "rows")
+        assert total == pytest.approx(2000 * 9e-10)
+
+    def test_one_row_beyond_the_bound_raises(self):
+        A, x, b = self.rows_over([0.0, 2e-6, 0.0])
+        with pytest.raises(SolverError, match="residual check"):
+            _check_residual(A, x, b, np.full(1, -np.inf), np.full(1, np.inf), FEAS_TOL, "row")
+
+    def test_one_bound_beyond_the_bound_raises(self):
+        A, x, b = self.rows_over([0.0])
+        with pytest.raises(SolverError, match="residual check"):
+            _check_residual(A, x, b, np.full(1, 2e-6), np.full(1, np.inf), FEAS_TOL, "lower")
+        with pytest.raises(SolverError, match="residual check"):
+            _check_residual(A, x, b, np.full(1, -np.inf), np.full(1, -2e-6), FEAS_TOL, "upper")

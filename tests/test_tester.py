@@ -14,7 +14,6 @@ from disttest.tester import (
     check_conditions,
     derive_params,
     estimate_high_part,
-    majority_tolerant_test,
     tolerant_test,
 )
 
@@ -218,14 +217,3 @@ class TestTolerantTest:
             )
         assert accepts == 5
         assert rejects == 5
-
-    def test_majority_vote_requires_odd_repeats(self):
-        params = small_params()
-        oracle = SamplingOracle(Distribution.uniform(100), seed=1)
-        with pytest.raises(ParameterError):
-            majority_tolerant_test(oracle, lambda *args: True, params, 100, repeats=2)
-        assert (
-            majority_tolerant_test(oracle, lambda *args: True, params, 100, repeats=3)
-            is Verdict.ACCEPT
-        )
-        assert oracle.samples_drawn == 3 * (params.W + params.Z_size)

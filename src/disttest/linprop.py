@@ -11,6 +11,12 @@ slack-linearized rows whose feasibility answers "is there a member of the
 property close to the surrogate distribution with its heavy elements inside
 H?".  :func:`lp_feasible` and :func:`feasibility_report` pass every system to
 the solve seam :func:`disttest.simplex.solve_feasibility`.
+
+A property may carry one known member, checked against its folded system at
+construction; :func:`uniformity_polyhedron` carries its centre.  The step-5
+oracle tries that member first and answers True without assembling or
+solving any LP when it meets the step-5 rows, so scipy is loaded only when an
+LP is needed.
 """
 
 from __future__ import annotations
@@ -18,11 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
-from .core import Distribution, _float_array, _is_int, _is_numbers
+from .core import Distribution, _check_masses, _float_array, _is_int, _is_numbers
 from .errors import ParameterError, StructureError
 from .simplex import FEAS_TOL, Triplets, extract_bounds, solve_feasibility
 
@@ -119,9 +125,15 @@ class LinearProperty:
     Non-negativity of the pmf coordinates is the author's responsibility
     (standard property encodings, like the approximate-uniformity system,
     already carry it).
+
+    ``member`` is an optional point x of length N known to lie in the
+    property; it is stored read-only as ``member`` (None when not given).
+    Every folded row and bound must hold at x within ``FEAS_TOL`` and its
+    first n entries must pass :class:`Distribution`'s checks, or
+    :class:`ParameterError` is raised; the check costs O(nnz).
     """
 
-    def __init__(self, poly: Polyhedron, n: int, dim_cap: int = DEFAULT_DIM_CAP):
+    def __init__(self, poly: Polyhedron, n: int, dim_cap: int = DEFAULT_DIM_CAP, member=None):
         n = int(n)
         if n < 1:
             raise ParameterError("n must be >= 1")
@@ -142,6 +154,24 @@ class LinearProperty:
         self.poly = Polyhedron(A, np.concatenate([poly.b, [1.0, -1.0]]), poly.strict_rows)
         self.n = n
         self.system = fold_polyhedron(self.poly)
+        self.member = None if member is None else self._checked_member(member)
+
+    def _checked_member(self, member) -> np.ndarray:
+        x = np.array(member, dtype=np.float64)
+        if x.shape != (self.poly.N,):
+            raise ParameterError(f"member must be a point of length {self.poly.N}, not shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ParameterError("member entries must be finite")
+        _check_masses(x[: self.n])
+        s = self.system
+        if (
+            np.any(s.A @ x > s.b + FEAS_TOL)
+            or np.any(x < s.lower - FEAS_TOL)
+            or np.any(x > s.upper + FEAS_TOL)
+        ):
+            raise ParameterError(f"member misses a row or bound of the property by more than {FEAS_TOL:g}")
+        x.flags.writeable = False
+        return x
 
     def contains(self, d: Distribution) -> bool:
         """Whether an explicit pmf belongs to the property (bounds pin z_{1..n} = pmf)."""
@@ -202,6 +232,7 @@ def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
 
     Variables are ``z_1..z_n`` (the pmf) and ``z_{n+1}..z_{2n}`` (slacks
     bounding each ``|z_i - 1/n|``); the slack total is capped at ``eps``.
+    The known member is the centre: ``z = 1/n`` and every slack 0.
     """
     n = int(n)
     if n < 1:
@@ -217,7 +248,65 @@ def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
     cols = np.concatenate([n + i, j, np.column_stack([i, n + i, i, n + i]).ravel()])
     vals = np.concatenate([np.ones(n), -np.ones(N), np.tile([1.0, -1.0, -1.0, -1.0], n)])
     b = np.concatenate([[float(eps)], np.zeros(N), np.tile([1.0 / n, -1.0 / n], n)])
-    return LinearProperty(Polyhedron(Triplets(rows, cols, vals, (1 + N + 2 * n, N)), b), n)
+    centre = np.concatenate([np.full(n, 1.0 / n), np.zeros(n)])
+    return LinearProperty(Polyhedron(Triplets(rows, cols, vals, (1 + N + 2 * n, N)), b), n, member=centre)
+
+
+@dataclass(frozen=True)
+class _Step5Terms:
+    """What the step-5 rows are written from, validated once.
+
+    ``Hs`` and ``comp`` are H and the rest of [0, n), ascending; ``ref`` is
+    d_tilde on ``Hs`` and ``tail_ref`` its total on ``comp``; ``cap`` is the
+    off-H upper bound ``1/q^2 - EPS_STRICT``.
+    """
+
+    Hs: np.ndarray
+    comp: np.ndarray
+    ref: np.ndarray
+    tail_ref: float
+    cap: float
+    bound: float
+
+    def met_by(self, z: np.ndarray) -> bool:
+        """Whether a property member with pmf part ``z`` is a point of the step-5 system.
+
+        Give slack k the value ``|z[Hs[k]] - ref[k]|`` and the tail slack
+        ``|sum(z[comp]) - tail_ref|``.  Both rows of each slack then hold,
+        one with equality, and every slack is >= 0, so what is left of the
+        system :func:`build_feasibility_lp` writes from these terms is the
+        budget row (slack total <= ``bound``) and the off-H cap
+        (``z[comp] <= cap``), tested here.  The property's own rows and bounds
+        hold at a member within ``FEAS_TOL``, so True exhibits a point of the
+        system within tol: what :func:`lp_feasible` answers True on.
+        """
+        z_off = z[self.comp]
+        if z_off.size and z_off.max() > self.cap:
+            return False
+        spent = float(np.abs(z[self.Hs] - self.ref).sum()) + abs(float(z_off.sum()) - self.tail_ref)
+        return spent <= self.bound
+
+
+def _step5_terms(
+    prop: LinearProperty, H: Iterable[int], d_tilde: Distribution, q: int, bound: float
+) -> _Step5Terms:
+    n = prop.n
+    if d_tilde.n != n:
+        raise ParameterError(f"d_tilde has {d_tilde.n} entries; property projects to {n}")
+    if bound < 0:
+        raise ParameterError("bound must be >= 0")
+    q = int(q)
+    if q < 1:
+        raise ParameterError("q must be >= 1")
+    idx = np.fromiter(H, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"H contains indices outside [0, {n})")
+    in_h = np.zeros(n, dtype=bool)
+    in_h[idx] = True
+    Hs, comp = np.flatnonzero(in_h), np.flatnonzero(~in_h)
+    return _Step5Terms(
+        Hs, comp, d_tilde.pmf[Hs], float(d_tilde.pmf[comp].sum()), 1.0 / (q * q) - EPS_STRICT, float(bound)
+    )
 
 
 def build_feasibility_lp(
@@ -237,24 +326,12 @@ def build_feasibility_lp(
     rows are the folded property's rows, the slack budget, two rows per
     member of H and the two tail rows.
     """
-    n = prop.n
-    if d_tilde.n != n:
-        raise ParameterError(f"d_tilde has {d_tilde.n} entries; property projects to {n}")
-    if bound < 0:
-        raise ParameterError("bound must be >= 0")
-    q = int(q)
-    if q < 1:
-        raise ParameterError("q must be >= 1")
-    Hs = np.unique(np.fromiter(H, dtype=np.int64))
-    if Hs.size and (Hs[0] < 0 or Hs[-1] >= n):
-        raise IndexError(f"H contains indices outside [0, {n})")
+    t = _step5_terms(prop, H, d_tilde, q, bound)
+    Hs, comp, ref, tail_ref = t.Hs, t.comp, t.ref, t.tail_ref
     base, h = prop.system, Hs.size
     N = base.N
     tail_col = N + h
     V = tail_col + 1
-    comp = np.setdiff1d(np.arange(n), Hs)
-    tail_ref = float(d_tilde.pmf[comp].sum())
-    ref = d_tilde.pmf[Hs]
 
     # Row m0 is the budget; rows m0+1+2k and m0+2+2k bound |z_Hs[k] - ref[k]|
     # by slack k; the last two rows bound the off-H total by the tail slack.
@@ -277,11 +354,11 @@ def build_feasibility_lp(
         + [ones_c, [-1.0], -ones_c, [-1.0]]
     )
     b = np.concatenate(
-        [base.b, [float(bound)], np.column_stack([ref, -ref]).ravel(), [tail_ref, -tail_ref]]
+        [base.b, [t.bound], np.column_stack([ref, -ref]).ravel(), [tail_ref, -tail_ref]]
     )
     lower = np.concatenate([base.lower, np.zeros(h + 1)])
     upper = np.concatenate([base.upper, np.full(h + 1, np.inf)])
-    upper[comp] = np.minimum(upper[comp], 1.0 / (q * q) - EPS_STRICT)
+    upper[comp] = np.minimum(upper[comp], t.cap)
     A = Triplets(rows, cols, vals, (m0 + 3 + 2 * h, V))
     return FeasibilityInstance(SparseSystem(A, b, lower, upper))
 
@@ -317,7 +394,14 @@ def feasibility_report(inst, tol: float = FEAS_TOL, max_iter: int = 10**6):
 
 
 class LinearPropertyOracle:
-    """Step-5 oracle for a linear property: assemble the system and decide it.
+    """Step-5 oracle for a linear property.
+
+    A call first tries the property's known member (:meth:`witness`).  When
+    that member is a point of the step-5 system the answer is True, and no LP
+    is assembled or solved, so scipy is not imported.  Otherwise
+    :func:`build_feasibility_lp` assembles the system and :func:`lp_feasible`
+    decides it; the first such solve loads scipy.  Either way the answer is
+    the one :func:`lp_feasible` documents for the assembled system.
 
     Instances are deterministic for fixed inputs and safe for concurrent
     read-only use.
@@ -326,12 +410,27 @@ class LinearPropertyOracle:
     def __init__(self, prop: LinearProperty):
         self.prop = prop
 
+    def witness(self, H, d_tilde: Distribution, q: int, bound: float) -> bool:
+        """Whether the property's known member alone answers the step-5 question True.
+
+        False when the property carries no member.  See
+        :meth:`_Step5Terms.met_by` for why True implies a feasible system.
+        """
+        member = self.prop.member
+        if member is None:
+            return False
+        return _step5_terms(self.prop, H, d_tilde, q, bound).met_by(member[: self.prop.n])
+
     def __call__(self, H, d_tilde: Distribution, q: int, bound: float) -> bool:
-        return lp_feasible(build_feasibility_lp(self.prop, H, d_tilde, q, bound))
+        if not isinstance(H, Collection):
+            H = list(H)  # read twice when the witness misses
+        return self.witness(H, d_tilde, q, bound) or lp_feasible(
+            build_feasibility_lp(self.prop, H, d_tilde, q, bound)
+        )
 
 
 def linear_property_oracle(prop: LinearProperty) -> LinearPropertyOracle:
-    """Property oracle answering step-5 feasibility via the LP route."""
+    """Property oracle answering step-5 feasibility: the known member first, else the LP."""
     return LinearPropertyOracle(prop)
 
 

@@ -6,8 +6,11 @@ the system with HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018),
 called through the bindings scipy ships as ``scipy.optimize._highspy`` with
 the options ``linprog(method="highs")`` would set, so verdicts and points
 are the ones linprog gives.  scipy is imported inside the seam, at the first
-system the start point does not already satisfy, so importing disttest does
-not load it.
+system the start point does not already satisfy, so it loads only when an LP
+is needed: importing disttest does not load it, and neither does a tester
+call that the property's known member accepts
+(:class:`disttest.linprop.LinearPropertyOracle`), since that call never
+reaches the seam.
 
 Singleton rows should be folded into variable bounds with
 :func:`extract_bounds` first; the seam handles general lower/upper bounds,

@@ -1,7 +1,8 @@
 """The solve seam: HiGHS (scipy's bindings) behind ``simplex.solve_feasibility``.
 
-scipy is imported inside the seam, so importing disttest, the learner and the
-tester's set-up path leave it unloaded.  ``scipy.optimize.linprog``, which
+scipy is imported inside the seam, so importing disttest, the learner, the
+tester's set-up path and a tester call that the property's known member
+accepts leave it unloaded.  ``scipy.optimize.linprog``, which
 drives the same HiGHS through its own Python layer, is the reference the seam
 must match bit for bit.
 """
@@ -197,6 +198,28 @@ class TestBackendsAgree:
                 assert report.violation == elastic_reference(fold_polyhedron(poly))
         assert infeasible >= 20
 
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.3])
+    def test_witness_implies_the_lp_on_tester_estimates(self, eps):
+        # The step5_estimates instances plus estimates on mixtures of uniform
+        # and half-support input.
+        n = 200
+        params, estimates = step5_estimates(n, 50)
+        half = Distribution.uniform_on(range(n // 2), n).pmf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for t in (0.05, 0.2, 0.5):
+                mixed = Distribution((1 - t) / n + t * half)
+                estimates += [estimate_high_part(SamplingOracle(mixed, seed), params, n) for seed in (0, 1)]
+        oracle = LinearPropertyOracle(uniformity_polyhedron(n, eps))
+        fired = []
+        for est in estimates:
+            call = (est.H, est.d_tilde, params.q, params.bound)
+            lp = lp_feasible(build_feasibility_lp(oracle.prop, *call))
+            fired.append(oracle.witness(*call))
+            assert lp or not fired[-1]
+            assert oracle(*call) == lp
+        assert any(fired) and not all(fired)
+
     def test_one_oracle_shared_by_two_threads_gives_the_serial_verdicts(self):
         n = 200
         params, estimates = step5_estimates(n, 50)
@@ -221,10 +244,12 @@ def test_import_learner_and_tester_setup_leave_scipy_unloaded():
         "import disttest\n"
         "from disttest import Distribution, SamplingOracle, learn_adaptive\n"
         "from disttest.linprop import linear_property_oracle, uniformity_polyhedron\n"
-        "from disttest.tester import derive_params\n"
+        "from disttest.tester import Verdict, derive_params, tolerant_test\n"
         "learn_adaptive(SamplingOracle(Distribution.uniform_on(range(8), 1000), 1), 0.0, 0.5, 1000)\n"
-        "linear_property_oracle(uniformity_polyhedron(400, 0.0))\n"
-        "derive_params(50, 0.1, 0.3, 400)\n"
+        "prop = linear_property_oracle(uniformity_polyhedron(400, 0.0))\n"
+        "params = derive_params(50, 0.1, 0.3, 400)\n"
+        "oracle = SamplingOracle(Distribution.uniform(400), 1)\n"
+        "assert tolerant_test(oracle, prop, params, 400) is Verdict.ACCEPT\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     out = subprocess.run(

@@ -56,6 +56,44 @@ def uniformity_polyhedron_rows(n: int, eps: float) -> LinearProperty:
     return LinearProperty(Polyhedron(np.asarray(rows), np.asarray(rhs)), n)
 
 
+def setdiff_feasibility_lp(prop, H, d_tilde, q, bound):
+    """The step-5 system with the off-H set from ``setdiff1d``, the reference for the mask-based builder."""
+    n = prop.n
+    Hs = np.unique(np.fromiter(H, dtype=np.int64))
+    base, h = prop.system, Hs.size
+    N = base.N
+    tail_col = N + h
+    V = tail_col + 1
+    comp = np.setdiff1d(np.arange(n), Hs)
+    tail_ref = float(d_tilde.pmf[comp].sum())
+    ref = d_tilde.pmf[Hs]
+    m0 = base.M
+    up = m0 + 1 + 2 * np.arange(h)
+    dn = up + 1
+    slack = N + np.arange(h)
+    tail_up = m0 + 1 + 2 * h
+    tail_len = comp.size + 1
+    ones_h, ones_c = np.ones(h), np.ones(comp.size)
+    rows = np.concatenate(
+        [base.A.rows, np.full(h + 1, m0), up, up, dn, dn]
+        + [np.full(tail_len, tail_up), np.full(tail_len, tail_up + 1)]
+    )
+    cols = np.concatenate(
+        [base.A.cols, np.arange(N, V), Hs, slack, Hs, slack, comp, [tail_col], comp, [tail_col]]
+    )
+    vals = np.concatenate(
+        [base.A.vals, np.ones(h + 1), ones_h, -ones_h, -ones_h, -ones_h]
+        + [ones_c, [-1.0], -ones_c, [-1.0]]
+    )
+    b = np.concatenate(
+        [base.b, [float(bound)], np.column_stack([ref, -ref]).ravel(), [tail_ref, -tail_ref]]
+    )
+    lower = np.concatenate([base.lower, np.zeros(h + 1)])
+    upper = np.concatenate([base.upper, np.full(h + 1, np.inf)])
+    upper[comp] = np.minimum(upper[comp], 1.0 / (q * q) - linprop.EPS_STRICT)
+    return Triplets(rows, cols, vals, (m0 + 3 + 2 * h, V)), b, lower, upper
+
+
 class TestUniformityPolyhedron:
     @pytest.mark.parametrize("n", [1, 4, 400])
     def test_digest_matches_row_construction(self, n):
@@ -124,6 +162,19 @@ class TestBuildFeasibilityLP:
             if check_conditions(Distribution(point), est, q=10, bound=0.2):
                 found = True
         assert not found
+
+    def test_system_equals_the_setdiff_construction_byte_for_byte(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            prop = uniformity_polyhedron(n, float(rng.uniform(0.0, 0.5)))
+            est = synthetic_estimate(rng, n, int(rng.integers(0, n + 1)))
+            q, bound = int(rng.integers(1, 6)), float(rng.uniform(0.0, 1.0))
+            got = build_feasibility_lp(prop, est.H, est.d_tilde, q, bound).poly
+            A, b, lower, upper = setdiff_feasibility_lp(prop, est.H, est.d_tilde, q, bound)
+            assert got.A.shape == A.shape
+            for mine, theirs in zip((got.A.rows, got.A.cols, got.A.vals, got.b, got.lower, got.upper),
+                                    (A.rows, A.cols, A.vals, b, lower, upper)):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
 
     def test_h_outside_domain_raises(self):
         prop = uniformity_polyhedron(4, 0.1)
@@ -213,6 +264,7 @@ class TestOracleInvariants:
             bound = float(rng.uniform(0.0, 1.2))
             direct = check_conditions(Distribution.uniform(n), est, q, bound)
             assert oracle(est.H, est.d_tilde, q, bound) == direct
+            assert lp_feasible(build_feasibility_lp(prop, est.H, est.d_tilde, q, bound)) == direct
 
     def test_eps_strict_relaxation_stable_on_margined_instances(self, rng, monkeypatch):
         prop = uniformity_polyhedron(6, 0.25)
@@ -231,6 +283,75 @@ class TestOracleInvariants:
                     assert lp_feasible(inst2) == rep.feasible
                 monkeypatch.setattr(linprop, "EPS_STRICT", 1e-12)
         assert kept >= 10
+
+
+class TestWitness:
+    def test_witness_implies_the_lp_and_the_oracle_equals_it(self, rng):
+        hits = misses = 0
+        for _ in range(150):
+            n = int(rng.integers(4, 11))
+            prop = uniformity_polyhedron(n, float(rng.choice([0.0, 0.1, 0.3])))
+            oracle = linear_property_oracle(prop)
+            est = synthetic_estimate(rng, n, int(rng.integers(0, n + 1)))
+            q, bound = int(rng.integers(1, 4)), float(rng.uniform(0.0, 1.2))
+            lp = lp_feasible(build_feasibility_lp(prop, est.H, est.d_tilde, q, bound))
+            fired = oracle.witness(est.H, est.d_tilde, q, bound)
+            assert lp or not fired
+            assert oracle(est.H, est.d_tilde, q, bound) == lp
+            hits += fired
+            misses += not fired
+        assert hits >= 1 and misses >= 1
+
+    def test_oracle_reads_a_one_shot_h_twice(self):
+        # The centre misses bound 0, so the LP reads H again; read from an
+        # exhausted iterator, H would be empty and the system feasible.
+        prop = uniformity_polyhedron(4, 0.2)
+        dt = Distribution(np.array([0.4, 0.2, 0.2, 0.2]))
+        oracle = linear_property_oracle(prop)
+        assert not oracle.witness({0}, dt, 1, 0.0)
+        assert not lp_feasible(build_feasibility_lp(prop, {0}, dt, 1, 0.0))
+        assert not oracle(iter([0]), dt, 1, 0.0)
+
+    def test_property_without_member_never_witnesses(self):
+        prop = LinearProperty(uniformity_polyhedron(4, 0.0).poly, 4)
+        assert prop.member is None
+        oracle = linear_property_oracle(prop)
+        dt = Distribution.uniform(4)
+        assert not oracle.witness(range(4), dt, 3, 0.0)
+        assert oracle(range(4), dt, 3, 0.0)
+
+
+class TestMember:
+    # z_0 <= 0.6 and z >= 0 over two coordinates, all of them pmf.
+    POLY = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([0.6, 0.0, 0.0]))
+
+    def test_uniformity_carries_its_centre(self):
+        prop = uniformity_polyhedron(5, 0.1)
+        assert prop.member.tolist() == [0.2] * 5 + [0.0] * 5
+        assert not prop.member.flags.writeable
+
+    def test_member_within_tolerance_is_kept(self):
+        prop = LinearProperty(self.POLY, 2, member=[0.6 + 5e-10, 0.4 - 5e-10])
+        assert prop.member.tolist() == [0.6 + 5e-10, 0.4 - 5e-10]
+
+    @pytest.mark.parametrize(
+        "member",
+        [[0.7, 0.3], [0.6 + 2e-9, 0.4 - 2e-9], [0.5, 0.6], [1.1, -0.1]],
+        ids=["row", "row-past-tol", "not-a-pmf", "negative"],
+    )
+    def test_non_member_raises(self, member):
+        with pytest.raises(ParameterError):
+            LinearProperty(self.POLY, 2, member=member)
+
+    @pytest.mark.parametrize("member", [[0.5], [0.5, 0.5, 0.0], [[0.5, 0.5]]], ids=["short", "long", "2-d"])
+    def test_wrong_length_raises(self, member):
+        with pytest.raises(ParameterError):
+            LinearProperty(self.POLY, 2, member=member)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        with pytest.raises(ParameterError):
+            LinearProperty(self.POLY, 2, member=[0.5, bad])
 
 
 class TestLinearPropertyValidation:

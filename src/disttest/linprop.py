@@ -35,37 +35,27 @@ from .simplex import FEAS_TOL, Triplets, extract_bounds, solve_feasibility
 EPS_STRICT = 1e-12
 
 # Auxiliary dimensions are capped at this multiple of the pmf dimension to
-# keep feasibility solves tractable; override per property when needed.
-DEFAULT_DIM_CAP = 10
+# keep feasibility solves tractable.
+DIM_CAP = 10
 
 
 def _canonical(A) -> Triplets:
     """``A``, dense or :class:`Triplets`, as read-only row-major triplets.
 
-    Duplicate coordinates are summed and zeros dropped.  Coordinates outside
-    the shape and non-finite values raise :class:`StructureError`.
+    Duplicate coordinates are summed and zeros dropped.  A malformed matrix
+    raises :class:`StructureError` when its :class:`Triplets` are built.
     """
     if not isinstance(A, Triplets):
         A = Triplets.from_dense(np.atleast_2d(np.asarray(A, dtype=np.float64)))
-    M, N = (int(d) for d in A.shape)
-    rows, cols, vals = (np.asarray(part) for part in (A.rows, A.cols, A.vals))
-    if not rows.shape == cols.shape == vals.shape == (vals.size,):
-        raise StructureError("rows, cols and vals must be 1-D arrays of one length")
-    if vals.size and not (
-        rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
-        and 0 <= rows.min() <= rows.max() < M and 0 <= cols.min() <= cols.max() < N
-    ):
-        raise StructureError(f"coordinates must be integers inside the {M}x{N} shape")
-    if not np.all(np.isfinite(vals)):
-        raise StructureError("polyhedron entries must be finite")
-    key, where = np.unique(rows.astype(np.int64) * N + cols.astype(np.int64), return_inverse=True)
+    N = A.shape[1]
+    key, where = np.unique(A.rows * N + A.cols, return_inverse=True)
     summed = np.zeros(key.size)
-    np.add.at(summed, where, vals)
+    np.add.at(summed, where, A.vals)
     nonzero = summed != 0.0
     parts = (*np.divmod(key[nonzero], N), summed[nonzero])
     for part in parts:
         part.flags.writeable = False
-    return Triplets(*parts, (M, N))
+    return Triplets(*parts, A.shape)
 
 
 def _digest(A: Triplets, *parts) -> str:
@@ -133,17 +123,14 @@ class LinearProperty:
     :class:`ParameterError` is raised; the check costs O(nnz).
     """
 
-    def __init__(self, poly: Polyhedron, n: int, dim_cap: int = DEFAULT_DIM_CAP, member=None):
+    def __init__(self, poly: Polyhedron, n: int, member=None):
         n = int(n)
         if n < 1:
             raise ParameterError("n must be >= 1")
         if n > poly.N:
             raise ParameterError(f"projection dimension {n} exceeds variable count {poly.N}")
-        if poly.N > dim_cap * n:
-            raise ParameterError(
-                f"polyhedron has {poly.N} variables; cap is {dim_cap}*n = {dim_cap * n} "
-                "(raise dim_cap to override)"
-            )
+        if poly.N > DIM_CAP * n:
+            raise ParameterError(f"polyhedron has {poly.N} variables; cap is {DIM_CAP}*n = {DIM_CAP * n}")
         A, M, k = poly.A, poly.M, np.arange(n)
         A = Triplets(
             np.concatenate([A.rows, np.full(n, M), np.full(n, M + 1)]),
@@ -298,11 +285,13 @@ def _step5_terms(
     q = int(q)
     if q < 1:
         raise ParameterError("q must be >= 1")
-    idx = np.fromiter(H, dtype=np.int64)
+    idx = np.array(list(H))
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ParameterError("H must hold integers, not booleans or fractions")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"H contains indices outside [0, {n})")
     in_h = np.zeros(n, dtype=bool)
-    in_h[idx] = True
+    in_h[idx.astype(np.int64)] = True  # an empty H reads as float64
     Hs, comp = np.flatnonzero(in_h), np.flatnonzero(~in_h)
     return _Step5Terms(
         Hs, comp, d_tilde.pmf[Hs], float(d_tilde.pmf[comp].sum()), 1.0 / (q * q) - EPS_STRICT, float(bound)
@@ -324,7 +313,8 @@ def build_feasibility_lp(
     ``1/q^2``; that strict constraint is encoded closed with an ``EPS_STRICT``
     shave.  Slack nonnegativity and the off-H cap are variable bounds; the
     rows are the folded property's rows, the slack budget, two rows per
-    member of H and the two tail rows.
+    member of H and the two tail rows.  H must hold integers (else
+    :class:`ParameterError`) inside ``[0, n)`` (else :class:`IndexError`).
     """
     t = _step5_terms(prop, H, d_tilde, q, bound)
     Hs, comp, ref, tail_ref = t.Hs, t.comp, t.ref, t.tail_ref

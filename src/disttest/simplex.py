@@ -12,6 +12,10 @@ call that the property's known member accepts
 (:class:`disttest.linprop.LinearPropertyOracle`), since that call never
 reaches the seam.
 
+A malformed matrix raises :class:`StructureError` when its :class:`Triplets`
+are built, so it never reaches the seam; the seam raises
+:class:`ParameterError` on a bad ``b``, bound or ``max_iter``.
+
 Singleton rows should be folded into variable bounds with
 :func:`extract_bounds` first; the seam handles general lower/upper bounds,
 including free variables.
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SolverError
+from .errors import ParameterError, SolverError, StructureError
 
 FEAS_TOL = 1e-9
 
@@ -55,13 +59,33 @@ class Triplets:
     """A sparse matrix of ``shape`` in coordinate form: entry ``(rows[k], cols[k])`` is ``vals[k]``.
 
     Duplicate coordinates add up.  ``A @ x`` and ``np.asarray(A)`` (the dense
-    scatter) work as they do on the dense matrix.
+    scatter) work as they do on the dense matrix.  ``rows`` and ``cols`` are
+    stored as int64, ``vals`` as float64; :class:`StructureError` is raised
+    unless all three are 1-D and of one length, every coordinate is an integer
+    (not a boolean) inside ``shape`` and every value is finite.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     shape: tuple
+
+    def __post_init__(self):
+        M, N = (int(d) for d in self.shape)
+        rows, cols, vals = np.asarray(self.rows), np.asarray(self.cols), np.asarray(self.vals, dtype=np.float64)
+        if not rows.shape == cols.shape == vals.shape == (vals.size,):
+            raise StructureError("rows, cols and vals must be 1-D arrays of one length")
+        if min(M, N) < 0 or vals.size and not (
+            rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
+            and 0 <= rows.min() <= rows.max() < M and 0 <= cols.min() <= cols.max() < N
+        ):
+            raise StructureError(f"coordinates must be integers inside the {M}x{N} shape")
+        if not np.isfinite(vals).all():
+            raise StructureError("matrix entries must be finite")
+        object.__setattr__(self, "rows", rows.astype(np.int64, copy=False))
+        object.__setattr__(self, "cols", cols.astype(np.int64, copy=False))
+        object.__setattr__(self, "vals", vals)
+        object.__setattr__(self, "shape", (M, N))
 
     @classmethod
     def from_dense(cls, A) -> "Triplets":
@@ -124,15 +148,6 @@ def extract_bounds(A: Triplets, b: np.ndarray, tol: float = FEAS_TOL):
     return A2, b[keep], lower, upper, consistent
 
 
-def _initial_point(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    x = np.zeros(lower.size)
-    below = lower > 0
-    above = upper < 0
-    x[below] = lower[below]
-    x[above] = upper[above]
-    return x
-
-
 def _name(digest) -> str:
     return digest() if callable(digest) else digest
 
@@ -150,20 +165,15 @@ def _check_residual(A, x, b, lower, upper, tol, digest) -> float:
     return sum(float(e.sum()) for e in excess)
 
 
-def _check_inputs(A, b, lower, upper, max_iter) -> None:
-    """Raise :class:`ParameterError` on a system no solver should be handed."""
+def _check_inputs(A: Triplets, b, lower, upper, max_iter) -> None:
+    """Raise :class:`ParameterError` on a ``b``, bound or ``max_iter`` no solver should be handed."""
     m, n = A.shape
     if b.shape != (m,) or lower.shape != (n,) or upper.shape != (n,):
         raise ParameterError(
             f"A is {m}x{n} but b, lower and upper have shapes {b.shape}, {lower.shape}, {upper.shape}"
         )
-    vals = A
-    if isinstance(A, Triplets):
-        vals = A.vals
-        if A.nnz and (A.rows.min() < 0 or A.rows.max() >= m or A.cols.min() < 0 or A.cols.max() >= n):
-            raise ParameterError(f"a triplet lies outside the {m}x{n} shape")
-    if not (np.isfinite(vals).all() and np.isfinite(b).all()):
-        raise ParameterError("A and b must be finite")
+    if not np.isfinite(b).all():
+        raise ParameterError("b must be finite")
     if np.isnan(lower).any() or np.isnan(upper).any() or (lower == np.inf).any() or (upper == -np.inf).any():
         raise ParameterError("bounds must not be nan, and lower must not be +inf nor upper -inf")
     if not max_iter >= 0:
@@ -182,25 +192,26 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Decide whether ``{x : Ax <= b, lower <= x <= upper}`` is nonempty.
 
-    ``A`` is a dense matrix or :class:`Triplets`.  Bounds that cross by at
-    most ``tol`` pin the variable, as in :func:`extract_bounds`.  ``digest``
-    names the instance in a :class:`SolverError`; a callable is only called
-    when one is raised.
+    ``A`` is :class:`Triplets` or a dense matrix, converted to triplets here,
+    once; a malformed matrix raises :class:`StructureError` when the triplets
+    are built.  Bounds that cross by at most ``tol`` pin the variable, as in
+    :func:`extract_bounds`.  ``digest`` names the instance in a
+    :class:`SolverError`; a callable is only called when one is raised.
 
     HiGHS decides, holding every row within ``tol`` (its primal feasibility
     tolerance, at least 1e-10).  Reaching ``max_iter`` iterations raises
     :class:`SolverError`, and so does a feasible point that misses a single
     row or bound by more than ``max(100 * tol, 1e-6)``.  :class:`ParameterError`
-    is raised before any solve when ``A`` or ``b`` holds a non-finite entry, a
-    bound is nan, ``lower`` is +inf or ``upper`` is -inf, a length does not
-    match ``A.shape``, a triplet lies outside it, or ``max_iter`` is negative.
+    is raised before any solve when ``b`` holds a non-finite entry, a bound is
+    nan, ``lower`` is +inf or ``upper`` is -inf, a length does not match
+    ``A.shape``, or ``max_iter`` is negative.
 
     ``violation`` is described on :class:`FeasibilityResult`.  With
     ``measure_violation`` false, the elastic solve that measures it on
     infeasible systems is skipped.
     """
     if not isinstance(A, Triplets):
-        A = np.asarray(A, dtype=np.float64)
+        A = Triplets.from_dense(A)
     b = np.asarray(b, dtype=np.float64)
     m, n = A.shape
     lower = np.full(n, -np.inf) if lower is None else np.array(lower, dtype=np.float64)
@@ -210,9 +221,9 @@ def solve_feasibility(
     if widest > tol:
         return FeasibilityResult(False, widest, None, 0)
 
-    x0 = _initial_point(lower, upper)
-    beta0 = b - A @ x0
-    if m == 0 or not np.any(beta0 < 0.0):
+    # The start point: 0, moved onto the nearer bound when it lies outside them.
+    x0 = np.where(upper < 0, upper, np.where(lower > 0, lower, 0.0))
+    if m == 0 or not np.any(b - A @ x0 < 0.0):
         return FeasibilityResult(True, 0.0, x0, 0)
     return _highs(A, b, lower, upper, tol, max_iter, digest, measure_violation)
 
@@ -231,7 +242,7 @@ def _csc(t: Triplets):
     return start, rows.astype(np.int32), vals
 
 
-def _highs(A, b, lower, upper, tol, max_iter, digest, measure_violation):
+def _highs(A: Triplets, b, lower, upper, tol, max_iter, digest, measure_violation):
     # Imported here: loading scipy.optimize costs more than importing disttest.
     # The bindings are called directly because linprog's Python layer (option
     # checks, sparse format conversions, dual bookkeeping we discard) took
@@ -279,20 +290,19 @@ def _highs(A, b, lower, upper, tol, max_iter, digest, measure_violation):
         x = np.array(solver.getSolution().col_value)
         return x, info.simplex_iteration_count, info.objective_function_value
 
-    t = A if isinstance(A, Triplets) else Triplets.from_dense(A)
-    m, n = t.shape
-    x, iterations, _ = solve(t, np.zeros(n), lower, upper)
+    m, n = A.shape
+    x, iterations, _ = solve(A, np.zeros(n), lower, upper)
     if x is not None:
-        violation = _check_residual(t, x, b, lower, upper, tol, digest)
+        violation = _check_residual(A, x, b, lower, upper, tol, digest)
         return FeasibilityResult(True, violation, x, iterations)
     violation = math.nan
     if measure_violation:
         # Elastic form: Ax - s <= b with s >= 0, minimising sum(s).
         k = np.arange(m)
         elastic = Triplets(
-            np.concatenate([t.rows, k]),
-            np.concatenate([t.cols, n + k]),
-            np.concatenate([t.vals, np.full(m, -1.0)]),
+            np.concatenate([A.rows, k]),
+            np.concatenate([A.cols, n + k]),
+            np.concatenate([A.vals, np.full(m, -1.0)]),
             (m, n + m),
         )
         cost = np.concatenate([np.zeros(n), np.ones(m)])

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import Distribution, SamplingOracle, _checked_ceil
+from .core import Distribution, SamplingOracle, _checked_ceil, _index_set
 from .errors import DimensionError, ParameterError
 
 DEFAULT_CONSTANTS = {"c_star": 10.0, "c_W": 4.0, "c_Z": 4.0}
@@ -180,12 +180,11 @@ def check_conditions(d1: Distribution, est: HighEstimate, q: int, bound: float) 
     if d1.n != dt.n:
         raise DimensionError(f"domain sizes differ: {d1.n} vs {dt.n}")
     h_mask = np.zeros(d1.n, dtype=bool)
-    h_mask[list(est.H)] = True
+    h_mask[_index_set(est.H, d1.n)] = True
     on_h = float(np.abs(d1.pmf[h_mask] - dt.pmf[h_mask]).sum())
     off_h = abs(float(d1.pmf[~h_mask].sum() - dt.pmf[~h_mask].sum()))
     cond_a = on_h + off_h <= bound
-    heavy = np.flatnonzero(d1.pmf >= 1.0 / (q * q))
-    cond_b = bool(h_mask[heavy].all()) if heavy.size else True
+    cond_b = bool(h_mask[d1.pmf >= 1.0 / (q * q)].all())
     return cond_a and cond_b
 
 

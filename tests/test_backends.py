@@ -19,7 +19,7 @@ import pytest
 
 import disttest.simplex as simplex
 from disttest.core import Distribution, SamplingOracle
-from disttest.errors import ParameterError, SolverError
+from disttest.errors import ParameterError, SolverError, StructureError
 from disttest.linprop import (
     LinearPropertyOracle,
     Polyhedron,
@@ -101,20 +101,24 @@ def step5_estimates(n: int, lam: int):
 
 NAN, INF = float("nan"), float("inf")
 # Each system is feasible at the start point but for the bad entry, so a
-# missing check shows as a feasible verdict.
+# missing check shows as a feasible verdict.  A malformed matrix raises
+# StructureError when its Triplets are built, so "triplet-outside" is built in
+# the test body; the seam raises ParameterError on b, the bounds and max_iter.
 BAD_INPUTS = {
-    "nan-in-b": ([[1.0]], [NAN], None, None, {}),
-    "inf-in-b": ([[1.0]], [INF], None, None, {}),
-    "nan-in-A": ([[NAN]], [1.0], None, None, {}),
-    "inf-in-A": ([[-INF]], [1.0], None, None, {}),
-    "nan-lower": ([[1.0]], [1.0], [NAN], None, {}),
-    "nan-upper": ([[1.0]], [1.0], None, [NAN], {}),
-    "lower-plus-inf": ([[1.0]], [1.0], [INF], None, {}),
-    "upper-minus-inf": ([[1.0]], [1.0], None, [-INF], {}),
-    "b-too-short": ([[1.0], [1.0]], [1.0], None, None, {}),
-    "lower-too-long": ([[1.0]], [1.0], [0.0, 0.0], None, {}),
-    "triplet-outside": (Triplets(np.array([0]), np.array([1]), np.array([1.0]), (1, 1)), [1.0], None, None, {}),
-    "negative-max-iter": ([[1.0]], [1.0], None, None, {"max_iter": -1}),
+    "nan-in-b": ([[1.0]], [NAN], None, None, {}, ParameterError),
+    "inf-in-b": ([[1.0]], [INF], None, None, {}, ParameterError),
+    "nan-in-A": ([[NAN]], [1.0], None, None, {}, StructureError),
+    "inf-in-A": ([[-INF]], [1.0], None, None, {}, StructureError),
+    "nan-lower": ([[1.0]], [1.0], [NAN], None, {}, ParameterError),
+    "nan-upper": ([[1.0]], [1.0], None, [NAN], {}, ParameterError),
+    "lower-plus-inf": ([[1.0]], [1.0], [INF], None, {}, ParameterError),
+    "upper-minus-inf": ([[1.0]], [1.0], None, [-INF], {}, ParameterError),
+    "b-too-short": ([[1.0], [1.0]], [1.0], None, None, {}, ParameterError),
+    "lower-too-long": ([[1.0]], [1.0], [0.0, 0.0], None, {}, ParameterError),
+    "triplet-outside": (
+        lambda: Triplets(np.array([0]), np.array([1]), np.array([1.0]), (1, 1)), [1.0], None, None, {}, StructureError
+    ),
+    "negative-max-iter": ([[1.0]], [1.0], None, None, {"max_iter": -1}, ParameterError),
 }
 
 
@@ -157,10 +161,10 @@ class TestSeam:
         assert (res.feasible, res.violation, res.x, res.iterations) == (False, 1.5, None, 0)
         assert solve_feasibility(np.zeros((2, 0)), [0.0, 2.0]).feasible
 
-    @pytest.mark.parametrize("A, b, lower, upper, kwargs", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-    def test_bad_input_is_rejected_before_any_solve(self, A, b, lower, upper, kwargs):
-        with pytest.raises(ParameterError):
-            solve_feasibility(A, b, lower, upper, **kwargs)
+    @pytest.mark.parametrize("A, b, lower, upper, kwargs, error", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_input_is_rejected_before_any_solve(self, A, b, lower, upper, kwargs, error):
+        with pytest.raises(error):
+            solve_feasibility(A() if callable(A) else A, b, lower, upper, **kwargs)
 
     def test_iteration_cap_names_the_polyhedron_lazily(self):
         rng = np.random.default_rng(5)

@@ -18,7 +18,7 @@ from disttest.linprop import (
     uniformity_polyhedron,
 )
 from disttest.reference import simplex_grid, vertex_enumeration_feasible
-from disttest.simplex import Triplets
+from disttest.simplex import Triplets, solve_feasibility
 from disttest.tester import HighEstimate, check_conditions
 
 from conftest import random_pmf
@@ -180,6 +180,20 @@ class TestBuildFeasibilityLP:
         prop = uniformity_polyhedron(4, 0.1)
         with pytest.raises(IndexError):
             build_feasibility_lp(prop, {7}, Distribution.uniform(4), 2, 0.5)
+
+    @pytest.mark.parametrize(
+        "H", [[0.7, 1], [np.float64(2.5)], [True]], ids=["fraction", "numpy-fraction", "boolean"]
+    )
+    def test_h_of_non_integers_raises(self, H):
+        # Read as int64, these would be truncated to {0, 1}, {2} and {1}.
+        prop = uniformity_polyhedron(4, 0.1)
+        oracle = linear_property_oracle(prop)
+        d = Distribution.uniform(4)
+        with pytest.raises(ParameterError):
+            build_feasibility_lp(prop, H, d, 2, 0.5)
+        for ask in (oracle.witness, oracle):
+            with pytest.raises(ParameterError):
+                ask(H, d, 2, 0.5)
 
 
 class TestLPFeasible:
@@ -359,7 +373,6 @@ class TestLinearPropertyValidation:
         poly = Polyhedron(np.zeros((1, 25)), np.zeros(1))
         with pytest.raises(ParameterError):
             LinearProperty(poly, n=2)
-        LinearProperty(poly, n=2, dim_cap=20)
 
     def test_projection_dim_exceeds_columns(self):
         poly = Polyhedron(np.zeros((1, 3)), np.zeros(1))
@@ -385,22 +398,38 @@ class TestTripletStorage:
             assert not part.flags.writeable
 
     @pytest.mark.parametrize(
-        "rows, cols, vals",
+        "rows, cols, vals, dense",
         [
-            ([0, 2], [0, 1], [1.0, 1.0]),
-            ([0, 1], [0, 2], [1.0, 1.0]),
-            ([0, -1], [0, 0], [1.0, 1.0]),
-            ([0, 1], [0, 1], [1.0, np.nan]),
-            ([0, 1], [0, 1], [np.inf, 1.0]),
-            ([0.0, 1.0], [0, 1], [1.0, 1.0]),
-            ([0, 1], [0], [1.0, 1.0]),
+            ([0, 2], [0, 1], [1.0, 1.0], None),
+            ([0, 1], [0, 2], [1.0, 1.0], None),
+            ([0, -1], [0, 0], [1.0, 1.0], None),
+            ([0, 1], [0, 1], [1.0, np.nan], [[1.0, 0.0], [0.0, np.nan]]),
+            ([0, 1], [0, 1], [np.inf, 1.0], [[np.inf, 0.0], [0.0, 1.0]]),
+            ([0.0, 1.0], [0, 1], [1.0, 1.0], None),
+            ([0, 1], [0.5, 1], [1.0, 1.0], None),
+            ([0, 1], [True, False], [1.0, 1.0], None),
+            ([0, 1], [0], [1.0, 1.0], None),
+            ([[0, 1]], [[0, 1]], [[1.0, 1.0]], None),
         ],
-        ids=["row-out", "col-out", "negative", "nan", "inf", "float-rows", "lengths"],
+        ids=[
+            "row-out", "col-out", "negative", "nan", "inf", "float-rows", "fractional-cols", "bool-cols",
+            "lengths", "2-d",
+        ],
     )
-    def test_malformed_triplets_rejected(self, rows, cols, vals):
-        A = Triplets(np.array(rows), np.array(cols), np.array(vals), (2, 2))
+    def test_malformed_triplets_rejected(self, rows, cols, vals, dense):
+        # The matrix checks itself when built, so every route that builds one
+        # raises the same error: Polyhedron and LinearProperty hold triplets,
+        # and the solve seam converts a dense matrix at its entry.
         with pytest.raises(StructureError):
-            Polyhedron(A, [0.0, 0.0])
+            Triplets(np.array(rows), np.array(cols), np.array(vals), (2, 2))
+        if dense is not None:
+            for build in (
+                lambda: Polyhedron(dense, [0.0, 0.0]),
+                lambda: LinearProperty(Polyhedron(dense, [0.0, 0.0]), 2),
+                lambda: solve_feasibility(dense, [0.0, 0.0]),
+            ):
+                with pytest.raises(StructureError):
+                    build()
 
     def test_dense_and_triplet_forms_agree(self, rng):
         for _ in range(20):

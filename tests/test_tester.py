@@ -170,6 +170,15 @@ class TestCheckConditions:
             cond_b = all(i in H for i in range(n) if d1.pmf[i] >= 1.0 / q**2)
             assert check_conditions(d1, est, q, bound) == (cond_a and cond_b)
 
+    @pytest.mark.parametrize("H", [{-1}, {7}], ids=["negative", "past-n"])
+    def test_h_outside_domain_raises(self, H):
+        # A point mass at 3 is heavy and outside H; indexing a mask with H={-1}
+        # would mark index 3 and accept it.
+        d1 = Distribution.point_mass(4, 3)
+        est = HighEstimate(H=frozenset(H), d_tilde=d1, low_mass=0.0)
+        with pytest.raises(ParameterError):
+            check_conditions(d1, est, q=2, bound=2.0)
+
     def test_dimension_error(self):
         dt = Distribution.uniform(4)
         est = HighEstimate(H=frozenset({0}), d_tilde=dt, low_mass=0.75)

@@ -15,8 +15,12 @@ the solve seam :func:`disttest.simplex.solve_feasibility`.
 A property may carry one known member, checked against its folded system at
 construction; :func:`uniformity_polyhedron` carries its centre.  The step-5
 oracle tries that member first and answers True without assembling or
-solving any LP when it meets the step-5 rows, so scipy is loaded only when an
-LP is needed.
+solving any LP when it meets the step-5 rows.  A property may also declare
+the rows that keep its members within an L1 ball around a centre (its
+``ball``); :func:`build_feasibility_lp` then writes a closed-form Farkas
+vector for the step-5 system, and the oracle answers False without a solve
+when :func:`disttest.simplex.refutes` accepts it.  scipy is loaded only when
+neither the member nor its certificate decides.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from numbers import Real
 from typing import Collection, Iterable
 
 import numpy as np
 
 from .core import Distribution, _check_masses, _float_array, _is_int, _is_numbers
 from .errors import ParameterError, StructureError
-from .simplex import FEAS_TOL, Triplets, extract_bounds, solve_feasibility
+from .simplex import FEAS_TOL, Triplets, extract_bounds, refutes, solve_feasibility
 
 EPS_STRICT = 1e-12
 
@@ -46,7 +51,7 @@ def _canonical(A) -> Triplets:
     raises :class:`StructureError` when its :class:`Triplets` are built.
     """
     if not isinstance(A, Triplets):
-        A = Triplets.from_dense(np.atleast_2d(np.asarray(A, dtype=np.float64)))
+        A = Triplets.from_dense(A, ndmin=2)
     N = A.shape[1]
     key, where = np.unique(A.rows * N + A.cols, return_inverse=True)
     summed = np.zeros(key.size)
@@ -121,9 +126,22 @@ class LinearProperty:
     Every folded row and bound must hold at x within ``FEAS_TOL`` and its
     first n entries must pass :class:`Distribution`'s checks, or
     :class:`ParameterError` is raised; the check costs O(nnz).
+
+    ``ball = (budget, up, down)`` declares rows of ``system`` that put the
+    pmf within L1 distance r of a centre c: for each i < n, row ``up[i]``
+    reads ``z_i - s_i <= c_i`` and row ``down[i]`` reads
+    ``-z_i - s_i <= -c_i`` for some variable s_i, and row ``budget`` reads
+    ``sum_i s_i <= r``.  It is stored as ``ball`` (None when not given), with
+    ``up`` and ``down`` read-only int64 arrays.  From it
+    :func:`build_feasibility_lp` writes a Farkas vector for the step-5 system.
+    A ball is accepted only with a member; an index that is not an integer
+    inside ``[0, system.M)``, or ``up``/``down`` not of length n, raises
+    :class:`ParameterError`.  Nothing checks that the rows read as declared:
+    a wrong ball only yields a vector that :func:`disttest.simplex.refutes`
+    rejects.
     """
 
-    def __init__(self, poly: Polyhedron, n: int, member=None):
+    def __init__(self, poly: Polyhedron, n: int, member=None, ball=None):
         n = int(n)
         if n < 1:
             raise ParameterError("n must be >= 1")
@@ -142,6 +160,7 @@ class LinearProperty:
         self.n = n
         self.system = fold_polyhedron(self.poly)
         self.member = None if member is None else self._checked_member(member)
+        self.ball = None if ball is None else self._checked_ball(ball)
 
     def _checked_member(self, member) -> np.ndarray:
         x = np.array(member, dtype=np.float64)
@@ -159,6 +178,23 @@ class LinearProperty:
             raise ParameterError(f"member misses a row or bound of the property by more than {FEAS_TOL:g}")
         x.flags.writeable = False
         return x
+
+    def _checked_ball(self, ball) -> tuple:
+        if self.member is None:
+            raise ParameterError("a ball is accepted only together with a member")
+        try:
+            budget, up, down = (np.asarray(part) for part in ball)
+        except (TypeError, ValueError):
+            raise ParameterError("ball must be a triple (budget, up, down)") from None
+        M = self.system.M
+        for part, shape in ((budget, ()), (up, (self.n,)), (down, (self.n,))):
+            if part.shape != shape or part.dtype.kind not in "iu":
+                raise ParameterError(f"ball parts must be integer row indices of shapes (), ({self.n},), ({self.n},)")
+            if part.size and (part.min() < 0 or part.max() >= M):
+                raise ParameterError(f"ball row index outside [0, {M})")
+        up, down = (part.astype(np.int64) for part in (up, down))
+        up.flags.writeable = down.flags.writeable = False
+        return int(budget), up, down
 
     def contains(self, d: Distribution) -> bool:
         """Whether an explicit pmf belongs to the property (bounds pin z_{1..n} = pmf)."""
@@ -207,11 +243,28 @@ def fold_polyhedron(poly: Polyhedron, tol: float = FEAS_TOL) -> SparseSystem:
     return SparseSystem(A, b2, lower, upper)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityInstance:
-    """The assembled slack-variable system for one tester step-5 question."""
+    """The assembled slack-variable system for one tester step-5 question.
+
+    ``farkas`` is a candidate Farkas vector for ``poly``, one 0/1 multiplier
+    per row, written by :func:`build_feasibility_lp` when the property
+    declares a ``ball`` (else None).  :meth:`refuted` checks it.
+    """
 
     poly: SparseSystem
+    farkas: np.ndarray | None = None
+
+    def refuted(self, tol: float = FEAS_TOL) -> bool:
+        """Whether ``farkas`` proves that no point meets ``poly`` within ``tol``.
+
+        The check is :func:`disttest.simplex.refutes`, numpy only and O(nnz);
+        False without a vector or when the vector proves nothing.
+        """
+        if self.farkas is None:
+            return False
+        s = self.poly
+        return refutes(s.A, s.b, s.lower, s.upper, self.farkas, tol)
 
 
 def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
@@ -219,7 +272,11 @@ def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
 
     Variables are ``z_1..z_n`` (the pmf) and ``z_{n+1}..z_{2n}`` (slacks
     bounding each ``|z_i - 1/n|``); the slack total is capped at ``eps``.
-    The known member is the centre: ``z = 1/n`` and every slack 0.
+    The known member is the centre: ``z = 1/n`` and every slack 0.  Once the
+    fold turns the sign rows into bounds, row 0 is the slack budget and rows
+    ``1 + 2i`` and ``2 + 2i`` the pair of coordinate i, which the property
+    declares as its ``ball``.  At n = 1 the budget row is a singleton and
+    folds away too, so that property carries no ball.
     """
     n = int(n)
     if n < 1:
@@ -236,7 +293,9 @@ def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
     vals = np.concatenate([np.ones(n), -np.ones(N), np.tile([1.0, -1.0, -1.0, -1.0], n)])
     b = np.concatenate([[float(eps)], np.zeros(N), np.tile([1.0 / n, -1.0 / n], n)])
     centre = np.concatenate([np.full(n, 1.0 / n), np.zeros(n)])
-    return LinearProperty(Polyhedron(Triplets(rows, cols, vals, (1 + N + 2 * n, N)), b), n, member=centre)
+    ball = (0, 1 + 2 * i, 2 + 2 * i) if n > 1 else None
+    poly = Polyhedron(Triplets(rows, cols, vals, (1 + N + 2 * n, N)), b)
+    return LinearProperty(poly, n, member=centre, ball=ball)
 
 
 @dataclass(frozen=True)
@@ -280,11 +339,11 @@ def _step5_terms(
     n = prop.n
     if d_tilde.n != n:
         raise ParameterError(f"d_tilde has {d_tilde.n} entries; property projects to {n}")
-    if bound < 0:
-        raise ParameterError("bound must be >= 0")
+    if not bound >= 0:  # also False for nan
+        raise ParameterError(f"bound must be a number >= 0, not {bound}")
+    if isinstance(q, bool) or not (isinstance(q, Real) and float(q).is_integer() and q >= 1):
+        raise ParameterError(f"q must be an integer >= 1, not {q!r}")
     q = int(q)
-    if q < 1:
-        raise ParameterError("q must be >= 1")
     idx = np.array(list(H))
     if idx.size and idx.dtype.kind not in "iu":
         raise ParameterError("H must hold integers, not booleans or fractions")
@@ -314,7 +373,21 @@ def build_feasibility_lp(
     shave.  Slack nonnegativity and the off-H cap are variable bounds; the
     rows are the folded property's rows, the slack budget, two rows per
     member of H and the two tail rows.  H must hold integers (else
-    :class:`ParameterError`) inside ``[0, n)`` (else :class:`IndexError`).
+    :class:`ParameterError`) inside ``[0, n)`` (else :class:`IndexError`);
+    a ``bound`` that is nan or negative, or a ``q`` that is not an integer
+    >= 1, raises :class:`ParameterError`.
+
+    When the property declares a ``ball`` with centre c and radius r, the
+    instance also carries ``farkas``, written in O(n + |H|).  It puts a 1 on
+    the step-5 budget row; for each H[k], on row ``up`` when
+    ``c_H[k] >= ref_k`` and on row ``dn`` otherwise; on the tail row chosen
+    the same way from ``sum(c[off-H])``; on the ball's budget row; and for each
+    i < n on the ball row whose ``z_i`` coefficient cancels the step-5 row's.
+    Every column of ``A^T y`` then sums to 0 exactly, and
+    ``y^T b = bound + r - D(c)`` with ``D(c)`` the step-5 distance of the
+    centre, ``sum_H |c - ref| + |sum(c[off-H]) - tail_ref|``; so the vector
+    refutes the system once ``D(c)`` exceeds ``bound + r`` by more than
+    ``tol`` per multiplier.
     """
     t = _step5_terms(prop, H, d_tilde, q, bound)
     Hs, comp, ref, tail_ref = t.Hs, t.comp, t.ref, t.tail_ref
@@ -350,7 +423,20 @@ def build_feasibility_lp(
     upper = np.concatenate([base.upper, np.full(h + 1, np.inf)])
     upper[comp] = np.minimum(upper[comp], t.cap)
     A = Triplets(rows, cols, vals, (m0 + 3 + 2 * h, V))
-    return FeasibilityInstance(SparseSystem(A, b, lower, upper))
+    farkas = None
+    if prop.ball is not None:
+        budget, c_up, c_dn = prop.ball
+        c = base.b[c_up]
+        above = c[Hs] >= ref
+        tail_above = c[comp].sum() >= tail_ref
+        farkas = np.zeros(A.shape[0])
+        farkas[[m0, tail_up if tail_above else tail_up + 1, budget]] = 1.0
+        farkas[np.where(above, up, dn)] = 1.0
+        # A step-5 row with +z_i meets the ball row with -z_i, and vice versa.
+        step5_up = np.empty(prop.n, dtype=bool)
+        step5_up[Hs], step5_up[comp] = above, tail_above
+        farkas[np.where(step5_up, c_dn, c_up)] = 1.0
+    return FeasibilityInstance(SparseSystem(A, b, lower, upper), farkas)
 
 
 def _solve(inst, tol: float, max_iter: int, measure_violation: bool):
@@ -389,9 +475,13 @@ class LinearPropertyOracle:
     A call first tries the property's known member (:meth:`witness`).  When
     that member is a point of the step-5 system the answer is True, and no LP
     is assembled or solved, so scipy is not imported.  Otherwise
-    :func:`build_feasibility_lp` assembles the system and :func:`lp_feasible`
-    decides it; the first such solve loads scipy.  Either way the answer is
-    the one :func:`lp_feasible` documents for the assembled system.
+    :func:`build_feasibility_lp` assembles the system.  When the property
+    declares a ball and the instance's Farkas vector passes
+    :meth:`FeasibilityInstance.refuted`, no point meets the system within
+    tol, so the answer is False, again without a solve.  Otherwise
+    :func:`lp_feasible` decides; the first such solve loads scipy.  Each way
+    the answer is the one :func:`lp_feasible` documents for the assembled
+    system.
 
     Instances are deterministic for fixed inputs and safe for concurrent
     read-only use.
@@ -414,13 +504,14 @@ class LinearPropertyOracle:
     def __call__(self, H, d_tilde: Distribution, q: int, bound: float) -> bool:
         if not isinstance(H, Collection):
             H = list(H)  # read twice when the witness misses
-        return self.witness(H, d_tilde, q, bound) or lp_feasible(
-            build_feasibility_lp(self.prop, H, d_tilde, q, bound)
-        )
+        if self.witness(H, d_tilde, q, bound):
+            return True
+        inst = build_feasibility_lp(self.prop, H, d_tilde, q, bound)
+        return not inst.refuted() and lp_feasible(inst)
 
 
 def linear_property_oracle(prop: LinearProperty) -> LinearPropertyOracle:
-    """Property oracle answering step-5 feasibility: the known member first, else the LP."""
+    """Property oracle answering step-5 feasibility: the known member, its certificate, else the LP."""
     return LinearPropertyOracle(prop)
 
 

@@ -8,9 +8,14 @@ the options ``linprog(method="highs")`` would set, so verdicts and points
 are the ones linprog gives.  scipy is imported inside the seam, at the first
 system the start point does not already satisfy, so it loads only when an LP
 is needed: importing disttest does not load it, and neither does a tester
-call that the property's known member accepts
+call that the property's known member or its Farkas vector decides
 (:class:`disttest.linprop.LinearPropertyOracle`), since that call never
 reaches the seam.
+
+:func:`refutes` checks an infeasibility certificate apart from any solver:
+a Farkas vector ``y >= 0`` whose ``A^T y`` is bounded below over the box by
+more than ``y^T b``, with a stated margin for rounding, in O(nnz) with numpy
+only.
 
 A malformed matrix raises :class:`StructureError` when its :class:`Triplets`
 are built, so it never reaches the seam; the seam raises
@@ -88,8 +93,18 @@ class Triplets:
         object.__setattr__(self, "shape", (M, N))
 
     @classmethod
-    def from_dense(cls, A) -> "Triplets":
-        A = np.asarray(A, dtype=np.float64)
+    def from_dense(cls, A, ndmin: int = 0) -> "Triplets":
+        """The nonzero entries of a dense 2-D matrix.
+
+        With ``ndmin=2`` a flat ``A`` reads as one row.  A ragged nesting, or
+        a matrix that is not 2-D, raises :class:`StructureError`.
+        """
+        try:
+            A = np.array(A, dtype=np.float64, ndmin=ndmin)
+        except (TypeError, ValueError) as exc:
+            raise StructureError(f"a dense matrix must be a rectangular array of numbers: {exc}") from None
+        if A.ndim != 2:
+            raise StructureError(f"a dense matrix must be 2-D, not of shape {A.shape}")
         rows, cols = np.nonzero(A != 0.0)
         return cls(rows, cols, A[rows, cols], A.shape)
 
@@ -163,6 +178,84 @@ def _check_residual(A, x, b, lower, upper, tol, digest) -> float:
     if max(float(e.max(initial=0.0)) for e in excess) > max(100 * tol, 1e-6):
         raise SolverError("feasible vertex fails residual check", _name(digest))
     return sum(float(e.sum()) for e in excess)
+
+
+_UNIT_ROUNDOFF = 2.0**-53  # float64 rounds to nearest with at most this relative error
+_EXACT_INTEGERS = 2.0**53  # float64 holds every integer of smaller magnitude
+
+
+def refutes(A: Triplets, b, lower, upper, y, tol: float = FEAS_TOL) -> bool:
+    """Whether the Farkas vector ``y`` proves that no x meets the system within ``tol``.
+
+    The system is ``A x <= b, lower <= x <= upper``, with ``A`` as
+    :class:`Triplets`; ``y`` holds one multiplier per row.  True
+    means: no x has every row ``A_i x <= b_i + tol`` and every bound within
+    ``tol``, the points :func:`solve_feasibility` looks for.  False means
+    only that ``y`` proves nothing.  A ``y`` that is not finite,
+    non-negative and of length M gives False, and so do a non-finite ``b`` and
+    the bounds :func:`solve_feasibility` rejects.  The check is numpy only,
+    O(nnz + M + N), and never calls a solver; it is the infeasible-side
+    counterpart of :func:`_check_residual`.
+
+    Why True is sound.  Let ``w = A^T y``, ``lo = lower - tol`` and
+    ``hi = upper + tol``.  Any such x gives, since y >= 0,
+
+        ``sum_j min(w_j lo_j, w_j hi_j) <= w^T x = y^T A x <= y^T b + tol * sum(y)``,
+
+    so a left side above the right side rules every x out (Schrijver,
+    *Theory of Linear and Integer Programming*, 1986, ch. 7).  The left side
+    is -inf when some ``w_j > 0`` meets ``lo_j = -inf`` or some ``w_j < 0``
+    meets ``hi_j = +inf``: then the answer is False.
+
+    Rounding.  Each computed ``w_j`` lies within ``e_j = gamma * (|A|^T y)_j``
+    of the exact one, ``gamma = 2 K u`` with u the unit roundoff and K the
+    longest sum taken (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, section 3.1).  Every ``e_j`` is 0 when every entry of
+    ``A`` and every multiplier is an integer and ``max|A| * sum(y) < 2^53``,
+    since every product and partial sum is then an integer that float64
+    holds.  A column with an infinite bound must have its sign settled by the
+    interval ``w_j +- e_j``, and a finite one loses ``e_j`` times its largest
+    finite bound from the left side.  The two sides are then compared with a
+    margin of ``gamma`` times the sum of the magnitudes they add up, which
+    covers the rounding of ``lo``, ``hi``, the products, the sums and
+    ``y^T b``.
+    """
+    m, n = A.shape
+    try:
+        y, b = np.asarray(y, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        lower, upper = np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64)
+    except (TypeError, ValueError):
+        return False
+    if y.shape != (m,) or b.shape != (m,) or lower.shape != (n,) or upper.shape != (n,):
+        return False
+    # y >= 0 is False at nan, and a sum of non-negatives is finite only when every one is.
+    total = float(y.sum())
+    if not ((y >= 0).all() and math.isfinite(total) and np.isfinite(b).all()):
+        return False
+    if not ((lower < np.inf).all() and (upper > -np.inf).all()):  # also False at nan
+        return False
+    gamma = 2 * (A.nnz + m + n + 4) * _UNIT_ROUNDOFF
+    yA = y[A.rows]
+    w = np.bincount(A.cols, weights=A.vals * yA, minlength=n)
+    exact = (
+        (y == np.round(y)).all()
+        and (A.vals == np.round(A.vals)).all()
+        and float(np.abs(A.vals).max(initial=0.0)) * total < _EXACT_INTEGERS
+    )
+    err = 0.0 if exact else gamma * np.bincount(A.cols, weights=np.abs(A.vals) * yA, minlength=n)
+    lo, hi = lower - tol, upper + tol
+    if ((hi == np.inf) & (w - err < 0)).any() or ((lo == -np.inf) & (w + err > 0)).any():
+        return False
+    with np.errstate(invalid="ignore"):  # 0 * inf where w_j = 0
+        term = np.where(w == 0, 0.0, w * np.where(w > 0, lo, hi))
+    slack = 0.0
+    if not exact:
+        reach = np.maximum(np.abs(np.where(np.isfinite(lo), lo, 0.0)), np.abs(np.where(np.isfinite(hi), hi, 0.0)))
+        slack = float((err * reach).sum())
+    floor = float(term.sum()) - slack
+    ceiling = float(y @ b) + tol * total
+    margin = gamma * (float(y @ np.abs(b)) + tol * total + float(np.abs(term).sum()) + slack)
+    return ceiling + margin < floor
 
 
 def _check_inputs(A: Triplets, b, lower, upper, max_iter) -> None:

@@ -1,8 +1,8 @@
 """The solve seam: HiGHS (scipy's bindings) behind ``simplex.solve_feasibility``.
 
 scipy is imported inside the seam, so importing disttest, the learner, the
-tester's set-up path and a tester call that the property's known member
-accepts leave it unloaded.  ``scipy.optimize.linprog``, which
+tester's set-up path, a tester call that the property's known member
+accepts and one that the member's Farkas vector rejects leave it unloaded.  ``scipy.optimize.linprog``, which
 drives the same HiGHS through its own Python layer, is the reference the seam
 must match bit for bit.
 """
@@ -215,14 +215,21 @@ class TestBackendsAgree:
                 mixed = Distribution((1 - t) / n + t * half)
                 estimates += [estimate_high_part(SamplingOracle(mixed, seed), params, n) for seed in (0, 1)]
         oracle = LinearPropertyOracle(uniformity_polyhedron(n, eps))
-        fired = []
+        fired, refuted = [], []
         for est in estimates:
             call = (est.H, est.d_tilde, params.q, params.bound)
-            lp = lp_feasible(build_feasibility_lp(oracle.prop, *call))
+            inst = build_feasibility_lp(oracle.prop, *call)
+            lp = lp_feasible(inst)
             fired.append(oracle.witness(*call))
+            refuted.append(inst.refuted())
             assert lp or not fired[-1]
+            assert not (lp and refuted[-1])
             assert oracle(*call) == lp
         assert any(fired) and not all(fired)
+        assert any(refuted)
+        # With a positive radius some call needs the LP: on the 0.2 mixtures
+        # the centre misses, yet the LP finds a member.
+        assert eps == 0 or not all(f or r for f, r in zip(fired, refuted))
 
     def test_one_oracle_shared_by_two_threads_gives_the_serial_verdicts(self):
         n = 200
@@ -254,6 +261,8 @@ def test_import_learner_and_tester_setup_leave_scipy_unloaded():
         "params = derive_params(50, 0.1, 0.3, 400)\n"
         "oracle = SamplingOracle(Distribution.uniform(400), 1)\n"
         "assert tolerant_test(oracle, prop, params, 400) is Verdict.ACCEPT\n"
+        "oracle = SamplingOracle(Distribution.uniform_on(range(200), 400), 1)\n"
+        "assert tolerant_test(oracle, prop, params, 400) is Verdict.REJECT\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     out = subprocess.run(

@@ -182,6 +182,27 @@ class TestBuildFeasibilityLP:
             build_feasibility_lp(prop, {7}, Distribution.uniform(4), 2, 0.5)
 
     @pytest.mark.parametrize(
+        "q, bound",
+        [(2, np.nan), (2, -0.1), (2.5, 0.5), (np.float64(1.5), 0.5), (True, 0.5), (0, 0.5), (np.inf, 0.5)],
+        ids=["nan-bound", "negative-bound", "fractional-q", "numpy-fractional-q", "boolean-q", "zero-q", "inf-q"],
+    )
+    def test_bad_bound_or_q_raises(self, q, bound):
+        # A nan bound used to reach b (and the witness said False); q = 2.5 was read as 2.
+        prop = uniformity_polyhedron(4, 0.1)
+        oracle = linear_property_oracle(prop)
+        d = Distribution.uniform(4)
+        for ask in (lambda *a: build_feasibility_lp(prop, *a), oracle.witness, oracle):
+            with pytest.raises(ParameterError):
+                ask({0}, d, q, bound)
+
+    def test_integral_q_of_any_type_reads_as_that_integer(self):
+        prop = uniformity_polyhedron(4, 0.1)
+        d = Distribution(np.array([0.4, 0.2, 0.2, 0.2]))
+        want = build_feasibility_lp(prop, {0}, d, 2, 0.5).poly.digest()
+        for q in (2.0, np.int32(2), np.float64(2.0)):
+            assert build_feasibility_lp(prop, {0}, d, q, 0.5).poly.digest() == want
+
+    @pytest.mark.parametrize(
         "H", [[0.7, 1], [np.float64(2.5)], [True]], ids=["fraction", "numpy-fraction", "boolean"]
     )
     def test_h_of_non_integers_raises(self, H):
@@ -335,6 +356,120 @@ class TestWitness:
         assert oracle(range(4), dt, 3, 0.0)
 
 
+def centre_distance(n, est) -> float:
+    """D(c) for the uniformity centre c = 1/n: its step-5 distance on H plus the off-H total's."""
+    H = sorted(est.H)
+    rest = np.setdiff1d(np.arange(n), H)
+    pmf = est.d_tilde.pmf
+    return float(np.abs(1.0 / n - pmf[H]).sum() + abs(rest.size / n - pmf[rest].sum()))
+
+
+class TestFarkas:
+    def test_certificate_cancels_every_column_and_prices_the_centre(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(2, 30))
+            eps = float(rng.choice([0.0, 0.1, 0.5]))
+            prop = uniformity_polyhedron(n, eps)
+            est = synthetic_estimate(rng, n, int(rng.integers(0, n + 1)))
+            q, bound = int(rng.integers(1, 4)), float(rng.uniform(0.0, 1.0))
+            inst = build_feasibility_lp(prop, est.H, est.d_tilde, q, bound)
+            y, s = inst.farkas, inst.poly
+            assert set(np.unique(y)) <= {0.0, 1.0} and y.sum() == n + len(est.H) + 3
+            assert not np.any(np.bincount(s.A.cols, weights=s.A.vals * y[s.A.rows], minlength=s.N))
+            assert y @ s.b == pytest.approx(bound + eps - centre_distance(n, est), abs=1e-12)
+
+    def test_refutation_implies_the_lp_and_the_oracle_equals_it(self, rng):
+        refuted = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 11))
+            prop = uniformity_polyhedron(n, float(rng.choice([0.0, 0.1, 0.3])))
+            oracle = linear_property_oracle(prop)
+            est = synthetic_estimate(rng, n, int(rng.integers(0, n + 1)))
+            q, bound = int(rng.integers(1, 4)), float(rng.uniform(0.0, 1.2))
+            inst = build_feasibility_lp(prop, est.H, est.d_tilde, q, bound)
+            lp = lp_feasible(inst)
+            assert not (inst.refuted() and lp)
+            assert oracle(est.H, est.d_tilde, q, bound) == lp
+            refuted += inst.refuted()
+        assert refuted >= 10
+
+    def test_property_with_a_member_but_no_ball_never_refutes(self, rng):
+        ruled_out = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 11))
+            with_ball = uniformity_polyhedron(n, 0.1)
+            bare = LinearProperty(with_ball.poly, n, member=with_ball.member)
+            assert bare.ball is None
+            est = synthetic_estimate(rng, n, int(rng.integers(0, n + 1)))
+            call = (est.H, est.d_tilde, 2, float(rng.uniform(0.0, 0.5)))
+            inst = build_feasibility_lp(bare, *call)
+            assert inst.farkas is None and not inst.refuted()
+            lp = lp_feasible(inst)
+            assert linear_property_oracle(bare)(*call) == lp
+            ruled_out += build_feasibility_lp(with_ball, *call).refuted()
+        assert ruled_out >= 5
+
+    def test_a_wrong_ball_only_fails_the_check(self):
+        # Declare the budget as row 1, the first pair row: every row index is
+        # in range, so the ball is accepted, but its vector proves nothing and
+        # the LP decides.
+        right = uniformity_polyhedron(4, 0.0)
+        _, up, down = right.ball
+        wrong = LinearProperty(right.poly, 4, member=right.member, ball=(1, up, down))
+        d = Distribution(np.array([0.7, 0.1, 0.1, 0.1]))
+        assert build_feasibility_lp(right, {0}, d, 10, 0.2).refuted()
+        inst = build_feasibility_lp(wrong, {0}, d, 10, 0.2)
+        assert not inst.refuted() and not lp_feasible(inst)
+        assert not linear_property_oracle(wrong)({0}, d, 10, 0.2)
+
+
+class TestBall:
+    def test_uniformity_declares_its_rows(self):
+        prop = uniformity_polyhedron(5, 0.1)
+        budget, up, down = prop.ball
+        assert (budget, up.tolist(), down.tolist()) == (0, [1, 3, 5, 7, 9], [2, 4, 6, 8, 10])
+        assert up.dtype == down.dtype == np.int64
+        assert not up.flags.writeable and not down.flags.writeable
+        # The budget and pair rows read as the ball says, over z_i and s_i = column 5 + i.
+        A, b = prop.system.A, prop.system.b
+        rows = {}
+        for r, c, v in zip(A.rows.tolist(), A.cols.tolist(), A.vals.tolist()):
+            rows.setdefault(r, {})[c] = v
+        assert rows[budget] == {5 + i: 1.0 for i in range(5)} and b[budget] == 0.1
+        for i in range(5):
+            assert rows[up[i]] == {i: 1.0, 5 + i: -1.0} and b[up[i]] == 0.2
+            assert rows[down[i]] == {i: -1.0, 5 + i: -1.0} and b[down[i]] == -0.2
+
+    def test_single_element_uniformity_has_no_ball(self):
+        # Its budget row holds one slack and folds into a bound.
+        assert uniformity_polyhedron(1, 0.1).ball is None
+
+    def test_ball_needs_a_member(self):
+        prop = uniformity_polyhedron(4, 0.1)
+        with pytest.raises(ParameterError):
+            LinearProperty(prop.poly, 4, ball=prop.ball)
+
+    @pytest.mark.parametrize(
+        "ball",
+        [
+            (0, [1, 3, 5], [2, 4, 6, 8]),
+            (0, [1, 3, 5, 7], [2, 4, 6, 99]),
+            (-1, [1, 3, 5, 7], [2, 4, 6, 8]),
+            (0.0, [1, 3, 5, 7], [2, 4, 6, 8]),
+            (0, [1.0, 3, 5, 7], [2, 4, 6, 8]),
+            (0, [True, True, False, True], [2, 4, 6, 8]),
+            (0, [[1, 3, 5, 7]], [2, 4, 6, 8]),
+            (0, [1, 3, 5, 7]),
+            7,
+        ],
+        ids=["short", "out-of-range", "negative", "float-budget", "float-rows", "boolean", "2-d", "pair", "scalar"],
+    )
+    def test_malformed_ball_raises(self, ball):
+        prop = uniformity_polyhedron(4, 0.1)
+        with pytest.raises(ParameterError):
+            LinearProperty(prop.poly, 4, member=prop.member, ball=ball)
+
+
 class TestMember:
     # z_0 <= 0.6 and z >= 0 over two coordinates, all of them pmf.
     POLY = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([0.6, 0.0, 0.0]))
@@ -430,6 +565,25 @@ class TestTripletStorage:
             ):
                 with pytest.raises(StructureError):
                     build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [Triplets.from_dense, lambda A: Polyhedron(A, [1.0, 1.0]), lambda A: solve_feasibility(A, [1.0, 1.0])],
+        ids=["from_dense", "Polyhedron", "solve_feasibility"],
+    )
+    @pytest.mark.parametrize(
+        "A", [np.ones((1, 1, 1)), [[1.0], [1.0, 2.0]], [[1.0, 2.0], [[3.0], 4.0]]], ids=["3-d", "ragged", "nested"]
+    )
+    def test_dense_matrix_that_is_not_2d_raises(self, build, A):
+        # These raised numpy's bare ValueError.
+        with pytest.raises(StructureError):
+            build(A)
+
+    def test_flat_dense_matrix_is_one_row_only_for_a_polyhedron(self):
+        assert Polyhedron([1.0, 2.0], [1.0]).A.shape == (1, 2)
+        for build in (Triplets.from_dense, lambda A: solve_feasibility(A, [1.0])):
+            with pytest.raises(StructureError):
+                build([1.0, 2.0])
 
     def test_dense_and_triplet_forms_agree(self, rng):
         for _ in range(20):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disttest.errors import SolverError
 from disttest.reference import vertex_enumeration_feasible
-from disttest.simplex import FEAS_TOL, Triplets, _check_residual, extract_bounds, solve_feasibility
+from disttest.simplex import FEAS_TOL, Triplets, _check_residual, extract_bounds, refutes, solve_feasibility
 
 
 def check_against_oracle(A, b, box=1e4):
@@ -250,3 +252,101 @@ class TestCheckResidual:
             _check_residual(A, x, b, np.full(1, 2e-6), np.full(1, np.inf), FEAS_TOL, "lower")
         with pytest.raises(SolverError, match="residual check"):
             _check_residual(A, x, b, np.full(1, -np.inf), np.full(1, -2e-6), FEAS_TOL, "upper")
+
+
+@st.composite
+def systems_with_a_point(draw):
+    """``(A, b, lower, upper, y)``: a system that x0 meets exactly, and any y >= 0.
+
+    Rows come in part as equality pairs ``a x <= a x0``, ``-a x <= -a x0``,
+    so some y cancel columns the way a certificate does; some bounds are
+    infinite, and A and y are in part integers, in part fractions.
+    """
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6))
+    A = np.array(rows)
+    if draw(st.booleans()):
+        A = np.vstack([A, -A])
+    m = A.shape[0]
+    x0 = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    gap = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    b = A @ x0 + np.array(draw(st.lists(gap, min_size=m, max_size=m)))
+    side = st.one_of(st.just(np.inf), gap)
+    lower = x0 - np.array(draw(st.lists(side, min_size=n, max_size=n)))
+    upper = x0 + np.array(draw(st.lists(side, min_size=n, max_size=n)))
+    weight = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1e3))
+    y = np.array(draw(st.lists(weight, min_size=m, max_size=m)))
+    return A, b, lower, upper, y
+
+
+class TestRefutes:
+    """Farkas vectors, checked without a solver: y >= 0 with ``min (A^T y)^T x`` over the box above ``y^T b``."""
+
+    @given(systems_with_a_point(), st.sampled_from([0.0, FEAS_TOL]))
+    @settings(max_examples=300, deadline=None)
+    def test_no_vector_refutes_a_system_with_a_known_point(self, system, tol):
+        A, b, lower, upper, y = system
+        assert not refutes(Triplets.from_dense(A), b, lower, upper, y, tol)
+
+    @staticmethod
+    def below_zero(delta):
+        """``x <= -delta`` with ``x >= 0`` as a bound: y = (1) refutes once delta > 2 tol (row and bound)."""
+        return Triplets.from_dense([[1.0]]), np.array([-delta]), np.zeros(1), np.full(1, np.inf), np.ones(1)
+
+    @staticmethod
+    def pair(delta, a, box):
+        """``a x <= beta`` and ``-a x <= -beta - delta``: y = (1, 1) refutes once delta > 2 tol."""
+        a = np.asarray(a)
+        beta = 0.7
+        bound = np.full(a.size, box)
+        A = Triplets.from_dense(np.vstack([a, -a]))
+        return A, np.array([beta, -beta - delta]), -bound, bound, np.ones(2)
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            lambda d: TestRefutes.below_zero(d),
+            lambda d: TestRefutes.pair(d, [1.0, -2.0, 3.0], np.inf),
+            lambda d: TestRefutes.pair(d, [0.1, -2.3, 1 / 3], 1.0),
+        ],
+        ids=["below-zero", "integer-pair-free", "fraction-pair-boxed"],
+    )
+    def test_known_certificates(self, system):
+        # Two rows (or a row and a bound) each held within tol leave a point
+        # up to a gap of 2 tol = tol * sum(y) for the pairs; past it, plus the
+        # rounding margin, none.
+        for delta in (0.0, 0.5 * FEAS_TOL, 1.9 * FEAS_TOL):
+            assert not refutes(*system(delta))
+        for delta in (2.1 * FEAS_TOL, 1e-6, 1.0):
+            assert refutes(*system(delta)) is True
+            assert not solve_feasibility(*system(delta)[:4]).feasible
+
+    @pytest.mark.parametrize(
+        "y", [[1.0, -0.5], [1.0, np.nan], [1.0, np.inf], [1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]],
+        ids=["negative", "nan", "inf", "short", "long", "2-d"],
+    )
+    def test_malformed_vector_proves_nothing(self, y):
+        A, b, lower, upper, good = self.pair(1.0, [1.0, -2.0], np.inf)
+        assert refutes(A, b, lower, upper, good)
+        assert not refutes(A, b, lower, upper, y)
+
+    def test_direction_unbounded_in_the_box_proves_nothing(self):
+        # x <= -1 and -x <= 0 over a free x: y = (1, 1) refutes, but y = (1, 0)
+        # leaves A^T y = 1 with x unbounded below and y = (0, 1) leaves -1
+        # with x unbounded above, though y^T b < 0 or = 0 in both.
+        A, b, free = Triplets.from_dense([[1.0], [-1.0]]), np.array([-1.0, 0.0]), np.full(1, np.inf)
+        assert refutes(A, b, -free, free, [1.0, 1.0])
+        assert not refutes(A, b, -free, free, [1.0, 0.0])
+        assert not refutes(A, b, -free, free, [0.0, 1.0])
+        # Bound x below by 0 and y = (1, 0) refutes on its own.
+        assert refutes(A, b, np.zeros(1), free, [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "b, lower, upper",
+        [([np.nan, 0.0], [0.0], [1.0]), ([-1.0, -np.inf], [0.0], [1.0]), ([-1.0, 0.0], [np.nan], [1.0]),
+         ([-1.0, 0.0], [0.0], [-np.inf]), ([-1.0, 0.0], [0.0, 0.0], [1.0])],
+        ids=["nan-b", "inf-b", "nan-lower", "upper-minus-inf", "bounds-too-long"],
+    )
+    def test_inputs_the_seam_rejects_prove_nothing(self, b, lower, upper):
+        assert not refutes(Triplets.from_dense([[1.0], [-1.0]]), b, lower, upper, [1.0, 1.0])

@@ -255,8 +255,8 @@ class FeasibilityInstance:
     poly: SparseSystem
     farkas: np.ndarray | None = None
 
-    def refuted(self, tol: float = FEAS_TOL) -> bool:
-        """Whether ``farkas`` proves that no point meets ``poly`` within ``tol``.
+    def refuted(self) -> bool:
+        """Whether ``farkas`` proves that no point meets ``poly`` within ``FEAS_TOL``.
 
         The check is :func:`disttest.simplex.refutes`, numpy only and O(nnz);
         False without a vector or when the vector proves nothing.
@@ -264,7 +264,7 @@ class FeasibilityInstance:
         if self.farkas is None:
             return False
         s = self.poly
-        return refutes(s.A, s.b, s.lower, s.upper, self.farkas, tol)
+        return refutes(s.A, s.b, s.lower, s.upper, self.farkas)
 
 
 def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:

@@ -191,11 +191,14 @@ def refutes(A: Triplets, b, lower, upper, y, tol: float = FEAS_TOL) -> bool:
     :class:`Triplets`; ``y`` holds one multiplier per row.  True
     means: no x has every row ``A_i x <= b_i + tol`` and every bound within
     ``tol``, the points :func:`solve_feasibility` looks for.  False means
-    only that ``y`` proves nothing.  A ``y`` that is not finite,
-    non-negative and of length M gives False, and so do a non-finite ``b`` and
-    the bounds :func:`solve_feasibility` rejects.  The check is numpy only,
-    O(nnz + M + N), and never calls a solver; it is the infeasible-side
-    counterpart of :func:`_check_residual`.
+    only that ``y`` proves nothing.  The check is numpy only, O(nnz + M + N),
+    and never calls a solver; it is the infeasible-side counterpart of
+    :func:`_check_residual`.
+
+    False is also the answer, without a look at the system, when ``y`` is not
+    finite, non-negative and of length M; when an entry of ``A`` or ``y`` is
+    not an integer, or ``max|A| * sum(y)`` reaches 2^53; and when ``b`` or the
+    bounds are ones :func:`solve_feasibility` rejects.
 
     Why True is sound.  Let ``w = A^T y``, ``lo = lower - tol`` and
     ``hi = upper + tol``.  Any such x gives, since y >= 0,
@@ -207,54 +210,45 @@ def refutes(A: Triplets, b, lower, upper, y, tol: float = FEAS_TOL) -> bool:
     is -inf when some ``w_j > 0`` meets ``lo_j = -inf`` or some ``w_j < 0``
     meets ``hi_j = +inf``: then the answer is False.
 
-    Rounding.  Each computed ``w_j`` lies within ``e_j = gamma * (|A|^T y)_j``
-    of the exact one, ``gamma = 2 K u`` with u the unit roundoff and K the
-    longest sum taken (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, section 3.1).  Every ``e_j`` is 0 when every entry of
-    ``A`` and every multiplier is an integer and ``max|A| * sum(y) < 2^53``,
-    since every product and partial sum is then an integer that float64
-    holds.  A column with an infinite bound must have its sign settled by the
-    interval ``w_j +- e_j``, and a finite one loses ``e_j`` times its largest
-    finite bound from the left side.  The two sides are then compared with a
-    margin of ``gamma`` times the sum of the magnitudes they add up, which
-    covers the rounding of ``lo``, ``hi``, the products, the sums and
-    ``y^T b``.
+    Rounding.  With integral ``A`` and ``y`` and ``max|A| * sum(y) < 2^53``,
+    every product and partial sum of ``w`` is an integer that float64 holds,
+    so ``w`` is exact and its signs are the true ones.  What is left rounds
+    within ``gamma = 2 K u`` of the sum of the magnitudes it adds up, with u
+    the unit roundoff and K the longest sum taken (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 3.1): ``lo``, ``hi``,
+    the products ``w_j lo_j`` or ``w_j hi_j`` and their sum on the left, and
+    ``y^T b`` and ``tol * sum(y)`` on the right.  The two sides are compared
+    with that margin.
     """
     m, n = A.shape
     try:
         y, b = np.asarray(y, dtype=np.float64), np.asarray(b, dtype=np.float64)
         lower, upper = np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64)
-    except (TypeError, ValueError):
+        _check_inputs(A, b, lower, upper, 0)
+    except (TypeError, ValueError, ParameterError):
         return False
-    if y.shape != (m,) or b.shape != (m,) or lower.shape != (n,) or upper.shape != (n,):
+    if y.shape != (m,):
         return False
     # y >= 0 is False at nan, and a sum of non-negatives is finite only when every one is.
     total = float(y.sum())
-    if not ((y >= 0).all() and math.isfinite(total) and np.isfinite(b).all()):
+    if not ((y >= 0).all() and math.isfinite(total)):
         return False
-    if not ((lower < np.inf).all() and (upper > -np.inf).all()):  # also False at nan
-        return False
-    gamma = 2 * (A.nnz + m + n + 4) * _UNIT_ROUNDOFF
-    yA = y[A.rows]
-    w = np.bincount(A.cols, weights=A.vals * yA, minlength=n)
-    exact = (
+    if not (
         (y == np.round(y)).all()
         and (A.vals == np.round(A.vals)).all()
         and float(np.abs(A.vals).max(initial=0.0)) * total < _EXACT_INTEGERS
-    )
-    err = 0.0 if exact else gamma * np.bincount(A.cols, weights=np.abs(A.vals) * yA, minlength=n)
+    ):
+        return False
+    w = np.bincount(A.cols, weights=A.vals * y[A.rows], minlength=n)
     lo, hi = lower - tol, upper + tol
-    if ((hi == np.inf) & (w - err < 0)).any() or ((lo == -np.inf) & (w + err > 0)).any():
+    if ((hi == np.inf) & (w < 0)).any() or ((lo == -np.inf) & (w > 0)).any():
         return False
     with np.errstate(invalid="ignore"):  # 0 * inf where w_j = 0
         term = np.where(w == 0, 0.0, w * np.where(w > 0, lo, hi))
-    slack = 0.0
-    if not exact:
-        reach = np.maximum(np.abs(np.where(np.isfinite(lo), lo, 0.0)), np.abs(np.where(np.isfinite(hi), hi, 0.0)))
-        slack = float((err * reach).sum())
-    floor = float(term.sum()) - slack
+    floor = float(term.sum())
     ceiling = float(y @ b) + tol * total
-    margin = gamma * (float(y @ np.abs(b)) + tol * total + float(np.abs(term).sum()) + slack)
+    gamma = 2 * (A.nnz + m + n + 4) * _UNIT_ROUNDOFF
+    margin = gamma * (float(y @ np.abs(b)) + tol * total + float(np.abs(term).sum()))
     return ceiling + margin < floor
 
 

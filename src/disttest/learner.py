@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, SamplingOracle, _checked_ceil, empirical_distribution
+# empirical_distribution is not called here; perfbench/spans.py wraps it under this module's name.
+from .core import Distribution, SamplingOracle, _checked_ceil, empirical_distribution  # noqa: F401
 from .errors import ParameterError
 from .tester import Verdict
 
@@ -78,13 +79,17 @@ def learn_known_support(
 
     If some set S of size ``s`` carries mass >= 1 - eta/2, the result is
     within ``eta + delta`` of the truth with probability at least 9/10.
+    The draws are tallied with :meth:`SamplingOracle.draw_tally`, so the
+    result is the one :func:`empirical_distribution` gives on them, at
+    O(m + s) cost plus the length-n pmf.
     """
     if s < 1:
         raise ParameterError("s must be >= 1")
     if not 0.0 < delta <= 2.0:
         raise ParameterError("delta must lie in (0, 2]")
     m = _checked_ceil(c_learn * (s + 5) / (delta * delta))
-    return empirical_distribution(oracle.draw(m), oracle.n)
+    atoms, hits = oracle.draw_tally(m)
+    return Distribution._on_atoms(atoms, hits / m, oracle.n)
 
 
 def identity_test_sample_size(s: int, params: IdentityTestParams, c_test: float = DEFAULT_C_TEST) -> int:

@@ -10,7 +10,10 @@ tester's high-mass estimate, :func:`build_feasibility_lp` appends the
 slack-linearized rows whose feasibility answers "is there a member of the
 property close to the surrogate distribution with its heavy elements inside
 H?".  :func:`lp_feasible` and :func:`feasibility_report` pass every system to
-the solve seam :func:`disttest.simplex.solve_feasibility`.
+the solve seam :func:`disttest.simplex.solve_feasibility`, whose tolerance
+and iteration cap are the fixed settings of :mod:`disttest.simplex`; a
+:class:`~disttest.errors.SolverError` from the seam is raised again here with
+the digest of the instance that caused it.
 
 A property may carry one known member, checked against its folded system at
 construction; :func:`uniformity_polyhedron` carries its centre.  The step-5
@@ -28,13 +31,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Collection, Iterable
 
 import numpy as np
 
 from .core import Distribution, _check_masses, _float_array, _is_int, _is_numbers
-from .errors import ParameterError, StructureError
+from .errors import ParameterError, SolverError, StructureError
 from .simplex import FEAS_TOL, Triplets, extract_bounds, refutes, solve_feasibility
 
 EPS_STRICT = 1e-12
@@ -75,6 +78,8 @@ class Polyhedron:
     """The solution set of ``A x <= b`` (rows listed in ``strict_rows`` are ``<``).
 
     ``A`` is stored as the triplets of :func:`_canonical`; ``b`` is read-only.
+    A strict row that is not an integer (a boolean, fraction or nan) or lies
+    outside ``[0, M)`` raises :class:`StructureError`.
     """
 
     A: Triplets
@@ -88,9 +93,10 @@ class Polyhedron:
             raise StructureError(f"A has {A.shape[0]} rows but b has {b.size} entries")
         if not np.all(np.isfinite(b)):
             raise StructureError("polyhedron entries must be finite")
-        strict = frozenset(int(i) for i in self.strict_rows)
-        if any(i < 0 or i >= A.shape[0] for i in strict):
-            raise StructureError("strict row index outside [0, M)")
+        strict = frozenset(self.strict_rows)
+        if not all(isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < A.shape[0] for i in strict):
+            raise StructureError("strict rows must be integer row indices inside [0, M)")
+        strict = frozenset(int(i) for i in strict)
         b.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -228,7 +234,7 @@ class SparseSystem:
         return _digest(self.A, self.b, self.lower, self.upper)
 
 
-def fold_polyhedron(poly: Polyhedron, tol: float = FEAS_TOL) -> SparseSystem:
+def fold_polyhedron(poly: Polyhedron) -> SparseSystem:
     """Shave strict rows by ``EPS_STRICT`` and fold singleton rows into bounds.
 
     When the folded bounds or a constant row contradict each other, every row
@@ -237,7 +243,7 @@ def fold_polyhedron(poly: Polyhedron, tol: float = FEAS_TOL) -> SparseSystem:
     """
     b = poly.b.copy()
     b[list(poly.strict_rows)] -= EPS_STRICT
-    A, b2, lower, upper, consistent = extract_bounds(poly.A, b, tol=tol)
+    A, b2, lower, upper, consistent = extract_bounds(poly.A, b)
     if not consistent:
         A, b2, lower, upper = poly.A, b, np.full(poly.N, -np.inf), np.full(poly.N, np.inf)
     return SparseSystem(A, b2, lower, upper)
@@ -263,8 +269,7 @@ class FeasibilityInstance:
         """
         if self.farkas is None:
             return False
-        s = self.poly
-        return refutes(s.A, s.b, s.lower, s.upper, self.farkas)
+        return refutes(self.poly.A, self.poly.b, self.farkas)
 
 
 def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
@@ -324,7 +329,7 @@ class _Step5Terms:
         budget row (slack total <= ``bound``) and the off-H cap
         (``z[comp] <= cap``), tested here.  The property's own rows and bounds
         hold at a member within ``FEAS_TOL``, so True exhibits a point of the
-        system within tol: what :func:`lp_feasible` answers True on.
+        system within ``FEAS_TOL``: what :func:`lp_feasible` answers True on.
         """
         z_off = z[self.comp]
         if z_off.size and z_off.max() > self.cap:
@@ -348,7 +353,7 @@ def _step5_terms(
     if idx.size and idx.dtype.kind not in "iu":
         raise ParameterError("H must hold integers, not booleans or fractions")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"H contains indices outside [0, {n})")
+        raise ParameterError(f"H contains indices outside [0, {n})")
     in_h = np.zeros(n, dtype=bool)
     in_h[idx.astype(np.int64)] = True  # an empty H reads as float64
     Hs, comp = np.flatnonzero(in_h), np.flatnonzero(~in_h)
@@ -372,10 +377,9 @@ def build_feasibility_lp(
     ``1/q^2``; that strict constraint is encoded closed with an ``EPS_STRICT``
     shave.  Slack nonnegativity and the off-H cap are variable bounds; the
     rows are the folded property's rows, the slack budget, two rows per
-    member of H and the two tail rows.  H must hold integers (else
-    :class:`ParameterError`) inside ``[0, n)`` (else :class:`IndexError`);
-    a ``bound`` that is nan or negative, or a ``q`` that is not an integer
-    >= 1, raises :class:`ParameterError`.
+    member of H and the two tail rows.  H must hold integers inside
+    ``[0, n)``; an H that does not, a ``bound`` that is nan or negative, or
+    a ``q`` that is not an integer >= 1 raises :class:`ParameterError`.
 
     When the property declares a ``ball`` with centre c and radius r, the
     instance also carries ``farkas``, written in O(n + |H|).  It puts a 1 on
@@ -387,7 +391,7 @@ def build_feasibility_lp(
     ``y^T b = bound + r - D(c)`` with ``D(c)`` the step-5 distance of the
     centre, ``sum_H |c - ref| + |sum(c[off-H]) - tail_ref|``; so the vector
     refutes the system once ``D(c)`` exceeds ``bound + r`` by more than
-    ``tol`` per multiplier.
+    ``FEAS_TOL`` per multiplier.
     """
     t = _step5_terms(prop, H, d_tilde, q, bound)
     Hs, comp, ref, tail_ref = t.Hs, t.comp, t.ref, t.tail_ref
@@ -439,34 +443,33 @@ def build_feasibility_lp(
     return FeasibilityInstance(SparseSystem(A, b, lower, upper), farkas)
 
 
-def _solve(inst, tol: float, max_iter: int, measure_violation: bool):
+def _solve(inst, measure_violation: bool):
     if isinstance(inst, FeasibilityInstance):
         inst = inst.poly
-    if isinstance(inst, SparseSystem):
-        system, digest = inst, inst.digest
-    elif isinstance(inst, Polyhedron):
-        system, digest = fold_polyhedron(inst, tol), inst.digest
-    else:
+    if not isinstance(inst, (SparseSystem, Polyhedron)):
         raise ParameterError("expected a FeasibilityInstance, SparseSystem or Polyhedron")
-    return solve_feasibility(
-        system.A, system.b, system.lower, system.upper,
-        tol=tol, max_iter=max_iter, digest=digest, measure_violation=measure_violation,
-    )
+    s = fold_polyhedron(inst) if isinstance(inst, Polyhedron) else inst
+    try:
+        return solve_feasibility(s.A, s.b, s.lower, s.upper, measure_violation=measure_violation)
+    except SolverError as exc:
+        raise SolverError(str(exc), inst.digest()) from None
 
 
-def lp_feasible(inst, tol: float = FEAS_TOL, max_iter: int = 10**6) -> bool:
-    """True iff the system has a point satisfying every row within ``tol``.
+def lp_feasible(inst) -> bool:
+    """True iff the system has a point satisfying every row within ``FEAS_TOL``.
 
     A :class:`Polyhedron` is folded first (:func:`fold_polyhedron`); a
     :class:`SparseSystem` or :class:`FeasibilityInstance` already is.  The
-    solve seam :func:`disttest.simplex.solve_feasibility` computes only the verdict.
+    solve seam :func:`disttest.simplex.solve_feasibility` computes only the
+    verdict.  A :class:`SolverError` carries the instance's digest: the
+    polyhedron's for a :class:`Polyhedron`, else the system's.
     """
-    return _solve(inst, tol, max_iter, measure_violation=False).feasible
+    return _solve(inst, measure_violation=False).feasible
 
 
-def feasibility_report(inst, tol: float = FEAS_TOL, max_iter: int = 10**6):
+def feasibility_report(inst):
     """Like :func:`lp_feasible` but returns the full solver result, violation measured."""
-    return _solve(inst, tol, max_iter, measure_violation=True)
+    return _solve(inst, measure_violation=True)
 
 
 class LinearPropertyOracle:
@@ -478,7 +481,7 @@ class LinearPropertyOracle:
     :func:`build_feasibility_lp` assembles the system.  When the property
     declares a ball and the instance's Farkas vector passes
     :meth:`FeasibilityInstance.refuted`, no point meets the system within
-    tol, so the answer is False, again without a solve.  Otherwise
+    ``FEAS_TOL``, so the answer is False, again without a solve.  Otherwise
     :func:`lp_feasible` decides; the first such solve loads scipy.  Each way
     the answer is the one :func:`lp_feasible` documents for the assembled
     system.

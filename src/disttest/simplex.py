@@ -12,14 +12,19 @@ call that the property's known member or its Farkas vector decides
 (:class:`disttest.linprop.LinearPropertyOracle`), since that call never
 reaches the seam.
 
+The layer has fixed settings: every row and bound holds within
+:data:`FEAS_TOL`, a solve stops with :class:`SolverError` after
+:data:`MAX_ITER` simplex iterations, and a point reported feasible must miss
+no row or bound by more than 1e-6.
+
 :func:`refutes` checks an infeasibility certificate apart from any solver:
-a Farkas vector ``y >= 0`` whose ``A^T y`` is bounded below over the box by
-more than ``y^T b``, with a stated margin for rounding, in O(nnz) with numpy
-only.
+an integral Farkas vector ``y >= 0`` with ``A^T y = 0`` exactly and
+``y^T b`` below zero, with a stated margin for rounding, in O(nnz) with
+numpy only.
 
 A malformed matrix raises :class:`StructureError` when its :class:`Triplets`
 are built, so it never reaches the seam; the seam raises
-:class:`ParameterError` on a bad ``b``, bound or ``max_iter``.
+:class:`ParameterError` on a bad ``b`` or bound.
 
 Singleton rows should be folded into variable bounds with
 :func:`extract_bounds` first; the seam handles general lower/upper bounds,
@@ -36,8 +41,7 @@ import numpy as np
 from .errors import ParameterError, SolverError, StructureError
 
 FEAS_TOL = 1e-9
-
-_HIGHS_MIN_TOL = 1e-10  # the smallest primal feasibility tolerance HiGHS accepts
+MAX_ITER = 10**6
 _SCIPY_FLOOR = "1.15"  # the first scipy that ships scipy.optimize._highspy
 
 
@@ -121,32 +125,32 @@ class Triplets:
         return A if dtype is None else A.astype(dtype, copy=False)
 
 
-def _pinch(lower: np.ndarray, upper: np.ndarray, tol: float) -> float:
-    """Pin each variable whose bounds cross by at most ``tol``; return the widest crossing.
+def _pinch(lower: np.ndarray, upper: np.ndarray) -> float:
+    """Pin each variable whose bounds cross by at most ``FEAS_TOL``; return the widest crossing.
 
-    Nothing is pinned when some crossing is wider than ``tol``.
+    Nothing is pinned when some crossing is wider than ``FEAS_TOL``.
     """
     gap = lower - upper
     crossed = gap > 0
     widest = float(gap[crossed].max()) if crossed.any() else 0.0
-    if widest <= tol:
+    if widest <= FEAS_TOL:
         upper[crossed] = lower[crossed]
     return widest
 
 
-def extract_bounds(A: Triplets, b: np.ndarray, tol: float = FEAS_TOL):
+def extract_bounds(A: Triplets, b: np.ndarray):
     """Fold singleton rows of ``Ax <= b`` into per-variable bounds.
 
     ``A`` is :class:`Triplets` with no duplicate coordinates or zeros.  Returns
     ``(A2, b2, lower, upper, consistent)`` where ``A2 x <= b2`` keeps the
     multi-variable rows, renumbered in order, and ``consistent`` is False when
     the folded bounds (or a constant row) are already contradictory.  Bounds
-    that cross by at most ``tol`` pin the variable.
+    that cross by at most ``FEAS_TOL`` pin the variable.
     """
     b = np.asarray(b, dtype=np.float64)
     m, n = A.shape
     count = np.bincount(A.rows, minlength=m)
-    consistent = not np.any(b[count == 0] < -tol)
+    consistent = not np.any(b[count == 0] < -FEAS_TOL)
     single = count[A.rows] == 1
     j, a = A.cols[single], A.vals[single]
     bound = b[A.rows[single]] / a
@@ -155,7 +159,7 @@ def extract_bounds(A: Triplets, b: np.ndarray, tol: float = FEAS_TOL):
     upper = np.full(n, np.inf)
     np.minimum.at(upper, j[up], bound[up])
     np.maximum.at(lower, j[~up], bound[~up])
-    consistent &= _pinch(lower, upper, tol) <= tol
+    consistent &= _pinch(lower, upper) <= FEAS_TOL
     keep = count > 1
     multi = keep[A.rows]
     rows = (np.cumsum(keep) - 1)[A.rows[multi]]
@@ -163,20 +167,16 @@ def extract_bounds(A: Triplets, b: np.ndarray, tol: float = FEAS_TOL):
     return A2, b[keep], lower, upper, consistent
 
 
-def _name(digest) -> str:
-    return digest() if callable(digest) else digest
-
-
-def _check_residual(A, x, b, lower, upper, tol, digest) -> float:
+def _check_residual(A, x, b, lower, upper) -> float:
     """Total violation of ``x``; raises when a point reported feasible misses
-    some row or bound by more than ``max(100 * tol, 1e-6)``."""
+    some row or bound by more than 1e-6."""
     excess = (
         np.clip(A @ x - b, 0.0, None),
         np.clip(lower - x, 0.0, None),
         np.clip(x - upper, 0.0, None),
     )
-    if max(float(e.max(initial=0.0)) for e in excess) > max(100 * tol, 1e-6):
-        raise SolverError("feasible vertex fails residual check", _name(digest))
+    if max(float(e.max(initial=0.0)) for e in excess) > 1e-6:
+        raise SolverError("feasible vertex fails residual check")
     return sum(float(e.sum()) for e in excess)
 
 
@@ -184,50 +184,42 @@ _UNIT_ROUNDOFF = 2.0**-53  # float64 rounds to nearest with at most this relativ
 _EXACT_INTEGERS = 2.0**53  # float64 holds every integer of smaller magnitude
 
 
-def refutes(A: Triplets, b, lower, upper, y, tol: float = FEAS_TOL) -> bool:
-    """Whether the Farkas vector ``y`` proves that no x meets the system within ``tol``.
+def refutes(A: Triplets, b, y) -> bool:
+    """Whether the Farkas vector ``y`` proves that no x meets ``A x <= b`` within ``FEAS_TOL``.
 
-    The system is ``A x <= b, lower <= x <= upper``, with ``A`` as
-    :class:`Triplets`; ``y`` holds one multiplier per row.  True
-    means: no x has every row ``A_i x <= b_i + tol`` and every bound within
-    ``tol``, the points :func:`solve_feasibility` looks for.  False means
-    only that ``y`` proves nothing.  The check is numpy only, O(nnz + M + N),
-    and never calls a solver; it is the infeasible-side counterpart of
-    :func:`_check_residual`.
+    ``A`` is :class:`Triplets` and ``y`` holds one multiplier per row.  True
+    means: no x has every row ``A_i x <= b_i + FEAS_TOL``, so no point
+    :func:`solve_feasibility` looks for exists, whatever the bounds.  False
+    means only that ``y`` proves nothing.  The check is numpy only,
+    O(nnz + M + N), and never calls a solver; it is the infeasible-side
+    counterpart of :func:`_check_residual`.
 
-    False is also the answer, without a look at the system, when ``y`` is not
-    finite, non-negative and of length M; when an entry of ``A`` or ``y`` is
-    not an integer, or ``max|A| * sum(y)`` reaches 2^53; and when ``b`` or the
-    bounds are ones :func:`solve_feasibility` rejects.
+    False is also the answer when ``y`` is not finite, non-negative and of
+    length M; when ``b`` is not finite and of length M; when an entry of
+    ``A`` or ``y`` is not an integer, or ``max|A| * sum(y)`` reaches 2^53;
+    and when ``A^T y`` is not 0.
 
-    Why True is sound.  Let ``w = A^T y``, ``lo = lower - tol`` and
-    ``hi = upper + tol``.  Any such x gives, since y >= 0,
+    Why True is sound.  With ``A^T y = 0`` and y >= 0, any such x gives
 
-        ``sum_j min(w_j lo_j, w_j hi_j) <= w^T x = y^T A x <= y^T b + tol * sum(y)``,
+        ``0 = y^T A x <= y^T b + FEAS_TOL * sum(y)``,
 
-    so a left side above the right side rules every x out (Schrijver,
-    *Theory of Linear and Integer Programming*, 1986, ch. 7).  The left side
-    is -inf when some ``w_j > 0`` meets ``lo_j = -inf`` or some ``w_j < 0``
-    meets ``hi_j = +inf``: then the answer is False.
+    so a right side below 0 rules every x out (Schrijver, *Theory of Linear
+    and Integer Programming*, 1986, ch. 7).
 
     Rounding.  With integral ``A`` and ``y`` and ``max|A| * sum(y) < 2^53``,
-    every product and partial sum of ``w`` is an integer that float64 holds,
-    so ``w`` is exact and its signs are the true ones.  What is left rounds
-    within ``gamma = 2 K u`` of the sum of the magnitudes it adds up, with u
-    the unit roundoff and K the longest sum taken (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, section 3.1): ``lo``, ``hi``,
-    the products ``w_j lo_j`` or ``w_j hi_j`` and their sum on the left, and
-    ``y^T b`` and ``tol * sum(y)`` on the right.  The two sides are compared
-    with that margin.
+    every product and partial sum of ``A^T y`` is an integer that float64
+    holds, so its test against 0 is exact.  The right side rounds within
+    ``gamma = 2 K u`` of the sum of the magnitudes it adds up, with u the
+    unit roundoff and K the longest sum taken (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 3.1); it is compared
+    with 0 with that margin.
     """
     m, n = A.shape
     try:
         y, b = np.asarray(y, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        lower, upper = np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64)
-        _check_inputs(A, b, lower, upper, 0)
-    except (TypeError, ValueError, ParameterError):
+    except (TypeError, ValueError):
         return False
-    if y.shape != (m,):
+    if y.shape != (m,) or b.shape != (m,) or not np.isfinite(b).all():
         return False
     # y >= 0 is False at nan, and a sum of non-negatives is finite only when every one is.
     total = float(y.sum())
@@ -239,32 +231,11 @@ def refutes(A: Triplets, b, lower, upper, y, tol: float = FEAS_TOL) -> bool:
         and float(np.abs(A.vals).max(initial=0.0)) * total < _EXACT_INTEGERS
     ):
         return False
-    w = np.bincount(A.cols, weights=A.vals * y[A.rows], minlength=n)
-    lo, hi = lower - tol, upper + tol
-    if ((hi == np.inf) & (w < 0)).any() or ((lo == -np.inf) & (w > 0)).any():
+    if np.bincount(A.cols, weights=A.vals * y[A.rows], minlength=n).any():
         return False
-    with np.errstate(invalid="ignore"):  # 0 * inf where w_j = 0
-        term = np.where(w == 0, 0.0, w * np.where(w > 0, lo, hi))
-    floor = float(term.sum())
-    ceiling = float(y @ b) + tol * total
-    gamma = 2 * (A.nnz + m + n + 4) * _UNIT_ROUNDOFF
-    margin = gamma * (float(y @ np.abs(b)) + tol * total + float(np.abs(term).sum()))
-    return ceiling + margin < floor
-
-
-def _check_inputs(A: Triplets, b, lower, upper, max_iter) -> None:
-    """Raise :class:`ParameterError` on a ``b``, bound or ``max_iter`` no solver should be handed."""
-    m, n = A.shape
-    if b.shape != (m,) or lower.shape != (n,) or upper.shape != (n,):
-        raise ParameterError(
-            f"A is {m}x{n} but b, lower and upper have shapes {b.shape}, {lower.shape}, {upper.shape}"
-        )
-    if not np.isfinite(b).all():
-        raise ParameterError("b must be finite")
-    if np.isnan(lower).any() or np.isnan(upper).any() or (lower == np.inf).any() or (upper == -np.inf).any():
-        raise ParameterError("bounds must not be nan, and lower must not be +inf nor upper -inf")
-    if not max_iter >= 0:
-        raise ParameterError(f"max_iter must be >= 0, not {max_iter}")
+    ceiling = float(y @ b) + FEAS_TOL * total
+    margin = 2 * (m + 4) * _UNIT_ROUNDOFF * (float(y @ np.abs(b)) + FEAS_TOL * total)
+    return ceiling + margin < 0.0
 
 
 def solve_feasibility(
@@ -272,26 +243,21 @@ def solve_feasibility(
     b: np.ndarray,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
-    tol: float = FEAS_TOL,
-    max_iter: int = 10**6,
-    digest="",
     measure_violation: bool = True,
 ) -> FeasibilityResult:
     """Decide whether ``{x : Ax <= b, lower <= x <= upper}`` is nonempty.
 
     ``A`` is :class:`Triplets` or a dense matrix, converted to triplets here,
     once; a malformed matrix raises :class:`StructureError` when the triplets
-    are built.  Bounds that cross by at most ``tol`` pin the variable, as in
-    :func:`extract_bounds`.  ``digest`` names the instance in a
-    :class:`SolverError`; a callable is only called when one is raised.
+    are built.  Bounds that cross by at most ``FEAS_TOL`` pin the variable, as
+    in :func:`extract_bounds`.
 
-    HiGHS decides, holding every row within ``tol`` (its primal feasibility
-    tolerance, at least 1e-10).  Reaching ``max_iter`` iterations raises
+    HiGHS decides, holding every row within ``FEAS_TOL`` (its primal
+    feasibility tolerance).  Reaching ``MAX_ITER`` iterations raises
     :class:`SolverError`, and so does a feasible point that misses a single
-    row or bound by more than ``max(100 * tol, 1e-6)``.  :class:`ParameterError`
-    is raised before any solve when ``b`` holds a non-finite entry, a bound is
-    nan, ``lower`` is +inf or ``upper`` is -inf, a length does not match
-    ``A.shape``, or ``max_iter`` is negative.
+    row or bound by more than 1e-6.  :class:`ParameterError` is raised before
+    any solve when ``b`` holds a non-finite entry, a bound is nan, ``lower``
+    is +inf or ``upper`` is -inf, or a length does not match ``A.shape``.
 
     ``violation`` is described on :class:`FeasibilityResult`.  With
     ``measure_violation`` false, the elastic solve that measures it on
@@ -303,16 +269,23 @@ def solve_feasibility(
     m, n = A.shape
     lower = np.full(n, -np.inf) if lower is None else np.array(lower, dtype=np.float64)
     upper = np.full(n, np.inf) if upper is None else np.array(upper, dtype=np.float64)
-    _check_inputs(A, b, lower, upper, max_iter)
-    widest = _pinch(lower, upper, tol)
-    if widest > tol:
+    if b.shape != (m,) or lower.shape != (n,) or upper.shape != (n,):
+        raise ParameterError(
+            f"A is {m}x{n} but b, lower and upper have shapes {b.shape}, {lower.shape}, {upper.shape}"
+        )
+    if not np.isfinite(b).all():
+        raise ParameterError("b must be finite")
+    if np.isnan(lower).any() or np.isnan(upper).any() or (lower == np.inf).any() or (upper == -np.inf).any():
+        raise ParameterError("bounds must not be nan, and lower must not be +inf nor upper -inf")
+    widest = _pinch(lower, upper)
+    if widest > FEAS_TOL:
         return FeasibilityResult(False, widest, None, 0)
 
     # The start point: 0, moved onto the nearer bound when it lies outside them.
     x0 = np.where(upper < 0, upper, np.where(lower > 0, lower, 0.0))
     if m == 0 or not np.any(b - A @ x0 < 0.0):
         return FeasibilityResult(True, 0.0, x0, 0)
-    return _highs(A, b, lower, upper, tol, max_iter, digest, measure_violation)
+    return _highs(A, b, lower, upper, measure_violation)
 
 
 def _csc(t: Triplets):
@@ -329,7 +302,7 @@ def _csc(t: Triplets):
     return start, rows.astype(np.int32), vals
 
 
-def _highs(A: Triplets, b, lower, upper, tol, max_iter, digest, measure_violation):
+def _highs(A: Triplets, b, lower, upper, measure_violation):
     # Imported here: loading scipy.optimize costs more than importing disttest.
     # The bindings are called directly because linprog's Python layer (option
     # checks, sparse format conversions, dual bookkeeping we discard) took
@@ -344,9 +317,9 @@ def _highs(A: Triplets, b, lower, upper, tol, max_iter, digest, measure_violatio
     options.presolve = "on"
     options.output_flag = False
     options.log_to_console = False
-    options.primal_feasibility_tolerance = max(tol, _HIGHS_MIN_TOL)
+    options.primal_feasibility_tolerance = FEAS_TOL
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.simplex_iteration_limit = options.ipm_iteration_limit = min(max_iter, highs.kHighsIInf)
+    options.simplex_iteration_limit = options.ipm_iteration_limit = MAX_ITER
 
     def solve(t: Triplets, cost, lo, hi):
         """``(x, iterations, objective)``; ``x`` is None when the system is infeasible."""
@@ -354,7 +327,7 @@ def _highs(A: Triplets, b, lower, upper, tol, max_iter, digest, measure_violatio
         start, index, value = _csc(t)
         solver = highs._Highs()  # one per solve, so concurrent callers share nothing
         if solver.passOptions(options) != highs.HighsStatus.kOk:
-            raise SolverError(f"HiGHS rejects tol={tol} or max_iter={max_iter}", _name(digest))
+            raise SolverError(f"HiGHS rejects tol={FEAS_TOL} or max_iter={MAX_ITER}")
         # The array form of passModel: every column continuous, no objective offset.
         passed = solver.passModel(
             n, m, value.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
@@ -366,10 +339,10 @@ def _highs(A: Triplets, b, lower, upper, tol, max_iter, digest, measure_violatio
         solver.run()
         model = solver.getModelStatus()
         if model in (status.kIterationLimit, status.kTimeLimit):
-            raise SolverError(f"iteration cap {max_iter} exceeded", _name(digest))
+            raise SolverError(f"iteration cap {MAX_ITER} exceeded")
         # HiGHS calls a model without columns empty; one reaches here only with some b < 0.
         if model not in (status.kOptimal, status.kInfeasible, status.kModelError, status.kModelEmpty):
-            raise SolverError(f"HiGHS: {solver.modelStatusToString(model)}", _name(digest))
+            raise SolverError(f"HiGHS: {solver.modelStatusToString(model)}")
         info = solver.getInfo()
         if model != status.kOptimal:
             # An empty model leaves the count at -1.
@@ -380,7 +353,7 @@ def _highs(A: Triplets, b, lower, upper, tol, max_iter, digest, measure_violatio
     m, n = A.shape
     x, iterations, _ = solve(A, np.zeros(n), lower, upper)
     if x is not None:
-        violation = _check_residual(A, x, b, lower, upper, tol, digest)
+        violation = _check_residual(A, x, b, lower, upper)
         return FeasibilityResult(True, violation, x, iterations)
     violation = math.nan
     if measure_violation:
@@ -400,6 +373,6 @@ def _highs(A: Triplets, b, lower, upper, tol, max_iter, digest, measure_violatio
             np.concatenate([upper, np.full(m, np.inf)]),
         )
         if least is None:
-            raise SolverError("elastic solve found no point within the bounds", _name(digest))
+            raise SolverError("elastic solve found no point within the bounds")
         violation = float(fun)
     return FeasibilityResult(False, violation, None, iterations)

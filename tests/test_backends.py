@@ -61,7 +61,7 @@ def linprog_reference(A: Triplets, b, lower, upper, cost=None):
         b_ub=b,
         bounds=np.column_stack([lower, upper]),
         method="highs",
-        options={"primal_feasibility_tolerance": FEAS_TOL, "maxiter": 10**6},
+        options={"primal_feasibility_tolerance": FEAS_TOL, "maxiter": simplex.MAX_ITER},
     )
 
 
@@ -103,22 +103,21 @@ NAN, INF = float("nan"), float("inf")
 # Each system is feasible at the start point but for the bad entry, so a
 # missing check shows as a feasible verdict.  A malformed matrix raises
 # StructureError when its Triplets are built, so "triplet-outside" is built in
-# the test body; the seam raises ParameterError on b, the bounds and max_iter.
+# the test body; the seam raises ParameterError on b and the bounds.
 BAD_INPUTS = {
-    "nan-in-b": ([[1.0]], [NAN], None, None, {}, ParameterError),
-    "inf-in-b": ([[1.0]], [INF], None, None, {}, ParameterError),
-    "nan-in-A": ([[NAN]], [1.0], None, None, {}, StructureError),
-    "inf-in-A": ([[-INF]], [1.0], None, None, {}, StructureError),
-    "nan-lower": ([[1.0]], [1.0], [NAN], None, {}, ParameterError),
-    "nan-upper": ([[1.0]], [1.0], None, [NAN], {}, ParameterError),
-    "lower-plus-inf": ([[1.0]], [1.0], [INF], None, {}, ParameterError),
-    "upper-minus-inf": ([[1.0]], [1.0], None, [-INF], {}, ParameterError),
-    "b-too-short": ([[1.0], [1.0]], [1.0], None, None, {}, ParameterError),
-    "lower-too-long": ([[1.0]], [1.0], [0.0, 0.0], None, {}, ParameterError),
+    "nan-in-b": ([[1.0]], [NAN], None, None, ParameterError),
+    "inf-in-b": ([[1.0]], [INF], None, None, ParameterError),
+    "nan-in-A": ([[NAN]], [1.0], None, None, StructureError),
+    "inf-in-A": ([[-INF]], [1.0], None, None, StructureError),
+    "nan-lower": ([[1.0]], [1.0], [NAN], None, ParameterError),
+    "nan-upper": ([[1.0]], [1.0], None, [NAN], ParameterError),
+    "lower-plus-inf": ([[1.0]], [1.0], [INF], None, ParameterError),
+    "upper-minus-inf": ([[1.0]], [1.0], None, [-INF], ParameterError),
+    "b-too-short": ([[1.0], [1.0]], [1.0], None, None, ParameterError),
+    "lower-too-long": ([[1.0]], [1.0], [0.0, 0.0], None, ParameterError),
     "triplet-outside": (
-        lambda: Triplets(np.array([0]), np.array([1]), np.array([1.0]), (1, 1)), [1.0], None, None, {}, StructureError
+        lambda: Triplets(np.array([0]), np.array([1]), np.array([1.0]), (1, 1)), [1.0], None, None, StructureError
     ),
-    "negative-max-iter": ([[1.0]], [1.0], None, None, {"max_iter": -1}, ParameterError),
 }
 
 
@@ -161,17 +160,21 @@ class TestSeam:
         assert (res.feasible, res.violation, res.x, res.iterations) == (False, 1.5, None, 0)
         assert solve_feasibility(np.zeros((2, 0)), [0.0, 2.0]).feasible
 
-    @pytest.mark.parametrize("A, b, lower, upper, kwargs, error", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-    def test_bad_input_is_rejected_before_any_solve(self, A, b, lower, upper, kwargs, error):
+    @pytest.mark.parametrize("A, b, lower, upper, error", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_input_is_rejected_before_any_solve(self, A, b, lower, upper, error):
         with pytest.raises(error):
-            solve_feasibility(A() if callable(A) else A, b, lower, upper, **kwargs)
+            solve_feasibility(A() if callable(A) else A, b, lower, upper)
 
-    def test_iteration_cap_names_the_polyhedron_lazily(self):
+    def test_iteration_cap_names_the_polyhedron_lazily(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_ITER", 1)
         rng = np.random.default_rng(5)
         poly = Polyhedron(rng.uniform(-2, 2, size=(8, 4)), -np.abs(rng.uniform(1, 2, size=8)))
         with pytest.raises(SolverError) as info:
-            lp_feasible(poly, max_iter=1)
-        assert info.value.digest == poly.digest()
+            lp_feasible(poly)
+        digest = poly.digest()
+        assert info.value.digest == digest
+        # The seam raises without a digest; lp_feasible adds it, once.
+        assert str(info.value) == f"iteration cap 1 exceeded [instance {digest}]"
 
 
 class TestBackendsAgree:

@@ -16,6 +16,8 @@ from disttest.learner import (
 )
 from disttest.tester import Verdict
 
+from conftest import random_pmf
+
 
 def uniform_on_first(s, n):
     return Distribution.uniform_on(range(s), n)
@@ -53,6 +55,27 @@ class TestLearnKnownSupport:
             for s in range(20)
         )
         assert ok >= 18
+
+    def test_equals_the_empirical_distribution_of_its_draws(self):
+        # The tally path gives the pmf, bit for bit, and the draw count that
+        # empirical_distribution gives on draw(m) from a twin oracle.
+        rng = np.random.default_rng(3)
+        sources = [
+            Distribution.point_mass(50, 9),
+            Distribution.uniform(10),
+            uniform_on_first(16, 10**4),
+            Distribution(random_pmf(rng, 300)),
+            Distribution.uniform_on(range(0, 10**5, 997), 10**5),
+        ]
+        for case in range(10):
+            d = sources[case % len(sources)]
+            s, delta = int(rng.integers(1, 40)), float(rng.choice([0.25, 0.5, 1.0]))
+            m = _checked_ceil(8.0 * (s + 5) / (delta * delta))
+            oracle, twin = SamplingOracle(d, seed=case), SamplingOracle(d, seed=case)
+            got = learn_known_support(oracle, s, delta)
+            want = empirical_distribution(twin.draw(m), d.n)
+            assert got.pmf.tobytes() == want.pmf.tobytes()
+            assert oracle.samples_drawn == twin.samples_drawn == m
 
     def test_parameter_errors(self):
         oracle = SamplingOracle(Distribution.uniform(4), seed=0)

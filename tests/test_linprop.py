@@ -177,9 +177,14 @@ class TestBuildFeasibilityLP:
                 assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
 
     def test_h_outside_domain_raises(self):
+        # As check_conditions does: a ParameterError, from the builder and
+        # from the oracle's member check alike.
         prop = uniformity_polyhedron(4, 0.1)
-        with pytest.raises(IndexError):
-            build_feasibility_lp(prop, {7}, Distribution.uniform(4), 2, 0.5)
+        for H in ({7}, {-1}):
+            with pytest.raises(ParameterError, match="outside"):
+                build_feasibility_lp(prop, H, Distribution.uniform(4), 2, 0.5)
+            with pytest.raises(ParameterError, match="outside"):
+                linear_property_oracle(prop)(H, Distribution.uniform(4), 2, 0.5)
 
     @pytest.mark.parametrize(
         "q, bound",
@@ -245,6 +250,17 @@ class TestLPFeasible:
             np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]), strict_rows=frozenset({0})
         )
         assert lp_feasible(poly3)
+
+
+    @pytest.mark.parametrize("strict", [[0.7], [True], [np.nan], [2], [-1]], ids=["fraction", "bool", "nan", "past-m", "negative"])
+    def test_strict_row_that_is_not_a_row_index_raises(self, strict):
+        # 0.7 and True used to read as rows 0 and 1, and nan as a bare ValueError.
+        with pytest.raises(StructureError, match="strict rows"):
+            Polyhedron(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), strict_rows=strict)
+
+    def test_strict_rows_of_numpy_integers_are_kept(self):
+        poly = Polyhedron(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), strict_rows=np.array([1]))
+        assert poly.strict_rows == frozenset({1})
 
 
 class TestOracleInvariants:

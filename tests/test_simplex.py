@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import disttest.simplex as simplex
 from disttest.errors import SolverError
 from disttest.reference import vertex_enumeration_feasible
 from disttest.simplex import FEAS_TOL, Triplets, _check_residual, extract_bounds, refutes, solve_feasibility
@@ -208,12 +209,15 @@ class TestSolveFeasibility:
             b[-1] = (-1.0 - y[:-1] @ b[:-1]) / y[-1]
             assert not solve_feasibility(np.vstack([A, last]), b).feasible
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_ITER", 1)
         rng = np.random.default_rng(5)
         A = rng.uniform(-2, 2, size=(8, 4))
         b = -np.abs(rng.uniform(1, 2, size=8))
-        with pytest.raises(SolverError):
-            solve_feasibility(A, b, max_iter=1, digest="cap-test")
+        with pytest.raises(SolverError) as info:
+            solve_feasibility(A, b)
+        # The seam knows no instance name; linprop adds the digest.
+        assert (str(info.value), info.value.digest) == ("iteration cap 1 exceeded", "")
 
     def test_bounds_only_no_rows(self):
         res = solve_feasibility(
@@ -238,29 +242,29 @@ class TestCheckResidual:
 
     def test_many_rows_each_within_tolerance_pass(self):
         A, x, b = self.rows_over(np.full(2000, 9e-10))
-        total = _check_residual(A, x, b, np.full(1, -np.inf), np.full(1, np.inf), FEAS_TOL, "rows")
+        total = _check_residual(A, x, b, np.full(1, -np.inf), np.full(1, np.inf))
         assert total == pytest.approx(2000 * 9e-10)
 
     def test_one_row_beyond_the_bound_raises(self):
         A, x, b = self.rows_over([0.0, 2e-6, 0.0])
         with pytest.raises(SolverError, match="residual check"):
-            _check_residual(A, x, b, np.full(1, -np.inf), np.full(1, np.inf), FEAS_TOL, "row")
+            _check_residual(A, x, b, np.full(1, -np.inf), np.full(1, np.inf))
 
     def test_one_bound_beyond_the_bound_raises(self):
         A, x, b = self.rows_over([0.0])
         with pytest.raises(SolverError, match="residual check"):
-            _check_residual(A, x, b, np.full(1, 2e-6), np.full(1, np.inf), FEAS_TOL, "lower")
+            _check_residual(A, x, b, np.full(1, 2e-6), np.full(1, np.inf))
         with pytest.raises(SolverError, match="residual check"):
-            _check_residual(A, x, b, np.full(1, -np.inf), np.full(1, -2e-6), FEAS_TOL, "upper")
+            _check_residual(A, x, b, np.full(1, -np.inf), np.full(1, -2e-6))
 
 
 @st.composite
 def systems_with_a_point(draw):
-    """``(A, b, lower, upper, y)``: a system that x0 meets exactly, and any y >= 0.
+    """``(A, b, y)``: a system that some x0 meets exactly, and any y >= 0.
 
     Rows come in part as equality pairs ``a x <= a x0``, ``-a x <= -a x0``,
-    so some y cancel columns the way a certificate does; some bounds are
-    infinite.  A and y are integers, the only vectors ``refutes`` examines.
+    so some y cancel columns the way a certificate does.  A and y are
+    integers, the only vectors ``refutes`` examines.
     """
     n = draw(st.integers(1, 5))
     entry = st.integers(-3, 3).map(float)
@@ -272,27 +276,25 @@ def systems_with_a_point(draw):
     x0 = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
     gap = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
     b = A @ x0 + np.array(draw(st.lists(gap, min_size=m, max_size=m)))
-    side = st.one_of(st.just(np.inf), gap)
-    lower = x0 - np.array(draw(st.lists(side, min_size=n, max_size=n)))
-    upper = x0 + np.array(draw(st.lists(side, min_size=n, max_size=n)))
     weight = st.one_of(st.integers(0, 3), st.integers(0, 10**6)).map(float)
     y = np.array(draw(st.lists(weight, min_size=m, max_size=m)))
-    return A, b, lower, upper, y
+    return A, b, y
 
 
 class TestRefutes:
-    """Farkas vectors, checked without a solver: y >= 0 with ``min (A^T y)^T x`` over the box above ``y^T b``."""
+    """Farkas vectors, checked without a solver: integral y >= 0 with ``A^T y = 0`` and ``y^T b < 0``."""
 
-    @given(systems_with_a_point(), st.sampled_from([0.0, FEAS_TOL]))
+    @given(systems_with_a_point())
     @settings(max_examples=300, deadline=None)
-    def test_no_vector_refutes_a_system_with_a_known_point(self, system, tol):
-        A, b, lower, upper, y = system
-        assert not refutes(Triplets.from_dense(A), b, lower, upper, y, tol)
+    def test_no_vector_refutes_a_system_with_a_known_point(self, system):
+        A, b, y = system
+        assert not refutes(Triplets.from_dense(A), b, y)
 
     @staticmethod
     def below_zero(delta):
-        """``x <= -delta`` with ``x >= 0`` as a bound: y = (1) refutes once delta > 2 tol (row and bound)."""
-        return Triplets.from_dense([[1.0]]), np.array([-delta]), np.zeros(1), np.full(1, np.inf), np.ones(1)
+        """``x <= -delta`` and ``-x <= 0``: y = (1, 1) refutes once delta > 2 tol."""
+        free = np.full(1, np.inf)
+        return Triplets.from_dense([[1.0], [-1.0]]), np.array([-delta, 0.0]), -free, free, np.ones(2)
 
     @staticmethod
     def pair(delta, a, box):
@@ -313,50 +315,50 @@ class TestRefutes:
         ids=["below-zero", "pair-free", "pair-boxed"],
     )
     def test_known_certificates(self, system):
-        # Two rows (or a row and a bound) each held within tol leave a point
-        # up to a gap of 2 tol = tol * sum(y) for the pairs; past it, plus the
-        # rounding margin, none.
+        # Two rows each held within tol leave a point up to a gap of
+        # 2 tol = tol * sum(y); past it, plus the rounding margin, none.  The
+        # seam, which also sees the bounds, agrees.
         for delta in (0.0, 0.5 * FEAS_TOL, 1.9 * FEAS_TOL):
-            assert not refutes(*system(delta))
+            A, b, _, _, y = system(delta)
+            assert not refutes(A, b, y)
         for delta in (2.1 * FEAS_TOL, 1e-6, 1.0):
-            assert refutes(*system(delta)) is True
-            assert not solve_feasibility(*system(delta)[:4]).feasible
+            A, b, lower, upper, y = system(delta)
+            assert refutes(A, b, y) is True
+            assert not solve_feasibility(A, b, lower, upper).feasible
 
     @pytest.mark.parametrize(
         "y", [[1.0, -0.5], [1.0, np.nan], [1.0, np.inf], [1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]],
         ids=["negative", "nan", "inf", "short", "long", "2-d"],
     )
     def test_malformed_vector_proves_nothing(self, y):
-        A, b, lower, upper, good = self.pair(1.0, [1.0, -2.0], np.inf)
-        assert refutes(A, b, lower, upper, good)
-        assert not refutes(A, b, lower, upper, y)
+        A, b, _, _, good = self.pair(1.0, [1.0, -2.0], np.inf)
+        assert refutes(A, b, good)
+        assert not refutes(A, b, y)
 
     def test_fractional_or_too_large_entries_prove_nothing(self):
         # The same certificate with half a multiplier, half a matrix, or
         # multipliers whose sums could pass 2^53: none is examined.
-        A, b, lower, upper, y = self.pair(1.0, [1.0, -2.0], np.inf)
-        assert refutes(A, b, lower, upper, y)
-        assert not refutes(A, b, lower, upper, 0.5 * y)
+        A, b, _, _, y = self.pair(1.0, [1.0, -2.0], np.inf)
+        assert refutes(A, b, y)
+        assert not refutes(A, b, 0.5 * y)
         halved = Triplets(A.rows, A.cols, 0.5 * A.vals, A.shape)
-        assert not refutes(halved, 0.5 * b, lower, upper, y)
-        assert not refutes(A, b, lower, upper, 2.0**52 * y)
+        assert not refutes(halved, 0.5 * b, y)
+        assert not refutes(A, b, 2.0**52 * y)
 
-    def test_direction_unbounded_in_the_box_proves_nothing(self):
-        # x <= -1 and -x <= 0 over a free x: y = (1, 1) refutes, but y = (1, 0)
-        # leaves A^T y = 1 with x unbounded below and y = (0, 1) leaves -1
-        # with x unbounded above, though y^T b < 0 or = 0 in both.
-        A, b, free = Triplets.from_dense([[1.0], [-1.0]]), np.array([-1.0, 0.0]), np.full(1, np.inf)
-        assert refutes(A, b, -free, free, [1.0, 1.0])
-        assert not refutes(A, b, -free, free, [1.0, 0.0])
-        assert not refutes(A, b, -free, free, [0.0, 1.0])
-        # Bound x below by 0 and y = (1, 0) refutes on its own.
-        assert refutes(A, b, np.zeros(1), free, [1.0, 0.0])
+    def test_uncancelled_column_proves_nothing(self):
+        # x <= -1 and -x <= 0: y = (1, 1) cancels x and refutes.  y = (1, 0)
+        # leaves A^T y = 1 and y = (0, 1) leaves -1, though y^T b < 0 or = 0;
+        # a bound x >= 0 would make y = (1, 0) a proof, but bounds play no
+        # part in the check, so neither proves anything.
+        A, b = Triplets.from_dense([[1.0], [-1.0]]), np.array([-1.0, 0.0])
+        assert refutes(A, b, [1.0, 1.0])
+        assert not refutes(A, b, [1.0, 0.0])
+        assert not refutes(A, b, [0.0, 1.0])
+        assert not solve_feasibility([[1.0]], b[:1], np.zeros(1)).feasible
 
     @pytest.mark.parametrize(
-        "b, lower, upper",
-        [([np.nan, 0.0], [0.0], [1.0]), ([-1.0, -np.inf], [0.0], [1.0]), ([-1.0, 0.0], [np.nan], [1.0]),
-         ([-1.0, 0.0], [0.0], [-np.inf]), ([-1.0, 0.0], [0.0, 0.0], [1.0])],
-        ids=["nan-b", "inf-b", "nan-lower", "upper-minus-inf", "bounds-too-long"],
+        "b", [[np.nan, 0.0], [-1.0, -np.inf], [-1.0], [-1.0, 0.0, 0.0]],
+        ids=["nan-b", "inf-b", "b-too-short", "b-too-long"],
     )
-    def test_inputs_the_seam_rejects_prove_nothing(self, b, lower, upper):
-        assert not refutes(Triplets.from_dense([[1.0], [-1.0]]), b, lower, upper, [1.0, 1.0])
+    def test_inputs_the_seam_rejects_prove_nothing(self, b):
+        assert not refutes(Triplets.from_dense([[1.0], [-1.0]]), b, [1.0, 1.0])

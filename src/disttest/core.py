@@ -69,7 +69,11 @@ def _index_set(indices: Iterable[int], n: int) -> np.ndarray:
         idx = raw.astype(np.int64)
     if raw.dtype == np.bool_ or not np.array_equal(raw, idx):
         raise ParameterError("indices must be integers, not booleans or fractions")
-    idx = np.unique(idx)
+    # A sort and an adjacent-difference mask; numpy 2.x's hash-based
+    # np.unique is dozens of times slower on large index sets.
+    idx = np.sort(idx)
+    if idx.size > 1:
+        idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
         raise ParameterError(f"indices outside the domain of size {n}")
     return idx
@@ -85,11 +89,15 @@ class _GuideTable:
     on a zero-mass index.  The guide cuts [0, 1) into K >= 2s buckets, K a
     power of two, so ``floor(u*K)`` is exact and a key in bucket b has its
     slot between ``lo[b]`` = #{cdf <= b/K} and ``hi[b]`` = #{cdf < (b+1)/K}.
-    Every key takes one compare against ``cdf[lo[b]]``, which is exact when
-    the bucket holds at most one cdf value; keys in a bucket holding two or
-    more then bisect that bucket's own slots.  A bucket holding j values costs
-    its keys O(log j) and covers 1/K of [0, 1), and the j sum to at most s <=
-    K/2, so a key costs O(1) expected.  All arrays are read-only.
+    ``held`` is the most cdf values any bucket holds, ``max(hi - lo)``, and
+    sets the steps a key takes.  When it is 0 every cdf value sits on a
+    bucket edge, so ``cdf[lo[b]] >= (b+1)/K`` exceeds every key of bucket b
+    and ``lo[b]`` is the slot.  Otherwise a key takes one compare against
+    ``cdf[lo[b]]``, which is exact when its bucket holds at most one cdf
+    value; only when ``held >= 2`` do keys in a bucket holding two or more
+    bisect that bucket's own slots.  A bucket holding j values costs its keys
+    O(log j) and covers 1/K of [0, 1), and the j sum to at most s <= K/2, so
+    a key costs O(1) expected.  All arrays are read-only.
     """
 
     def __init__(self, pmf: np.ndarray):
@@ -100,7 +108,9 @@ class _GuideTable:
         edges = np.arange(self.buckets + 1) / self.buckets
         lo = np.searchsorted(cdf, edges[:-1], side="right")
         hi = np.searchsorted(cdf, edges[1:], side="left")
-        deep = hi - lo >= 2
+        held = hi - lo
+        self.held = int(held.max())
+        deep = held >= 2
         for arr in (atoms, cdf, lo, hi, deep):
             arr.flags.writeable = False
         self.atoms, self.cdf, self.lo, self.hi, self.deep = atoms, cdf, lo, hi, deep
@@ -109,7 +119,11 @@ class _GuideTable:
         """``searchsorted(cdf, u, side="right")`` for keys in [0, 1), at O(1) expected per key."""
         bucket = (u * self.buckets).astype(np.intp)
         slot = self.lo[bucket]
+        if self.held == 0:
+            return slot
         slot += self.cdf[slot] <= u
+        if self.held == 1:
+            return slot
         # Bisect [slot, hi] for the first cdf value above the key; a key
         # leaves once its range has closed on that slot.
         keys = np.flatnonzero(self.deep[bucket])
@@ -237,6 +251,11 @@ _SEED_MAX = 2**64 - 1
 # Chunk size for streaming counts out of opaque sources.
 _COUNT_CHUNK = 10_000_000
 
+# Keys per block of an explicit-pmf draw, raised to the support size s where
+# that is larger: a block's keys, buckets and slots stay in cache, and a
+# tally's O(s) bincount per block costs at most as much as the block.
+_DRAW_BLOCK = 1 << 15
+
 
 class SamplingOracle:
     """Seeded source of i.i.d. draws from a distribution.
@@ -286,21 +305,33 @@ class SamplingOracle:
     def source(self):
         return self._dist if self._dist is not None else self._proc
 
-    def _slots(self, m: int) -> tuple:
-        """The explicit pmf's sampling table and the slots in its ``atoms`` of ``m >= 1`` fresh draws."""
-        table = self._dist._guide
-        return table, table.slots(self._gen.random(m))
+    def _blocks(self, table: _GuideTable, m: int):
+        """Offset and slots in ``table.atoms`` of each block of ``m >= 1`` fresh draws.
+
+        The keys come ``max(_DRAW_BLOCK, s)`` at a time.  PCG64 spends one
+        64-bit output on each double, so the blocks' keys are those of
+        ``gen.random(m)``, bit for bit, and leave the generator where it would.
+        """
+        block = max(_DRAW_BLOCK, table.atoms.size)
+        for start in range(0, m, block):
+            yield start, table.slots(self._gen.random(min(block, m - start)))
 
     def draw(self, m: int) -> np.ndarray:
-        """Draw ``m`` i.i.d. indices; deterministic given the seed."""
+        """Draw ``m`` i.i.d. indices; deterministic given the seed.
+
+        An explicit pmf's draws are looked up block by block into one int64
+        output, so the temporaries are O(block + s), not O(m).
+        """
         m = int(m)
         if m < 0:
             raise ParameterError("m must be >= 0")
         if m == 0:
             return np.empty(0, dtype=np.int64)
         if self._dist is not None:
-            table, slots = self._slots(m)
-            out = table.atoms[slots]
+            table = self._dist._guide
+            out = np.empty(m, dtype=np.int64)
+            for start, slots in self._blocks(table, m):
+                table.atoms.take(slots, out=out[start:start + slots.size])
         else:
             out = np.asarray(self._proc(self._gen, m), dtype=np.int64)
             if out.shape != (m,):
@@ -315,14 +346,17 @@ class SamplingOracle:
 
         Equal to ``np.unique(self.draw(m), return_counts=True)``, and leaves
         the generator and ``samples_drawn`` where ``draw(m)`` would.  For an
-        explicit pmf it tallies the atom slots with one ``bincount``: O(m + s)
-        and no sort.
+        explicit pmf it sums one ``bincount`` of the atom slots per block:
+        O(m + s) time, O(block + s) temporaries and no sort.
         """
         m = int(m)
         if self._dist is None or m <= 0:
             return np.unique(self.draw(m), return_counts=True)
-        table, slots = self._slots(m)
-        counts = np.bincount(slots, minlength=table.atoms.size)
+        table = self._dist._guide
+        tallies = (np.bincount(slots, minlength=table.atoms.size) for _, slots in self._blocks(table, m))
+        counts = next(tallies)
+        for tally in tallies:
+            counts += tally
         self.samples_drawn += m
         hit = np.flatnonzero(counts)
         return table.atoms[hit], counts[hit]
@@ -376,7 +410,7 @@ def high_set(d: Distribution, kappa: float) -> frozenset:
     """Indices carrying mass at least ``kappa``, for 0 < kappa < 1."""
     if not 0.0 < kappa < 1.0:
         raise ParameterError("kappa must lie in (0, 1)")
-    return frozenset(int(i) for i in np.flatnonzero(d.pmf >= kappa))
+    return frozenset(np.flatnonzero(d.pmf >= kappa).tolist())
 
 
 def top_elements(d: Distribution, t: int) -> list:
@@ -385,7 +419,7 @@ def top_elements(d: Distribution, t: int) -> list:
     if not 0 <= t <= d.n:
         raise ParameterError(f"t must lie in [0, {d.n}]")
     order = np.lexsort((np.arange(d.n), -d.pmf))
-    return [int(i) for i in order[:t]]
+    return order[:t].tolist()
 
 
 def sorted_l1_distance(d1: Distribution, d2: Distribution) -> float:

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disttest.core import (
+    _DRAW_BLOCK,
     Distribution,
     NonConcentrationParams,
     SamplingOracle,
+    _index_set,
     additive_chernoff_bound,
     derive_seed,
     empirical_distribution,
@@ -51,12 +53,14 @@ class TestDistribution:
         assert d.mass((i for i in [1, 0, 1, 0])) == d.mass([0, 1]) == 0.2 + 0.7
         assert d.mass([]) == 0.0
 
-    @pytest.mark.parametrize("indices", [[-1], [5], [3], [0, -2], [1, 3]])
+    @pytest.mark.parametrize("indices", [[-1], [5], [3], [0, -2], [1, 3], [3, 0, 3], np.array([-1, -1, 2])])
     def test_mass_rejects_indices_outside_the_domain(self, indices):
         with pytest.raises(ParameterError, match="outside the domain"):
             Distribution(np.array([0.2, 0.7, 0.1])).mass(indices)
 
-    @pytest.mark.parametrize("indices", [[1.7], [True], [False, True], np.array([0.0, 0.5])])
+    @pytest.mark.parametrize(
+        "indices", [[1.7], [True], [False, True], np.array([0.0, 0.5]), {0, 1.5}, iter([True, True])]
+    )
     def test_mass_rejects_non_integer_indices(self, indices):
         # astype(int64) would read 1.7 and True both as index 1.
         with pytest.raises(ParameterError, match="must be integers"):
@@ -74,6 +78,27 @@ class TestDistribution:
     def test_uniform_on_rejects_bad_indices(self, indices, message):
         with pytest.raises(ParameterError, match=message):
             Distribution.uniform_on(indices, 3)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.array([7, 3, 3, 0, 9, 7]),
+            lambda: range(9, -1, -3),
+            lambda: {4, 1, 8},
+            lambda: (i % 5 for i in range(12)),
+            lambda: [2, 2, 2],
+            lambda: [5, 5],
+            lambda: [],
+            lambda: np.array([], dtype=np.int64),
+            lambda: range(0),
+        ],
+        ids=["ndarray", "range", "set", "generator", "repeats", "pair", "empty-list", "empty-ndarray", "empty-range"],
+    )
+    def test_index_set_equals_unique(self, make):
+        got = _index_set(make(), 10)
+        want = np.unique(np.asarray(list(make()), dtype=np.int64))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
     def test_integral_float_indices_accepted(self):
         d = Distribution(np.array([0.2, 0.7, 0.1]))
@@ -159,6 +184,9 @@ class TestHighSet:
             expected = {i for i in range(8) if d.pmf[i] >= 0.1}
             assert high_set(d, 0.1) == expected
 
+    def test_members_are_python_ints(self):
+        assert all(type(i) is int for i in high_set(Distribution.uniform(5), 0.1))
+
     def test_parameter_error(self):
         with pytest.raises(ParameterError):
             high_set(Distribution.uniform(2), 0.0)
@@ -181,6 +209,7 @@ class TestTopElements:
     def test_tie_break_smaller_index(self):
         d = Distribution(np.array([0.25, 0.25, 0.25, 0.25]))
         assert top_elements(d, 3) == [0, 1, 2]
+        assert all(type(i) is int for i in top_elements(d, 4))
 
     def test_agrees_with_full_sort(self, rng):
         for _ in range(20):
@@ -430,10 +459,12 @@ class TestGuideTable:
         # bisection, and ~1000 for one that takes ten rounds.
         tables = {name: Distribution(pmf)._guide for name, pmf in GUIDE_PMFS.items()}
         held = {name: table.hi - table.lo for name, table in tables.items()}
-        assert held["uniform-64"].max() == 0
-        assert held["one-step"].max() == 1
+        for name, table in tables.items():
+            assert table.held == held[name].max()
+        assert tables["uniform-64"].held == 0
+        assert tables["one-step"].held == 1
         for name in ("tiny-atom-absorbed", "heavy-plus-tiny", "exponential-1e5"):
-            assert held[name].max() >= 2
+            assert tables[name].held >= 2
             assert np.array_equal(tables[name].deep, held[name] >= 2)
         assert held["heavy-plus-tiny"].max() >= 512
         assert tables["s-1"].buckets == 2
@@ -456,6 +487,26 @@ class TestGuideTable:
             assert np.array_equal(counts, want_counts)
             assert by_tally.samples_drawn == by_draw.samples_drawn == m
             assert np.array_equal(by_tally.draw(100), by_draw.draw(100))
+
+    @pytest.mark.parametrize("name", ["uniform-64", "one-step", "heavy-plus-tiny", "exponential-1e5"])
+    def test_draws_cross_block_edges(self, name):
+        # A block holds max(_DRAW_BLOCK, s) keys; exponential-1e5 has s above
+        # _DRAW_BLOCK, so its block is the support size.
+        d = Distribution(GUIDE_PMFS[name])
+        table = d._guide
+        block = max(_DRAW_BLOCK, table.atoms.size)
+        for m in (block - 1, block, block + 1, 2 * block + 7):
+            gen = np.random.Generator(np.random.PCG64(m))
+            oracle, by_draw, twin = (SamplingOracle(d, seed=m) for _ in range(3))
+            got = oracle.draw(m)
+            assert np.array_equal(got, table.atoms[np.searchsorted(table.cdf, gen.random(m), side="right")])
+            values, counts = twin.draw_tally(m)
+            want_values, want_counts = np.unique(by_draw.draw(m), return_counts=True)
+            assert np.array_equal(values, want_values) and np.array_equal(counts, want_counts)
+            assert oracle.samples_drawn == twin.samples_drawn == m
+            after = oracle.draw(100)
+            assert np.array_equal(after, twin.draw(100))
+            assert np.array_equal(after, table.atoms[np.searchsorted(table.cdf, gen.random(100), side="right")])
 
     def test_tally_of_opaque_source(self):
         def proc(gen, size):

@@ -168,19 +168,16 @@ def dno_general(d_yes: Distribution, pairing: Pairing, rng: np.random.Generator)
 class VerificationReport:
     """Structural checks for an adversarial pair; failures are reported, not thrown.
 
-    ``conservation_residuals`` and ``pair_sums`` are read-only float64 arrays
-    of shape (k,), one entry per row of ``pairing.pairs``."""
+    ``failures`` holds one message per check that failed, in the order
+    :func:`verify_adversarial` lists them, and ``passed`` is True when it is
+    empty.  ``conservation_residuals`` and ``pair_sums`` are read-only float64
+    arrays of shape (k,), one entry per row of ``pairing.pairs``."""
 
     conservation_residuals: np.ndarray
-    conservation_ok: bool
-    one_zero_ok: bool
     pair_bound: float
     pair_sums: np.ndarray
-    pair_bound_ok: bool
-    off_l_ok: bool
     support_size: int
     support_limit: int
-    support_ok: bool
     failures: tuple
 
     @property
@@ -200,39 +197,26 @@ def verify_adversarial(pair: AdversarialPair) -> VerificationReport:
     sums = no[x] + no[y]
     residuals = np.abs(sums - (yes[x] + yes[y]))
     sums.flags.writeable = residuals.flags.writeable = False
-    one_zero = bool(((no[x] == 0.0) != (no[y] == 0.0)).all())
-    conservation_ok = bool(residuals.max() <= CONSERVATION_TOL)
-
     bound = 2.0 * (1.0 - 2.0 * a) / ((1.0 - 2.0 * b) * n)
-    pair_bound_ok = bool((sums <= bound + CONSERVATION_TOL).all())
-
     differ = yes != no
     differ[pair.pairing.L] = False
-    off_l_ok = not differ.any()
-
     support_size = int(np.count_nonzero(no))
     support_limit = n - int(math.floor(b * n))
-    support_ok = support_size <= support_limit
 
     checks = (
-        (conservation_ok, "pair mass not conserved"),
-        (one_zero, "some pair does not have exactly one zero endpoint"),
-        (pair_bound_ok, "per-pair mass bound violated"),
-        (off_l_ok, "d_yes and d_no disagree off L"),
-        (support_ok, "support size exceeds (1 - beta)n budget"),
+        (residuals.max() <= CONSERVATION_TOL, "pair mass not conserved"),
+        (((no[x] == 0.0) != (no[y] == 0.0)).all(), "some pair does not have exactly one zero endpoint"),
+        ((sums <= bound + CONSERVATION_TOL).all(), "per-pair mass bound violated"),
+        (not differ.any(), "d_yes and d_no disagree off L"),
+        (support_size <= support_limit, "support size exceeds (1 - beta)n budget"),
     )
 
     return VerificationReport(
         conservation_residuals=residuals,
-        conservation_ok=conservation_ok,
-        one_zero_ok=one_zero,
         pair_bound=bound,
         pair_sums=sums,
-        pair_bound_ok=pair_bound_ok,
-        off_l_ok=off_l_ok,
         support_size=support_size,
         support_limit=support_limit,
-        support_ok=support_ok,
         failures=tuple(message for ok, message in checks if not ok),
     )
 

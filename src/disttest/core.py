@@ -16,6 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 from typing import Callable, Iterable, Union
 
 import numpy as np
@@ -48,6 +49,20 @@ def format_field(value) -> str:
     return f"{float(value):.12e}"
 
 
+def _integer(value, what: str, low: int | None = None) -> int:
+    """``value`` as an int, or :class:`ParameterError` naming it ``what``.
+
+    Python and numpy integers and integral floats count; booleans, fractions,
+    non-finite floats and non-numbers do not, nor values below ``low``.
+    """
+    if isinstance(value, (bool, np.bool_)) or not (
+        isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
+    ) or low is not None and value < low:
+        bound = "" if low is None else f" >= {low}"
+        raise ParameterError(f"{what} must be an integer{bound}, not {value!r}")
+    return int(value)
+
+
 def _check_masses(probs: np.ndarray) -> None:
     """Reject masses that are not finite and non-negative or do not sum to 1 within ``PMF_SUM_TOL``."""
     if not np.all(np.isfinite(probs)):
@@ -63,8 +78,11 @@ def _check_masses(probs: np.ndarray) -> None:
 
 def _index_set(indices: Iterable[int], n: int) -> np.ndarray:
     """The distinct ``indices``, ascending, as int64; each must be an integer
-    (not a boolean) in ``[0, n)``."""
-    raw = np.asarray(list(indices))
+    (not a boolean) in ``[0, n)``.  An ndarray or ``range`` is read without a
+    Python list."""
+    if isinstance(indices, range):
+        indices = np.arange(indices.start, indices.stop, indices.step)
+    raw = indices if isinstance(indices, np.ndarray) else np.asarray(list(indices))
     with np.errstate(invalid="ignore"):
         idx = raw.astype(np.int64)
     if raw.dtype == np.bool_ or not np.array_equal(raw, idx):
@@ -196,6 +214,7 @@ class Distribution:
 
     @classmethod
     def point_mass(cls, n: int, index: int) -> "Distribution":
+        index = _integer(index, "index")
         if not 0 <= index < n:
             raise ParameterError(f"index {index} outside domain of size {n}")
         pmf = np.zeros(n)
@@ -262,20 +281,21 @@ class SamplingOracle:
 
     ``source`` is either an explicit :class:`Distribution` or an opaque
     callable ``(generator, size) -> indices`` (in which case ``n`` must be
-    given).  Rebuilding an oracle with the same seed and source replays the
-    identical sample sequence.  An explicit-pmf draw costs O(1) expected, from
-    an O(s) table over the support of size s that the :class:`Distribution`
-    builds on the first draw and caches for every oracle over it.
+    given).  ``seed`` and ``n`` must be integers.  Rebuilding an oracle with
+    the same seed and source replays the identical sample sequence.  An
+    explicit-pmf draw costs O(1) expected, from an O(s) table over the support
+    of size s that the :class:`Distribution` builds on the first draw and
+    caches for every oracle over it.
 
     The oracle is stateful (it owns an RNG position): use one oracle per
-    thread of execution, and derive independent oracles with :meth:`split`.
+    thread of execution.  To fan out, build ``SamplingOracle(d,
+    derive_seed(seed, i))`` for the i-th independent stream.
     """
 
     def __init__(self, source: Union[Distribution, DrawProcedure], seed: int, n: int | None = None):
-        seed = int(seed)
+        seed = _integer(seed, "seed")
         if not 0 <= seed <= _SEED_MAX:
             raise ParameterError("seed must be a 64-bit unsigned integer")
-        self._seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
         self.samples_drawn = 0
         if isinstance(source, Distribution):
@@ -285,25 +305,18 @@ class SamplingOracle:
         elif callable(source):
             if n is None:
                 raise ParameterError("opaque sources require an explicit domain size n")
+            n = _integer(n, "n")
             if n < 1:
                 raise ParameterError("n must be >= 1")
             self._dist = None
             self._proc = source
-            self._n = int(n)
+            self._n = n
         else:
             raise ParameterError("source must be a Distribution or a callable")
 
     @property
     def n(self) -> int:
         return self._n
-
-    @property
-    def seed(self) -> int:
-        return self._seed
-
-    @property
-    def source(self):
-        return self._dist if self._dist is not None else self._proc
 
     def _blocks(self, table: _GuideTable, m: int):
         """Offset and slots in ``table.atoms`` of each block of ``m >= 1`` fresh draws.
@@ -322,7 +335,7 @@ class SamplingOracle:
         An explicit pmf's draws are looked up block by block into one int64
         output, so the temporaries are O(block + s), not O(m).
         """
-        m = int(m)
+        m = _integer(m, "m")
         if m < 0:
             raise ParameterError("m must be >= 0")
         if m == 0:
@@ -349,7 +362,7 @@ class SamplingOracle:
         explicit pmf it sums one ``bincount`` of the atom slots per block:
         O(m + s) time, O(block + s) temporaries and no sort.
         """
-        m = int(m)
+        m = _integer(m, "m")
         if self._dist is None or m <= 0:
             return np.unique(self.draw(m), return_counts=True)
         table = self._dist._guide
@@ -371,7 +384,7 @@ class SamplingOracle:
         sources are streamed in chunks.  Counts are attributed to the sample
         budget exactly like literal draws.
         """
-        m = int(m)
+        m = _integer(m, "m")
         if m < 0:
             raise ParameterError("m must be >= 0")
         if m == 0:
@@ -388,10 +401,6 @@ class SamplingOracle:
             counts += np.bincount(self.draw(chunk), minlength=self._n)
             left -= chunk
         return counts
-
-    def split(self, index: int) -> "SamplingOracle":
-        """Independent oracle over the same source, with a derived seed."""
-        return SamplingOracle(self.source, derive_seed(self._seed, index), n=self._n)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -415,7 +424,7 @@ def high_set(d: Distribution, kappa: float) -> frozenset:
 
 def top_elements(d: Distribution, t: int) -> list:
     """The ``t`` indices of largest mass, non-increasing; ties go to the smaller index."""
-    t = int(t)
+    t = _integer(t, "t")
     if not 0 <= t <= d.n:
         raise ParameterError(f"t must lie in [0, {d.n}]")
     order = np.lexsort((np.arange(d.n), -d.pmf))
@@ -486,11 +495,28 @@ def empirical_distribution(samples: np.ndarray, n: int) -> Distribution:
     return Distribution(counts / samples.size)
 
 
+def _write_json(doc: dict, path) -> None:
+    """Write ``doc`` as one line of JSON; a single ``json.dumps`` takes the C encoder."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc) + "\n")
+
+
+def _read_json(path, what: str, fields: Iterable[str]) -> dict:
+    """The JSON object in ``path``; :class:`StructureError` unless it parses and carries ``fields``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise StructureError(f"not a valid {what} file: {exc}") from exc
+    for key in fields:
+        if not isinstance(doc, dict) or key not in doc:
+            raise StructureError(f"{what} file must carry field '{key}'")
+    return doc
+
+
 def save_distribution(d: Distribution, path) -> None:
     """Write a distribution file: a JSON object with fields ``n`` and ``pmf``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"n": d.n, "pmf": [float(x) for x in d.pmf]}, fh)
-        fh.write("\n")
+    _write_json({"n": d.n, "pmf": d.pmf.tolist()}, path)
 
 
 def _is_int(x) -> bool:
@@ -513,15 +539,8 @@ def _float_array(values: list, what: str) -> np.ndarray:
 
 def load_distribution(path) -> Distribution:
     """Read a distribution file, rejecting anything violating the invariants."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"not a valid distribution file: {exc}") from exc
-    if not isinstance(doc, dict) or "n" not in doc or "pmf" not in doc:
-        raise StructureError("distribution file must carry fields 'n' and 'pmf'")
-    n = doc["n"]
-    pmf = doc["pmf"]
+    doc = _read_json(path, "distribution", ("n", "pmf"))
+    n, pmf = doc["n"], doc["pmf"]
     if not _is_int(n):
         raise StructureError("field 'n' must be an integer")
     if not _is_numbers(pmf):

@@ -29,14 +29,13 @@ neither the member nor its certificate decides.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Collection, Iterable
 
 import numpy as np
 
-from .core import Distribution, _check_masses, _float_array, _is_int, _is_numbers
+from .core import Distribution, _check_masses, _float_array, _integer, _is_int, _is_numbers, _read_json, _write_json
 from .errors import ParameterError, SolverError, StructureError
 from .simplex import FEAS_TOL, Triplets, extract_bounds, refutes, solve_feasibility
 
@@ -148,7 +147,7 @@ class LinearProperty:
     """
 
     def __init__(self, poly: Polyhedron, n: int, member=None, ball=None):
-        n = int(n)
+        n = _integer(n, "n")
         if n < 1:
             raise ParameterError("n must be >= 1")
         if n > poly.N:
@@ -283,7 +282,7 @@ def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
     declares as its ``ball``.  At n = 1 the budget row is a singleton and
     folds away too, so that property carries no ball.
     """
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
         raise ParameterError("n must be >= 1")
     if not 0.0 <= eps <= 2.0:
@@ -346,9 +345,7 @@ def _step5_terms(
         raise ParameterError(f"d_tilde has {d_tilde.n} entries; property projects to {n}")
     if not bound >= 0:  # also False for nan
         raise ParameterError(f"bound must be a number >= 0, not {bound}")
-    if isinstance(q, bool) or not (isinstance(q, Real) and float(q).is_integer() and q >= 1):
-        raise ParameterError(f"q must be an integer >= 1, not {q!r}")
-    q = int(q)
+    q = _integer(q, "q", 1)
     idx = np.array(list(H))
     if idx.size and idx.dtype.kind not in "iu":
         raise ParameterError("H must hold integers, not booleans or fractions")
@@ -519,40 +516,40 @@ def linear_property_oracle(prop: LinearProperty) -> LinearPropertyOracle:
 
 
 def save_polyhedron(poly: Polyhedron, path) -> None:
-    """Write a polyhedron file: JSON with M, N, row-major A, b, strict_rows."""
-    doc = {
-        "M": poly.M,
-        "N": poly.N,
-        "A": [float(x) for x in np.asarray(poly.A).ravel()],
-        "b": [float(x) for x in poly.b],
-        "strict_rows": sorted(poly.strict_rows),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    """Write a polyhedron file: JSON with M, N, the triplets of ``A`` as
+    ``rows``, ``cols`` and ``vals``, ``b`` and ``strict_rows``; O(nnz)."""
+    A = poly.A
+    doc = {"M": poly.M, "N": poly.N, "rows": A.rows.tolist(), "cols": A.cols.tolist(), "vals": A.vals.tolist()}
+    _write_json({**doc, "b": poly.b.tolist(), "strict_rows": sorted(poly.strict_rows)}, path)
 
 
 def load_polyhedron(path) -> Polyhedron:
-    """Read a polyhedron file written by :func:`save_polyhedron`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"not a valid polyhedron file: {exc}") from exc
-    for key in ("M", "N", "A", "b"):
-        if not isinstance(doc, dict) or key not in doc:
-            raise StructureError(f"polyhedron file must carry field '{key}'")
+    """Read a polyhedron file: ``A`` as triplets, as :func:`save_polyhedron`
+    writes it, or as a dense row-major list ``A`` of M*N numbers.
+
+    A file that carries both forms of ``A``, or neither, raises
+    :class:`StructureError`; so does any matrix :class:`Triplets` rejects.
+    """
+    doc = _read_json(path, "polyhedron", ("M", "N", "b"))
     M, N = doc["M"], doc["N"]
     if not (_is_int(M) and _is_int(N)) or M < 0 or N < 1:
         raise StructureError("fields 'M' and 'N' must be non-negative integers")
-    flat = doc["A"]
-    if not _is_numbers(flat) or len(flat) != M * N:
-        raise StructureError(f"'A' must hold M*N = {M * N} numbers in row-major order")
     b = doc["b"]
     if not _is_numbers(b) or len(b) != M:
         raise StructureError(f"'b' must hold M = {M} numbers")
     strict = doc.get("strict_rows", [])
     if not isinstance(strict, list) or not all(_is_int(i) for i in strict):
         raise StructureError("'strict_rows' must be a list of row indices")
-    A = _float_array(flat, "polyhedron").reshape(M, N)
+    if ("A" in doc) == any(key in doc for key in ("rows", "cols", "vals")):
+        raise StructureError("polyhedron file must carry either 'A' or 'rows', 'cols' and 'vals'")
+    if "A" in doc:
+        flat = doc["A"]
+        if not _is_numbers(flat) or len(flat) != M * N:
+            raise StructureError(f"'A' must hold M*N = {M * N} numbers in row-major order")
+        A = _float_array(flat, "polyhedron").reshape(M, N)
+    else:
+        rows, cols, vals = doc.get("rows"), doc.get("cols"), doc.get("vals")
+        if not all(_is_numbers(part) for part in (rows, cols, vals)):
+            raise StructureError("'rows', 'cols' and 'vals' must each be an array of numbers")
+        A = Triplets(np.asarray(rows), np.asarray(cols), _float_array(vals, "polyhedron"), (M, N))
     return Polyhedron(A, _float_array(b, "polyhedron"), frozenset(strict))

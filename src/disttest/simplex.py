@@ -67,8 +67,9 @@ class FeasibilityResult:
 class Triplets:
     """A sparse matrix of ``shape`` in coordinate form: entry ``(rows[k], cols[k])`` is ``vals[k]``.
 
-    Duplicate coordinates add up.  ``A @ x`` and ``np.asarray(A)`` (the dense
-    scatter) work as they do on the dense matrix.  ``rows`` and ``cols`` are
+    Duplicate coordinates add up, and ``A @ x`` works as it does on the dense
+    matrix; nothing scatters the triplets into a dense array, so
+    ``np.asarray(A)`` is not that matrix.  ``rows`` and ``cols`` are
     stored as int64, ``vals`` as float64; :class:`StructureError` is raised
     unless all three are 1-D and of one length, every coordinate is an integer
     (not a boolean) inside ``shape`` and every value is finite.
@@ -118,11 +119,6 @@ class Triplets:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        A = np.zeros(self.shape)
-        np.add.at(A, (self.rows, self.cols), self.vals)
-        return A if dtype is None else A.astype(dtype, copy=False)
 
 
 def _pinch(lower: np.ndarray, upper: np.ndarray) -> float:

@@ -32,6 +32,8 @@ from disttest.linprop import (
 from disttest.simplex import FEAS_TOL, Triplets, solve_feasibility
 from disttest.tester import derive_params, estimate_high_part
 
+from conftest import holds_dense
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 TRIVIAL = (np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]), 1.0)
@@ -137,7 +139,7 @@ class TestSeam:
     def test_triplets_and_dense_rows_agree(self):
         for A, b in criterion_06_systems(7, 60):
             t = simplex.Triplets.from_dense(A)
-            assert np.array_equal(np.asarray(t), A)
+            assert holds_dense(t, A)
             x = np.linspace(-1.0, 1.0, A.shape[1])
             assert np.allclose(t @ x, A @ x, rtol=0, atol=1e-12)
             # Every entry split into two halves at one coordinate, which add up exactly.
@@ -147,7 +149,7 @@ class TestSeam:
                 np.concatenate([t.vals / 2, t.vals / 2]),
                 t.shape,
             )
-            assert np.array_equal(np.asarray(halves), A)
+            assert holds_dense(halves, A)
             dense = solve_feasibility(A, b)
             for sparse in (solve_feasibility(t, b), solve_feasibility(halves, b)):
                 assert sparse.feasible == dense.feasible

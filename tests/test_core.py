@@ -91,8 +91,14 @@ class TestDistribution:
             lambda: [],
             lambda: np.array([], dtype=np.int64),
             lambda: range(0),
+            lambda: range(1, 10, 4),
+            lambda: range(8, -1, -2),
+            lambda: range(5, 2),
         ],
-        ids=["ndarray", "range", "set", "generator", "repeats", "pair", "empty-list", "empty-ndarray", "empty-range"],
+        ids=[
+            "ndarray", "range", "set", "generator", "repeats", "pair", "empty-list", "empty-ndarray", "empty-range",
+            "range-step", "range-negative-step", "range-empty-backwards",
+        ],
     )
     def test_index_set_equals_unique(self, make):
         got = _index_set(make(), 10)
@@ -367,22 +373,6 @@ class TestSamplingOracle:
         o = SamplingOracle(d, seed=3)
         assert not np.any(o.draw(20000) == 1)
 
-    def test_split_gives_independent_reproducible_streams(self):
-        d = Distribution.uniform(10)
-        parent = SamplingOracle(d, seed=5)
-        a, b = parent.split(0), parent.split(1)
-        draws_a, draws_b = a.draw(100), b.draw(100)
-        assert not np.array_equal(draws_a, draws_b)
-        again = SamplingOracle(d, seed=5).split(0)
-        assert np.array_equal(again.draw(100), draws_a)
-
-    def test_split_replays_derived_seed(self):
-        d = Distribution.uniform(10)
-        for i in (0, 1, 7):
-            child = SamplingOracle(d, seed=5).split(i)
-            assert child.seed == derive_seed(5, i)
-            assert np.array_equal(child.draw(100), SamplingOracle(d, derive_seed(5, i)).draw(100))
-
     @pytest.mark.parametrize(
         "pmf",
         [
@@ -438,6 +428,34 @@ class TestSamplingOracle:
     def test_seed_validation(self):
         with pytest.raises(ParameterError):
             SamplingOracle(Distribution.uniform(2), seed=-1)
+
+    @pytest.mark.parametrize(
+        "value", [1.9, True, np.bool_(True), np.nan, "3"], ids=["fraction", "bool", "numpy-bool", "nan", "str"]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: SamplingOracle(Distribution.uniform(2), seed=v),
+            lambda v: SamplingOracle(lambda gen, size: gen.integers(0, 2, size), seed=1, n=v),
+            lambda v: SamplingOracle(Distribution.uniform(2), seed=1).draw(v),
+            lambda v: SamplingOracle(Distribution.uniform(2), seed=1).draw_tally(v),
+            lambda v: SamplingOracle(Distribution.uniform(2), seed=1).draw_counts(v),
+            lambda v: Distribution.point_mass(4, v),
+            lambda v: top_elements(Distribution.uniform(4), v),
+        ],
+        ids=["seed", "opaque-n", "draw", "draw_tally", "draw_counts", "point_mass", "top_elements"],
+    )
+    def test_integer_arguments_reject_fractions_and_booleans(self, call, value):
+        # int() read 1.9 as 1 and True as 1; point_mass read True as a mask.
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call(value)
+
+    def test_integral_values_of_any_type_are_accepted(self):
+        d = Distribution.uniform(4)
+        for m in (3, 3.0, np.int64(3), np.float64(3.0), np.uint8(3)):
+            assert np.array_equal(SamplingOracle(d, seed=np.uint64(5)).draw(m), SamplingOracle(d, seed=5).draw(3))
+            assert top_elements(d, m) == [0, 1, 2]
+            assert Distribution.point_mass(4, m) == Distribution.point_mass(4, 3)
 
 
 class TestGuideTable:
@@ -522,12 +540,11 @@ class TestGuideTable:
 
     def test_table_read_only_and_shared(self):
         d = Distribution(np.array([0.2, 0.0, 0.3, 0.5]))
-        parent = SamplingOracle(d, seed=1)
-        parent.draw(1)
+        SamplingOracle(d, seed=1).draw(1)
         table = d._guide
-        for child in (SamplingOracle(d, seed=2), parent.split(0), parent.split(5)):
-            child.draw(10)
-            assert child.source._guide is table
+        for seed in (2, derive_seed(1, 0), derive_seed(1, 5)):
+            SamplingOracle(d, seed).draw(10)
+            assert d._guide is table
         for arr in (table.atoms, table.cdf, table.lo, table.hi, table.deep):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -609,6 +626,16 @@ class TestDistributionFiles:
         path = tmp_path / "d.json"
         save_distribution(d, path)
         assert load_distribution(path) == d
+
+    def test_file_bytes(self, tmp_path):
+        # The bytes the streaming json.dump of [float(x) for x in pmf] wrote.
+        pmf = np.random.default_rng(3).exponential(size=50)
+        d = Distribution(pmf / pmf.sum())
+        path = tmp_path / "d.json"
+        save_distribution(d, path)
+        assert path.read_text(encoding="utf-8") == json.dumps({"n": 50, "pmf": [float(x) for x in d.pmf]}) + "\n"
+        save_distribution(Distribution(np.array([0.125, 0.5, 0.375])), path)
+        assert path.read_bytes() == b'{"n": 3, "pmf": [0.125, 0.5, 0.375]}\n'
 
     def test_reader_rejects_bad_sum(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -21,7 +21,7 @@ from disttest.reference import simplex_grid, vertex_enumeration_feasible
 from disttest.simplex import Triplets, solve_feasibility
 from disttest.tester import HighEstimate, check_conditions
 
-from conftest import random_pmf
+from conftest import holds_dense, random_pmf
 
 
 def synthetic_estimate(rng, n, h_size) -> HighEstimate:
@@ -530,6 +530,15 @@ class TestLinearPropertyValidation:
         with pytest.raises(ParameterError):
             LinearProperty(poly, n=4)
 
+    @pytest.mark.parametrize("n", [2.5, True, np.bool_(True)], ids=["fraction", "bool", "numpy-bool"])
+    def test_n_must_be_an_integer(self, n):
+        # int() read 4.9 as 4 and True as 1.
+        poly = Polyhedron(np.zeros((1, 4)), np.zeros(1))
+        for build in (lambda: LinearProperty(poly, n), lambda: uniformity_polyhedron(n, 0.0)):
+            with pytest.raises(ParameterError, match="n must be an integer"):
+                build()
+        assert LinearProperty(poly, 2.0).n == uniformity_polyhedron(np.int64(2), 0.0).n == 2
+
 
 class TestTripletStorage:
     def test_duplicates_summed_and_zeros_dropped(self):
@@ -615,7 +624,7 @@ class TestTripletStorage:
             scrambled = Triplets(rows[order], cols[order], vals[order], (m, n))
             a, c = Polyhedron(dense, b), Polyhedron(scrambled, b)
             assert a.digest() == c.digest()
-            assert np.array_equal(np.asarray(c.A), dense)
+            assert holds_dense(c.A, dense)
             assert LinearProperty(a, 1).system.digest() == LinearProperty(c, 1).system.digest()
 
     def test_uniformity_at_n_10_4_is_stored_sparse(self):
@@ -640,9 +649,81 @@ class TestPolyhedronFiles:
         path = tmp_path / "p.json"
         save_polyhedron(poly, path)
         loaded = load_polyhedron(path)
-        assert np.array_equal(loaded.A, poly.A)
-        assert np.array_equal(loaded.b, poly.b)
+        assert loaded.digest() == poly.digest()
         assert loaded.strict_rows == poly.strict_rows
+
+    def test_file_holds_the_triplets(self, tmp_path):
+        path = tmp_path / "p.json"
+        save_polyhedron(Polyhedron([[0.0, 2.0], [-1.0, 0.0]], [1.0, 0.5], frozenset({0})), path)
+        assert json.loads(path.read_text()) == {
+            "M": 2, "N": 2, "rows": [0, 1], "cols": [1, 0], "vals": [2.0, -1.0], "b": [1.0, 0.5], "strict_rows": [0],
+        }
+
+    @pytest.mark.parametrize("M", [0, 1, 5, 40])
+    def test_round_trip_keeps_digest(self, tmp_path, M):
+        rng = np.random.default_rng(M)
+        for _ in range(10):
+            N = int(rng.integers(1, 30))
+            nnz = int(rng.integers(0, M * N + 1))
+            A = Triplets(rng.integers(0, max(M, 1), nnz), rng.integers(0, N, nnz), rng.normal(size=nnz), (M, N))
+            strict = frozenset(rng.choice(M, size=int(rng.integers(0, M + 1)), replace=False).tolist())
+            poly = Polyhedron(A, rng.normal(size=M), strict)
+            path = tmp_path / "p.json"
+            save_polyhedron(poly, path)
+            loaded = load_polyhedron(path)
+            assert loaded.digest() == poly.digest()
+            assert loaded.strict_rows == poly.strict_rows
+
+    def test_dense_file_loads_to_the_triplet_files_digest(self, tmp_path):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            M, N = int(rng.integers(0, 8)), int(rng.integers(1, 6))
+            dense = rng.normal(size=(M, N)) * (rng.random((M, N)) < 0.4)
+            b, strict = rng.normal(size=M).tolist(), [0][:M]
+            dense_path, triplet_path = tmp_path / "dense.json", tmp_path / "triplets.json"
+            doc = {"M": M, "N": N, "A": dense.ravel().tolist(), "b": b, "strict_rows": strict}
+            dense_path.write_text(json.dumps(doc))
+            digest = load_polyhedron(dense_path).digest()
+            assert digest == Polyhedron(dense, b, frozenset(strict)).digest()
+            save_polyhedron(load_polyhedron(dense_path), triplet_path)
+            assert load_polyhedron(triplet_path).digest() == digest
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"vals": [1.0]},
+            {"rows": [0, True]},
+            {"cols": [0, 0.5]},
+            {"cols": [0, 1.0]},
+            {"rows": [0, 2]},
+            {"cols": [-1, 1]},
+            {"vals": [1.0, float("nan")]},
+            {"vals": [1.0, "HUGE"]},
+            {"vals": None},
+            {"A": [1.0, 0.0, 0.0, 1.0]},
+            {"rows": None, "cols": None, "vals": None},
+            {"rows": "01"},
+        ],
+        ids=[
+            "lengths", "boolean-row", "fractional-col", "float-col", "row-outside", "negative-col", "nan", "1e400",
+            "missing-vals", "both-forms", "neither-form", "not-an-array",
+        ],
+    )
+    def test_reader_rejects_malformed_triplets(self, tmp_path, change):
+        doc = {"M": 2, "N": 2, "rows": [0, 1], "cols": [0, 1], "vals": [1.0, 1.0], "b": [0.0, 1.0]}
+        doc.update(change)
+        doc = {key: value for key, value in doc.items() if value is not None}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
+        with pytest.raises(StructureError):
+            load_polyhedron(path)
+
+    def test_uniformity_file_at_n_10_4_is_small(self, tmp_path):
+        poly = uniformity_polyhedron(10**4, 0.1).poly
+        path = tmp_path / "u.json"
+        save_polyhedron(poly, path)
+        assert path.stat().st_size < 2 * 2**20
+        assert load_polyhedron(path).digest() == poly.digest()
 
     def test_reader_rejects_wrong_lengths(self, tmp_path):
         path = tmp_path / "p.json"

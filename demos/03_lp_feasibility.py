@@ -20,11 +20,13 @@ print(f"z <= 0 and z >= 1 feasible: {report.feasible} "
 
 # A linear property is a polyhedron projected to its first n coordinates.
 # The approximate-uniformity property uses one slack per coordinate to encode
-# |z_i - 1/n| and caps the slack total at eps.
+# |z_i - 1/n| and caps the slack total at eps.  Every variable's sign is a
+# lower bound of 0, not a row.
 n = 4
 prop = uniformity_polyhedron(n, eps=0.1)
 print(f"within-0.1-of-uniform over [{n}]: "
-      f"M = {prop.poly.M} rows, N = {prop.poly.N} variables")
+      f"M = {prop.poly.M} rows, N = {prop.poly.N} variables, "
+      f"{np.isfinite(prop.poly.lower).sum()} lower bounds")
 print(f"  uniform in property:   {prop.contains(Distribution.uniform(n))}")
 print(f"  (1,0,0,0) in property: {prop.contains(Distribution.point_mass(n, 0))}\n")
 

@@ -78,11 +78,13 @@ def _check_masses(probs: np.ndarray) -> None:
 
 def _index_set(indices: Iterable[int], n: int) -> np.ndarray:
     """The distinct ``indices``, ascending, as int64; each must be an integer
-    (not a boolean) in ``[0, n)``.  An ndarray or ``range`` is read without a
-    Python list."""
+    (not a boolean) in ``[0, n)``, and nested indices are refused.  An ndarray
+    or ``range`` is read without a Python list."""
     if isinstance(indices, range):
         indices = np.arange(indices.start, indices.stop, indices.step)
     raw = indices if isinstance(indices, np.ndarray) else np.asarray(list(indices))
+    if raw.ndim != 1:
+        raise ParameterError(f"indices must be a flat collection, not of shape {raw.shape}")
     with np.errstate(invalid="ignore"):
         idx = raw.astype(np.int64)
     if raw.dtype == np.bool_ or not np.array_equal(raw, idx):

@@ -1,21 +1,19 @@
 """Linear properties of distributions and the tester's feasibility question.
 
-A linear property is the projection of a polyhedron ``Ax <= b`` onto its first
-``n`` coordinates, which are read as a pmf.  A :class:`Polyhedron` stores
-``A`` as row-major COO :class:`~disttest.simplex.Triplets`, and a
-:class:`LinearProperty` folds its singleton rows into variable bounds once,
-so storage and set-up cost O(nnz): the uniformity oracle at n=10^4 builds
-in ~25 ms, and with one tolerant-test call peaks at ~155 MiB RSS.  Given the
-tester's high-mass estimate, :func:`build_feasibility_lp` appends the
-slack-linearized rows whose feasibility answers "is there a member of the
-property close to the surrogate distribution with its heavy elements inside
-H?".  :func:`lp_feasible` and :func:`feasibility_report` pass every system to
-the solve seam :func:`disttest.simplex.solve_feasibility`, whose tolerance
-and iteration cap are the fixed settings of :mod:`disttest.simplex`; a
-:class:`~disttest.errors.SolverError` from the seam is raised again here with
-the digest of the instance that caused it.
+A linear property is the projection of a :class:`Polyhedron` ``A x <= b,
+lower <= x <= upper`` onto its first ``n`` coordinates, which are read as a
+pmf.  ``A`` is stored as row-major COO :class:`~disttest.simplex.Triplets`,
+so storage and set-up cost O(nnz), and a :class:`LinearProperty` folds any
+singleton rows into bounds once, at construction.  Given the tester's
+high-mass estimate, :func:`build_feasibility_lp` appends the slack-linearized
+rows whose feasibility answers "is there a member of the property close to
+the surrogate distribution with its heavy elements inside H?".
+:func:`lp_feasible` and :func:`feasibility_report` pass every system to the
+solve seam :func:`disttest.simplex.solve_feasibility`, with its fixed
+tolerance and iteration cap; a :class:`~disttest.errors.SolverError` from the
+seam is raised again here with the digest of the instance that caused it.
 
-A property may carry one known member, checked against its folded system at
+A property may carry one known member, checked against its system at
 construction; :func:`uniformity_polyhedron` carries its centre.  The step-5
 oracle tries that member first and answers True without assembling or
 solving any LP when it meets the step-5 rows.  A property may also declare
@@ -47,59 +45,69 @@ DIM_CAP = 10
 
 
 def _canonical(A) -> Triplets:
-    """``A``, dense or :class:`Triplets`, as read-only row-major triplets.
+    """``A``, dense or :class:`Triplets`, as row-major triplets.
 
-    Duplicate coordinates are summed and zeros dropped.  A malformed matrix
-    raises :class:`StructureError` when its :class:`Triplets` are built.
+    Duplicate coordinates are summed and zeros dropped, by one sort unless an
+    O(nnz) check finds them so already.  A malformed matrix raises
+    :class:`StructureError` when its :class:`Triplets` are built.
     """
     if not isinstance(A, Triplets):
         A = Triplets.from_dense(A, ndmin=2)
     N = A.shape[1]
-    key, where = np.unique(A.rows * N + A.cols, return_inverse=True)
-    summed = np.zeros(key.size)
-    np.add.at(summed, where, A.vals)
-    nonzero = summed != 0.0
-    parts = (*np.divmod(key[nonzero], N), summed[nonzero])
-    for part in parts:
-        part.flags.writeable = False
-    return Triplets(*parts, A.shape)
-
-
-def _digest(A: Triplets, *parts) -> str:
-    h = hashlib.sha256(repr(A.shape).encode())
-    for part in (A.rows, A.cols, A.vals, *parts):
-        h.update(np.ascontiguousarray(part).tobytes())
-    return h.hexdigest()[:16]
+    key = A.rows * N + A.cols
+    if (key[1:] > key[:-1]).all() and A.vals.all():
+        return Triplets(A.rows.copy(), A.cols.copy(), A.vals.copy(), A.shape)
+    # A stable sort and an adjacent-difference mask, as in core._index_set; bincount adds in given order.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.concatenate([[True], key[1:] != key[:-1]])
+    vals = np.bincount(np.cumsum(new) - 1, weights=A.vals[order])
+    nonzero = vals != 0.0
+    return Triplets(*np.divmod(key[new][nonzero], N), vals[nonzero], A.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class Polyhedron:
-    """The solution set of ``A x <= b`` (rows listed in ``strict_rows`` are ``<``).
+    """The solution set of ``A x <= b, lower <= x <= upper`` (rows in ``strict_rows`` are ``<``).
 
-    ``A`` is stored as the triplets of :func:`_canonical`; ``b`` is read-only.
-    A strict row that is not an integer (a boolean, fraction or nan) or lies
-    outside ``[0, M)`` raises :class:`StructureError`.
+    ``A`` is stored as the triplets of :func:`_canonical`; they, ``b`` and the
+    bounds (-inf, +inf by default) are read-only, unless :meth:`_assembled`
+    stored them.  A strict row that is not an integer (a boolean, fraction or
+    nan) or lies outside ``[0, M)``, or a bound that is nan, of the wrong
+    length, a lower +inf or an upper -inf, raises :class:`StructureError`.
     """
 
     A: Triplets
     b: np.ndarray
     strict_rows: frozenset = frozenset()
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
 
     def __post_init__(self):
         A = _canonical(self.A)
+        M, N = A.shape
         b = np.array(self.b, dtype=np.float64).ravel()
-        if A.shape[0] != b.size:
-            raise StructureError(f"A has {A.shape[0]} rows but b has {b.size} entries")
+        if M != b.size:
+            raise StructureError(f"A has {M} rows but b has {b.size} entries")
         if not np.all(np.isfinite(b)):
             raise StructureError("polyhedron entries must be finite")
         strict = frozenset(self.strict_rows)
-        if not all(isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < A.shape[0] for i in strict):
+        if not all(isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < M for i in strict):
             raise StructureError("strict rows must be integer row indices inside [0, M)")
-        strict = frozenset(int(i) for i in strict)
-        b.flags.writeable = False
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "strict_rows", strict)
+        lower = np.full(N, -np.inf) if self.lower is None else np.array(self.lower, dtype=np.float64)
+        upper = np.full(N, np.inf) if self.upper is None else np.array(self.upper, dtype=np.float64)
+        if lower.shape != (N,) or upper.shape != (N,) or not ((lower < np.inf).all() and (upper > -np.inf).all()):
+            raise StructureError(f"lower and upper must hold N = {N} bounds, none nan, +inf below or -inf above")
+        for part in (A.rows, A.cols, A.vals, b, lower, upper):
+            part.flags.writeable = False
+        self.__dict__.update(vars(self._assembled(A, b, lower, upper, frozenset(int(i) for i in strict))))
+
+    @classmethod
+    def _assembled(cls, A: Triplets, b, lower, upper, strict_rows=frozenset()) -> "Polyhedron":
+        """A system whose rows are unique by construction, stored as given: no check, sort, copy or flag."""
+        poly = object.__new__(cls)
+        poly.__dict__.update(A=A, b=b, strict_rows=strict_rows, lower=lower, upper=upper)
+        return poly
 
     @property
     def M(self) -> int:
@@ -110,10 +118,32 @@ class Polyhedron:
         return self.A.shape[1]
 
     def digest(self) -> str:
-        return _digest(self.A, self.b, np.array(sorted(self.strict_rows), dtype=np.int64))
+        A, strict = self.A, np.array(sorted(self.strict_rows), dtype=np.int64)
+        h = hashlib.sha256(repr(A.shape).encode())
+        for part in (A.rows, A.cols, A.vals, self.b, self.lower, self.upper, strict):
+            h.update(part.tobytes())
+        return h.hexdigest()[:16]
 
     def __repr__(self) -> str:
         return f"Polyhedron(M={self.M}, N={self.N}, strict={len(self.strict_rows)})"
+
+
+def _fold(poly: Polyhedron) -> Polyhedron:
+    """Shave strict rows by ``EPS_STRICT`` and fold singleton rows into the declared bounds.
+
+    A system without strict or singleton rows is returned as it is.  When the
+    bounds from the rows, or a constant row, contradict each other, every row
+    stays a row and only the declared bounds are set, so the violation
+    reported for the system still measures the raw rows.
+    """
+    if not poly.strict_rows and np.bincount(poly.A.rows, minlength=poly.M).min(initial=2) > 1:
+        return poly
+    b = poly.b.copy()
+    b[list(poly.strict_rows)] -= EPS_STRICT
+    A, b2, lower, upper, consistent = extract_bounds(poly.A, b)
+    if not consistent:
+        return Polyhedron._assembled(poly.A, b, poly.lower, poly.upper)
+    return Polyhedron._assembled(A, b2, np.maximum(lower, poly.lower), np.minimum(upper, poly.upper))
 
 
 class LinearProperty:
@@ -121,29 +151,29 @@ class LinearProperty:
 
     The two inequality rows encoding ``sum_{i<n} z_i = 1`` are appended at
     construction, since members of a property are distributions, and the
-    result is folded once into ``system`` by :func:`fold_polyhedron`.
+    result is folded once by :func:`_fold` into ``poly``; appended after
+    canonical rows, the two leave them canonical, so nothing is sorted again.
     Non-negativity of the pmf coordinates is the author's responsibility
     (standard property encodings, like the approximate-uniformity system,
     already carry it).
 
     ``member`` is an optional point x of length N known to lie in the
     property; it is stored read-only as ``member`` (None when not given).
-    Every folded row and bound must hold at x within ``FEAS_TOL`` and its
+    Every row and bound of ``poly`` must hold at x within ``FEAS_TOL`` and its
     first n entries must pass :class:`Distribution`'s checks, or
     :class:`ParameterError` is raised; the check costs O(nnz).
 
-    ``ball = (budget, up, down)`` declares rows of ``system`` that put the
-    pmf within L1 distance r of a centre c: for each i < n, row ``up[i]``
-    reads ``z_i - s_i <= c_i`` and row ``down[i]`` reads
-    ``-z_i - s_i <= -c_i`` for some variable s_i, and row ``budget`` reads
-    ``sum_i s_i <= r``.  It is stored as ``ball`` (None when not given), with
-    ``up`` and ``down`` read-only int64 arrays.  From it
-    :func:`build_feasibility_lp` writes a Farkas vector for the step-5 system.
-    A ball is accepted only with a member; an index that is not an integer
-    inside ``[0, system.M)``, or ``up``/``down`` not of length n, raises
-    :class:`ParameterError`.  Nothing checks that the rows read as declared:
-    a wrong ball only yields a vector that :func:`disttest.simplex.refutes`
-    rejects.
+    ``ball = (budget, up, down)`` declares rows of ``poly`` that put the pmf
+    within L1 distance r of a centre c: for each i < n, row ``up[i]`` reads
+    ``z_i - s_i <= c_i`` and row ``down[i]`` reads ``-z_i - s_i <= -c_i`` for
+    some variable s_i, and row ``budget`` reads ``sum_i s_i <= r``.  It is
+    stored as ``ball`` (None when not given), with ``up`` and ``down``
+    read-only int64 arrays.  From it :func:`build_feasibility_lp` writes a
+    Farkas vector for the step-5 system.  A ball is accepted only with a
+    member; an index that is not an integer inside ``[0, poly.M)``, or
+    ``up``/``down`` not of length n, raises :class:`ParameterError`.  Nothing
+    checks that the rows read as declared: a wrong ball only yields a vector
+    that :func:`disttest.simplex.refutes` rejects.
     """
 
     def __init__(self, poly: Polyhedron, n: int, member=None, ball=None):
@@ -161,9 +191,9 @@ class LinearProperty:
             np.concatenate([A.vals, np.ones(n), -np.ones(n)]),
             (M + 2, poly.N),
         )
-        self.poly = Polyhedron(A, np.concatenate([poly.b, [1.0, -1.0]]), poly.strict_rows)
+        b = np.concatenate([poly.b, [1.0, -1.0]])
+        self.poly = _fold(Polyhedron._assembled(A, b, poly.lower, poly.upper, poly.strict_rows))
         self.n = n
-        self.system = fold_polyhedron(self.poly)
         self.member = None if member is None else self._checked_member(member)
         self.ball = None if ball is None else self._checked_ball(ball)
 
@@ -174,7 +204,7 @@ class LinearProperty:
         if not np.all(np.isfinite(x)):
             raise ParameterError("member entries must be finite")
         _check_masses(x[: self.n])
-        s = self.system
+        s = self.poly
         if (
             np.any(s.A @ x > s.b + FEAS_TOL)
             or np.any(x < s.lower - FEAS_TOL)
@@ -191,7 +221,7 @@ class LinearProperty:
             budget, up, down = (np.asarray(part) for part in ball)
         except (TypeError, ValueError):
             raise ParameterError("ball must be a triple (budget, up, down)") from None
-        M = self.system.M
+        M = self.poly.M
         for part, shape in ((budget, ()), (up, (self.n,)), (down, (self.n,))):
             if part.shape != shape or part.dtype.kind not in "iu":
                 raise ParameterError(f"ball parts must be integer row indices of shapes (), ({self.n},), ({self.n},)")
@@ -205,59 +235,24 @@ class LinearProperty:
         """Whether an explicit pmf belongs to the property (bounds pin z_{1..n} = pmf)."""
         if d.n != self.n:
             raise ParameterError(f"pmf has {d.n} entries; property projects to {self.n}")
-        s = self.system
+        s = self.poly
         lower, upper = s.lower.copy(), s.upper.copy()
         lower[: self.n] = np.maximum(lower[: self.n], d.pmf)
         upper[: self.n] = np.minimum(upper[: self.n], d.pmf)
-        return lp_feasible(SparseSystem(s.A, s.b, lower, upper))
-
-
-@dataclass(frozen=True, eq=False)
-class SparseSystem:
-    """The system ``A x <= b, lower <= x <= upper``, with ``A`` as COO :class:`Triplets`."""
-
-    A: Triplets
-    b: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    @property
-    def M(self) -> int:
-        return int(self.A.shape[0])
-
-    @property
-    def N(self) -> int:
-        return int(self.A.shape[1])
-
-    def digest(self) -> str:
-        return _digest(self.A, self.b, self.lower, self.upper)
-
-
-def fold_polyhedron(poly: Polyhedron) -> SparseSystem:
-    """Shave strict rows by ``EPS_STRICT`` and fold singleton rows into bounds.
-
-    When the folded bounds or a constant row contradict each other, every row
-    stays a row and no bound is set, so the violation reported for the
-    system still measures the raw rows.
-    """
-    b = poly.b.copy()
-    b[list(poly.strict_rows)] -= EPS_STRICT
-    A, b2, lower, upper, consistent = extract_bounds(poly.A, b)
-    if not consistent:
-        A, b2, lower, upper = poly.A, b, np.full(poly.N, -np.inf), np.full(poly.N, np.inf)
-    return SparseSystem(A, b2, lower, upper)
+        return lp_feasible(Polyhedron._assembled(s.A, s.b, lower, upper))
 
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityInstance:
     """The assembled slack-variable system for one tester step-5 question.
 
-    ``farkas`` is a candidate Farkas vector for ``poly``, one 0/1 multiplier
-    per row, written by :func:`build_feasibility_lp` when the property
+    :func:`build_feasibility_lp` writes the rows of ``poly`` unique, in block
+    order, and stores them unchecked.  ``farkas`` is a candidate Farkas vector
+    for ``poly``, one 0/1 multiplier per row, written when the property
     declares a ``ball`` (else None).  :meth:`refuted` checks it.
     """
 
-    poly: SparseSystem
+    poly: Polyhedron
     farkas: np.ndarray | None = None
 
     def refuted(self) -> bool:
@@ -276,11 +271,11 @@ def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
 
     Variables are ``z_1..z_n`` (the pmf) and ``z_{n+1}..z_{2n}`` (slacks
     bounding each ``|z_i - 1/n|``); the slack total is capped at ``eps``.
-    The known member is the centre: ``z = 1/n`` and every slack 0.  Once the
-    fold turns the sign rows into bounds, row 0 is the slack budget and rows
+    The known member is the centre: ``z = 1/n`` and every slack 0.  Every
+    variable has the lower bound 0.  Row 0 is the slack budget and rows
     ``1 + 2i`` and ``2 + 2i`` the pair of coordinate i, which the property
     declares as its ``ball``.  At n = 1 the budget row is a singleton and
-    folds away too, so that property carries no ball.
+    folds into a bound, so that property carries no ball.
     """
     n = _integer(n, "n")
     if n < 1:
@@ -288,17 +283,16 @@ def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
     if not 0.0 <= eps <= 2.0:
         raise ParameterError("eps must lie in [0, 2]")
     N = 2 * n
-    # Rows, in order: the slack budget, -z_j <= 0 for every variable, then for
-    # each i the pair z_i - s_i <= 1/n and -z_i - s_i <= -1/n.
-    i, j = np.arange(n), np.arange(N)
-    pairs = 1 + N + 2 * i[:, None] + [0, 0, 1, 1]
-    rows = np.concatenate([np.zeros(n, np.int64), 1 + j, pairs.ravel()])
-    cols = np.concatenate([n + i, j, np.column_stack([i, n + i, i, n + i]).ravel()])
-    vals = np.concatenate([np.ones(n), -np.ones(N), np.tile([1.0, -1.0, -1.0, -1.0], n)])
-    b = np.concatenate([[float(eps)], np.zeros(N), np.tile([1.0 / n, -1.0 / n], n)])
+    # Rows, written canonical: the budget, then for each i z_i - s_i <= 1/n and -z_i - s_i <= -1/n.
+    i = np.arange(n)
+    pairs = 1 + 2 * i[:, None] + [0, 0, 1, 1]
+    rows = np.concatenate([np.zeros(n, np.int64), pairs.ravel()])
+    cols = np.concatenate([n + i, np.column_stack([i, n + i, i, n + i]).ravel()])
+    vals = np.concatenate([np.ones(n), np.tile([1.0, -1.0, -1.0, -1.0], n)])
+    b = np.concatenate([[float(eps)], np.tile([1.0 / n, -1.0 / n], n)])
     centre = np.concatenate([np.full(n, 1.0 / n), np.zeros(n)])
     ball = (0, 1 + 2 * i, 2 + 2 * i) if n > 1 else None
-    poly = Polyhedron(Triplets(rows, cols, vals, (1 + N + 2 * n, N)), b)
+    poly = Polyhedron(Triplets(rows, cols, vals, (1 + 2 * n, N)), b, lower=np.zeros(N))
     return LinearProperty(poly, n, member=centre, ball=ball)
 
 
@@ -373,10 +367,10 @@ def build_feasibility_lp(
     aggregate deviation off H.  Off-H pmf coordinates are forced below
     ``1/q^2``; that strict constraint is encoded closed with an ``EPS_STRICT``
     shave.  Slack nonnegativity and the off-H cap are variable bounds; the
-    rows are the folded property's rows, the slack budget, two rows per
-    member of H and the two tail rows.  H must hold integers inside
-    ``[0, n)``; an H that does not, a ``bound`` that is nan or negative, or
-    a ``q`` that is not an integer >= 1 raises :class:`ParameterError`.
+    rows are the property's rows, the slack budget, two rows per member of H
+    and the two tail rows.  H must hold integers inside ``[0, n)``; an H that
+    does not, a ``bound`` that is nan or negative, or a ``q`` that is not an
+    integer >= 1 raises :class:`ParameterError`.
 
     When the property declares a ``ball`` with centre c and radius r, the
     instance also carries ``farkas``, written in O(n + |H|).  It puts a 1 on
@@ -392,7 +386,7 @@ def build_feasibility_lp(
     """
     t = _step5_terms(prop, H, d_tilde, q, bound)
     Hs, comp, ref, tail_ref = t.Hs, t.comp, t.ref, t.tail_ref
-    base, h = prop.system, Hs.size
+    base, h = prop.poly, Hs.size
     N = base.N
     tail_col = N + h
     V = tail_col + 1
@@ -437,15 +431,13 @@ def build_feasibility_lp(
         step5_up = np.empty(prop.n, dtype=bool)
         step5_up[Hs], step5_up[comp] = above, tail_above
         farkas[np.where(step5_up, c_dn, c_up)] = 1.0
-    return FeasibilityInstance(SparseSystem(A, b, lower, upper), farkas)
+    return FeasibilityInstance(Polyhedron._assembled(A, b, lower, upper), farkas)
 
 
 def _solve(inst, measure_violation: bool):
-    if isinstance(inst, FeasibilityInstance):
-        inst = inst.poly
-    if not isinstance(inst, (SparseSystem, Polyhedron)):
-        raise ParameterError("expected a FeasibilityInstance, SparseSystem or Polyhedron")
-    s = fold_polyhedron(inst) if isinstance(inst, Polyhedron) else inst
+    if not isinstance(inst, (FeasibilityInstance, Polyhedron)):
+        raise ParameterError("expected a FeasibilityInstance or Polyhedron")
+    inst, s = (inst.poly, inst.poly) if isinstance(inst, FeasibilityInstance) else (inst, _fold(inst))
     try:
         return solve_feasibility(s.A, s.b, s.lower, s.upper, measure_violation=measure_violation)
     except SolverError as exc:
@@ -455,11 +447,11 @@ def _solve(inst, measure_violation: bool):
 def lp_feasible(inst) -> bool:
     """True iff the system has a point satisfying every row within ``FEAS_TOL``.
 
-    A :class:`Polyhedron` is folded first (:func:`fold_polyhedron`); a
-    :class:`SparseSystem` or :class:`FeasibilityInstance` already is.  The
-    solve seam :func:`disttest.simplex.solve_feasibility` computes only the
-    verdict.  A :class:`SolverError` carries the instance's digest: the
-    polyhedron's for a :class:`Polyhedron`, else the system's.
+    A :class:`Polyhedron` is folded first (:func:`_fold`); the system of a
+    :class:`FeasibilityInstance` goes to the solve seam
+    :func:`disttest.simplex.solve_feasibility` as it is.  The seam computes
+    only the verdict.  A :class:`SolverError` carries the digest of the
+    polyhedron given, or of the instance's system.
     """
     return _solve(inst, measure_violation=False).feasible
 
@@ -517,10 +509,19 @@ def linear_property_oracle(prop: LinearProperty) -> LinearPropertyOracle:
 
 def save_polyhedron(poly: Polyhedron, path) -> None:
     """Write a polyhedron file: JSON with M, N, the triplets of ``A`` as
-    ``rows``, ``cols`` and ``vals``, ``b`` and ``strict_rows``; O(nnz)."""
-    A = poly.A
-    doc = {"M": poly.M, "N": poly.N, "rows": A.rows.tolist(), "cols": A.cols.tolist(), "vals": A.vals.tolist()}
-    _write_json({**doc, "b": poly.b.tolist(), "strict_rows": sorted(poly.strict_rows)}, path)
+    ``rows``, ``cols`` and ``vals``, ``b`` and ``strict_rows``; O(nnz).
+
+    Each finite bound is written as a singleton row after the rows of ``A``
+    (``-x_j <= -lower_j``, then ``x_j <= upper_j``); the fold of
+    :class:`LinearProperty` and :func:`lp_feasible` reads it back."""
+    A, M = poly.A, poly.M
+    lo, up = (np.flatnonzero(np.isfinite(bound)) for bound in (poly.lower, poly.upper))
+    rows = np.concatenate([A.rows, M + np.arange(lo.size + up.size)])
+    cols = np.concatenate([A.cols, lo, up])
+    vals = np.concatenate([A.vals, -np.ones(lo.size), np.ones(up.size)])
+    b = np.concatenate([poly.b, -poly.lower[lo], poly.upper[up]])
+    doc = {"M": M + lo.size + up.size, "N": poly.N, "rows": rows.tolist(), "cols": cols.tolist()}
+    _write_json({**doc, "vals": vals.tolist(), "b": b.tolist(), "strict_rows": sorted(poly.strict_rows)}, path)
 
 
 def load_polyhedron(path) -> Polyhedron:

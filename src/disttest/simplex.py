@@ -24,11 +24,8 @@ numpy only.
 
 A malformed matrix raises :class:`StructureError` when its :class:`Triplets`
 are built, so it never reaches the seam; the seam raises
-:class:`ParameterError` on a bad ``b`` or bound.
-
-Singleton rows should be folded into variable bounds with
-:func:`extract_bounds` first; the seam handles general lower/upper bounds,
-including free variables.
+:class:`ParameterError` on a bad ``b`` or bound.  The seam takes general
+lower/upper bounds, free variables included.
 """
 
 from __future__ import annotations

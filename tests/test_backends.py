@@ -21,12 +21,15 @@ import disttest.simplex as simplex
 from disttest.core import Distribution, SamplingOracle
 from disttest.errors import ParameterError, SolverError, StructureError
 from disttest.linprop import (
+    LinearProperty,
     LinearPropertyOracle,
     Polyhedron,
+    _fold,
     build_feasibility_lp,
     feasibility_report,
-    fold_polyhedron,
+    load_polyhedron,
     lp_feasible,
+    save_polyhedron,
     uniformity_polyhedron,
 )
 from disttest.simplex import FEAS_TOL, Triplets, solve_feasibility
@@ -98,6 +101,18 @@ def step5_estimates(n: int, lam: int):
             for dist in (Distribution.uniform(n), Distribution.uniform_on(range(n // 2), n))
             for seed in range(3)
         ]
+    return params, estimates
+
+
+def mixture_estimates(n: int):
+    """The step5_estimates instances plus estimates on mixtures of uniform and half-support input."""
+    params, estimates = step5_estimates(n, 50)
+    half = Distribution.uniform_on(range(n // 2), n).pmf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for t in (0.05, 0.2, 0.5):
+            mixed = Distribution((1 - t) / n + t * half)
+            estimates += [estimate_high_part(SamplingOracle(mixed, seed), params, n) for seed in (0, 1)]
     return params, estimates
 
 
@@ -204,21 +219,13 @@ class TestBackendsAgree:
             report = feasibility_report(poly)
             if not report.feasible:
                 infeasible += 1
-                assert report.violation == elastic_reference(fold_polyhedron(poly))
+                assert report.violation == elastic_reference(_fold(poly))
         assert infeasible >= 20
 
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.3])
     def test_witness_implies_the_lp_on_tester_estimates(self, eps):
-        # The step5_estimates instances plus estimates on mixtures of uniform
-        # and half-support input.
         n = 200
-        params, estimates = step5_estimates(n, 50)
-        half = Distribution.uniform_on(range(n // 2), n).pmf
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for t in (0.05, 0.2, 0.5):
-                mixed = Distribution((1 - t) / n + t * half)
-                estimates += [estimate_high_part(SamplingOracle(mixed, seed), params, n) for seed in (0, 1)]
+        params, estimates = mixture_estimates(n)
         oracle = LinearPropertyOracle(uniformity_polyhedron(n, eps))
         fired, refuted = [], []
         for est in estimates:
@@ -235,6 +242,22 @@ class TestBackendsAgree:
         # With a positive radius some call needs the LP: on the 0.2 mixtures
         # the centre misses, yet the LP finds a member.
         assert eps == 0 or not all(f or r for f, r in zip(fired, refuted))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_property_loaded_from_its_file_gives_the_same_verdicts(self, eps, tmp_path):
+        # The file holds the 2n lower bounds as rows; the fold reads them back.
+        n = 200
+        params, estimates = mixture_estimates(n)
+        prop = uniformity_polyhedron(n, eps)
+        save_polyhedron(prop.poly, tmp_path / "u.json")
+        loaded = LinearProperty(load_polyhedron(tmp_path / "u.json"), n)
+        assert np.array_equal(loaded.poly.lower, prop.poly.lower)
+        verdicts = []
+        for est in estimates:
+            call = (est.H, est.d_tilde, params.q, params.bound)
+            verdicts.append(lp_feasible(build_feasibility_lp(prop, *call)))
+            assert lp_feasible(build_feasibility_lp(loaded, *call)) == verdicts[-1]
+        assert any(verdicts) and not all(verdicts)
 
     def test_one_oracle_shared_by_two_threads_gives_the_serial_verdicts(self):
         n = 200

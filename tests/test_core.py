@@ -106,6 +106,14 @@ class TestDistribution:
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("indices", [[[3, 1], [1, 0]], np.array([[3, 1], [1, 0]])], ids=["nested-list", "2-d"])
+    def test_nested_indices_raise(self, indices):
+        # These raised numpy's bare ValueError from the dedupe mask.
+        d = Distribution.uniform(4)
+        for ask in (d.mass, lambda idx: Distribution.uniform_on(idx, 4)):
+            with pytest.raises(ParameterError, match="flat"):
+                ask(indices)
+
     def test_integral_float_indices_accepted(self):
         d = Distribution(np.array([0.2, 0.7, 0.1]))
         assert d.mass(np.array([1.0, 2.0])) == d.mass([1, 2])

@@ -60,7 +60,7 @@ def setdiff_feasibility_lp(prop, H, d_tilde, q, bound):
     """The step-5 system with the off-H set from ``setdiff1d``, the reference for the mask-based builder."""
     n = prop.n
     Hs = np.unique(np.fromiter(H, dtype=np.int64))
-    base, h = prop.system, Hs.size
+    base, h = prop.poly, Hs.size
     N = base.N
     tail_col = N + h
     V = tail_col + 1
@@ -96,10 +96,19 @@ def setdiff_feasibility_lp(prop, H, d_tilde, q, bound):
 
 class TestUniformityPolyhedron:
     @pytest.mark.parametrize("n", [1, 4, 400])
-    def test_digest_matches_row_construction(self, n):
+    def test_system_equals_the_folded_row_construction(self, n):
+        # The reference writes -z_j <= 0 as rows, which the fold turns into
+        # lower bounds of -0.0; the emitted system carries 0.0 as bounds.
         for eps in (0.0, 0.3):
-            want = uniformity_polyhedron_rows(n, eps).poly.digest()
-            assert uniformity_polyhedron(n, eps).poly.digest() == want
+            want = uniformity_polyhedron_rows(n, eps).poly
+            got = uniformity_polyhedron(n, eps).poly
+            assert got.A.shape == want.A.shape and got.strict_rows == want.strict_rows == frozenset()
+            for mine, theirs in zip((got.A.rows, got.A.cols, got.A.vals, got.b, got.upper),
+                                    (want.A.rows, want.A.cols, want.A.vals, want.b, want.upper)):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+            assert np.array_equal(got.lower, want.lower)
+            if n >= 2:
+                assert np.bincount(got.A.rows).min() == 2
 
     def test_eps_zero_projects_to_uniform_only(self):
         prop = uniformity_polyhedron(4, 0.0)
@@ -262,6 +271,33 @@ class TestLPFeasible:
         poly = Polyhedron(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), strict_rows=np.array([1]))
         assert poly.strict_rows == frozenset({1})
 
+    def test_declared_bounds_decide_and_enter_the_digest(self):
+        A, b = [[1.0, 1.0]], [1.0]
+        free, boxed = Polyhedron(A, b), Polyhedron(A, b, lower=[0.6, 0.6])
+        assert free.lower.tolist() == [-np.inf, -np.inf] and free.upper.tolist() == [np.inf, np.inf]
+        assert not boxed.lower.flags.writeable and not boxed.upper.flags.writeable
+        assert lp_feasible(free) and not lp_feasible(boxed)
+        assert free.digest() != boxed.digest()
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [([np.nan, 0.0], None), (None, [0.0, np.nan]), ([np.inf, 0.0], None), (None, [-np.inf, 0.0]),
+         ([0.0], None), (None, [[0.0, 1.0]])],
+        ids=["nan-lower", "nan-upper", "lower-plus-inf", "upper-minus-inf", "short", "2-d"],
+    )
+    def test_malformed_bounds_raise(self, lower, upper):
+        with pytest.raises(StructureError, match="bounds"):
+            Polyhedron([[1.0, 1.0]], [1.0], lower=lower, upper=upper)
+
+    def test_fold_intersects_row_bounds_with_declared_ones(self):
+        # x0 <= 2 and x1 >= 0 as rows, x0 <= 1 and x1 >= -1 declared; the two-variable row stays.
+        A, b = [[1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [2.0, 0.0, 3.0]
+        poly = Polyhedron(A, b, lower=[-np.inf, -1.0], upper=[1.0, np.inf])
+        folded = linprop._fold(poly)
+        assert (folded.M, folded.A.cols.tolist(), folded.b.tolist()) == (1, [0, 1], [3.0])
+        assert folded.lower.tolist() == [-np.inf, 0.0] and folded.upper.tolist() == [1.0, np.inf]
+        assert linprop._fold(folded) is folded
+
 
 class TestOracleInvariants:
     def test_monotone_in_bound(self, rng):
@@ -286,7 +322,10 @@ class TestOracleInvariants:
             moved = Triplets(A.rows, np.argsort(perm)[A.cols], A.vals, A.shape)
             # The constructor appends the (permuted) sum rows once more,
             # which leaves the feasible set as it is.
-            prop_perm = LinearProperty(Polyhedron(moved, prop.poly.b, prop.poly.strict_rows), n)
+            poly = prop.poly
+            prop_perm = LinearProperty(
+                Polyhedron(moved, poly.b, poly.strict_rows, poly.lower[perm], poly.upper[perm]), n
+            )
             dt_perm = Distribution(est.d_tilde.pmf[old_of])
             h_perm = frozenset(range(len(Hs)))
             bound = float(rng.uniform(0.0, 1.0))
@@ -447,7 +486,7 @@ class TestBall:
         assert up.dtype == down.dtype == np.int64
         assert not up.flags.writeable and not down.flags.writeable
         # The budget and pair rows read as the ball says, over z_i and s_i = column 5 + i.
-        A, b = prop.system.A, prop.system.b
+        A, b = prop.poly.A, prop.poly.b
         rows = {}
         for r, c, v in zip(A.rows.tolist(), A.cols.tolist(), A.vals.tolist()):
             rows.setdefault(r, {})[c] = v
@@ -625,18 +664,16 @@ class TestTripletStorage:
             a, c = Polyhedron(dense, b), Polyhedron(scrambled, b)
             assert a.digest() == c.digest()
             assert holds_dense(c.A, dense)
-            assert LinearProperty(a, 1).system.digest() == LinearProperty(c, 1).system.digest()
+            assert LinearProperty(a, 1).poly.digest() == LinearProperty(c, 1).poly.digest()
 
     def test_uniformity_at_n_10_4_is_stored_sparse(self):
         n = 10**4
         prop = uniformity_polyhedron(n, 0.0)
-        # The budget, sign, pair and sum rows hold n, 2n, 4n and 2n entries.
-        assert prop.poly.A.nnz == 9 * n
-        # Folded: the sign rows become bounds; the budget, 2n pair rows and the
-        # two sum rows remain, with n, 4n and 2n entries.
-        assert prop.system.A.shape == (2 * n + 3, 2 * n)
-        assert prop.system.A.nnz == 7 * n
-        assert np.all(prop.system.lower == 0.0)
+        # The budget, 2n pair rows and two sum rows hold n, 4n and 2n
+        # entries; every variable's sign is a bound, not a row.
+        assert prop.poly.A.shape == (2 * n + 3, 2 * n)
+        assert prop.poly.A.nnz == 7 * n
+        assert np.all(prop.poly.lower == 0.0)
 
 
 class TestPolyhedronFiles:
@@ -658,6 +695,17 @@ class TestPolyhedronFiles:
         assert json.loads(path.read_text()) == {
             "M": 2, "N": 2, "rows": [0, 1], "cols": [1, 0], "vals": [2.0, -1.0], "b": [1.0, 0.5], "strict_rows": [0],
         }
+
+    def test_bounds_are_written_as_singleton_rows(self, tmp_path):
+        path = tmp_path / "p.json"
+        poly = Polyhedron([[1.0, 1.0]], [1.0], lower=[0.0, -np.inf], upper=[np.inf, 0.5])
+        save_polyhedron(poly, path)
+        assert json.loads(path.read_text()) == {
+            "M": 3, "N": 2, "rows": [0, 0, 1, 2], "cols": [0, 1, 0, 1], "vals": [1.0, 1.0, -1.0, 1.0],
+            "b": [1.0, 0.0, 0.5], "strict_rows": [],
+        }
+        # The fold reads the rows back as the bounds they were written from.
+        assert linprop._fold(load_polyhedron(path)).digest() == poly.digest()
 
     @pytest.mark.parametrize("M", [0, 1, 5, 40])
     def test_round_trip_keeps_digest(self, tmp_path, M):
@@ -723,7 +771,9 @@ class TestPolyhedronFiles:
         path = tmp_path / "u.json"
         save_polyhedron(poly, path)
         assert path.stat().st_size < 2 * 2**20
-        assert load_polyhedron(path).digest() == poly.digest()
+        # The file writes the 2n lower bounds as rows, and the fold reads them back.
+        assert load_polyhedron(path).M == poly.M + 2 * 10**4
+        assert linprop._fold(load_polyhedron(path)).digest() == poly.digest()
 
     def test_reader_rejects_wrong_lengths(self, tmp_path):
         path = tmp_path / "p.json"

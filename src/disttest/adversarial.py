@@ -248,11 +248,10 @@ def make_adversarial_pair(
 
 def relabel(pair: AdversarialPair, rng: np.random.Generator) -> AdversarialPair:
     """Apply one uniformly random relabeling of the domain to the whole bundle."""
-    n = pair.d_yes.n
-    perm = rng.permutation(n)
+    perm = rng.permutation(pair.d_yes.n)
     return AdversarialPair(
-        d_yes=Distribution._on_atoms(perm, pair.d_yes.pmf, n),
-        d_no=Distribution._on_atoms(perm, pair.d_no.pmf, n),
+        d_yes=pair.d_yes._relabelled(perm),
+        d_no=pair.d_no._relabelled(perm),
         pairing=Pairing(perm[pair.pairing.L]),
         params=pair.params,
     )

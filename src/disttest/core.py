@@ -1,12 +1,15 @@
 """Discrete distributions over a finite domain: data model, distances, sampling.
 
 The domain is always ``{0, 1, ..., n-1}``.  A :class:`Distribution` is an
-explicit probability mass function; a :class:`SamplingOracle` produces seeded
-i.i.d. draws from one (or from an opaque sampling procedure), at O(1)
-expected per draw from an O(s) table cached on the distribution for a
-support of size s.  The remaining functions implement the distance and mass
-machinery the testers and learners are built on, plus Chernoff-based
-sample-size utilities.
+explicit probability mass function, held as a length-n array or, for the
+learner's output, as s atoms and their masses until its ``pmf`` is read.  A
+:class:`SamplingOracle` produces seeded i.i.d. draws from one (or from an
+opaque sampling procedure), at O(1) expected per draw from an O(s) table
+cached on the distribution for a support of size s; the table looks up raw
+64-bit PCG64 outputs with integer operations only, and gives the draws an
+inverse-CDF search of ``Generator.random`` would.  The remaining functions
+implement the distance and mass machinery the testers and learners are built
+on, plus Chernoff-based sample-size utilities.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from numbers import Integral, Real
 from typing import Callable, Iterable, Union
@@ -99,58 +102,70 @@ def _index_set(indices: Iterable[int], n: int) -> np.ndarray:
     return idx
 
 
+# PCG64 makes a double in [0, 1) from the top 53 bits of one raw output x:
+# (x >> 11) * 2**-53.
+_KEY_DROP = np.uint64(11)
+_KEY_SCALE = 2.0**53
+
+
 class _GuideTable:
     """Inverse-CDF table over a pmf's support, with a guide table (Chen & Asau, 1974).
 
     ``atoms`` are the support indices, ascending, and ``cdf`` their cumulative
     masses normalised to end at 1.  Zero-mass entries add exactly 0.0 to a
-    cumulative sum, so this is the full-domain table restricted to the atoms,
-    and the slot ``searchsorted(cdf, u, side="right")`` of a key never lands
-    on a zero-mass index.  The guide cuts [0, 1) into K >= 2s buckets, K a
-    power of two, so ``floor(u*K)`` is exact and a key in bucket b has its
-    slot between ``lo[b]`` = #{cdf <= b/K} and ``hi[b]`` = #{cdf < (b+1)/K}.
+    cumulative sum, so this is the full-domain table restricted to the atoms.
+    A key is a raw 64-bit PCG64 output x, from which ``Generator.random()``
+    would make u = (x >> 11) * 2**-53, and its slot is ``searchsorted(cdf, u,
+    side="right")``, never a zero-mass index.  The table works on x alone.
+    The guide cuts [0, 1) into K >= 2s buckets, K a power of two, so u's
+    bucket floor(u*K) is ``x >> (64 - log2 K)``; and ``cut`` = ceil(cdf *
+    2**53), so ``cdf[j] <= u`` holds exactly when ``cut[j] <= x >> 11``,
+    because cdf * 2**53 is an exact float.  A key in bucket b has its slot
+    between ``lo[b]`` = #{cdf <= b/K} and ``hi[b]`` = #{cdf < (b+1)/K}.
     ``held`` is the most cdf values any bucket holds, ``max(hi - lo)``, and
     sets the steps a key takes.  When it is 0 every cdf value sits on a
     bucket edge, so ``cdf[lo[b]] >= (b+1)/K`` exceeds every key of bucket b
     and ``lo[b]`` is the slot.  Otherwise a key takes one compare against
-    ``cdf[lo[b]]``, which is exact when its bucket holds at most one cdf
+    ``cut[lo[b]]``, which is exact when its bucket holds at most one cdf
     value; only when ``held >= 2`` do keys in a bucket holding two or more
     bisect that bucket's own slots.  A bucket holding j values costs its keys
     O(log j) and covers 1/K of [0, 1), and the j sum to at most s <= K/2, so
     a key costs O(1) expected.  All arrays are read-only.
     """
 
-    def __init__(self, pmf: np.ndarray):
-        atoms = np.flatnonzero(pmf > 0.0)
-        cdf = np.cumsum(pmf[atoms])
+    def __init__(self, atoms: np.ndarray, probs: np.ndarray):
+        cdf = np.cumsum(probs)
         cdf /= cdf[-1]
         self.buckets = 1 << (2 * atoms.size - 1).bit_length()
+        self._shift = np.uint64(65 - self.buckets.bit_length())
         edges = np.arange(self.buckets + 1) / self.buckets
         lo = np.searchsorted(cdf, edges[:-1], side="right")
         hi = np.searchsorted(cdf, edges[1:], side="left")
         held = hi - lo
         self.held = int(held.max())
         deep = held >= 2
-        for arr in (atoms, cdf, lo, hi, deep):
+        cut = np.ceil(cdf * _KEY_SCALE).astype(np.int64)
+        for arr in (atoms, cdf, cut, lo, hi, deep):
             arr.flags.writeable = False
-        self.atoms, self.cdf, self.lo, self.hi, self.deep = atoms, cdf, lo, hi, deep
+        self.atoms, self.cdf, self.cut, self.lo, self.hi, self.deep = atoms, cdf, cut, lo, hi, deep
 
-    def slots(self, u: np.ndarray) -> np.ndarray:
-        """``searchsorted(cdf, u, side="right")`` for keys in [0, 1), at O(1) expected per key."""
-        bucket = (u * self.buckets).astype(np.intp)
+    def slots(self, x: np.ndarray) -> np.ndarray:
+        """``searchsorted(cdf, (x >> 11) * 2**-53, side="right")`` for uint64 keys, at O(1) expected per key."""
+        bucket = (x >> self._shift).view(np.int64)
         slot = self.lo[bucket]
         if self.held == 0:
             return slot
-        slot += self.cdf[slot] <= u
+        key = (x >> _KEY_DROP).view(np.int64)
+        slot += self.cut[slot] <= key
         if self.held == 1:
             return slot
-        # Bisect [slot, hi] for the first cdf value above the key; a key
+        # Bisect [slot, hi] for the first cut value above the key; a key
         # leaves once its range has closed on that slot.
         keys = np.flatnonzero(self.deep[bucket])
-        left, right, key = slot[keys], self.hi[bucket[keys]], u[keys]
+        left, right, key = slot[keys], self.hi[bucket[keys]], key[keys]
         while keys.size:
             mid = (left + right) >> 1
-            above = self.cdf[mid] > key
+            above = self.cut[mid] > key
             right = np.where(above, mid, right)
             left = np.where(above, left, mid + 1)
             done = left == right
@@ -160,53 +175,92 @@ class _GuideTable:
         return slot
 
 
-@dataclass(frozen=True, eq=False)
 class Distribution:
     """Explicit pmf over the domain ``{0, ..., n-1}``.
 
     Invariants enforced at construction: every entry is >= 0, the entries sum
     to 1 within ``PMF_SUM_TOL``, and the domain is nonempty.  Instances are
     immutable (the underlying array is locked), so they are safe to share
-    between threads; the sampling table is built from the pmf on the first
-    explicit draw and cached on the instance.
+    between threads; the sampling table is built on the first explicit draw
+    and cached on the instance.  A distribution the learner builds on s atoms
+    holds those atoms and masses only, and builds its length-n ``pmf`` on the
+    first read; its draws, ``n``, ``support()`` and ``mass()`` never build it.
     """
 
-    pmf: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.pmf, dtype=np.float64)
+    def __init__(self, pmf: np.ndarray):
+        arr = np.asarray(pmf, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("pmf must be a nonempty 1-d vector")
         _check_masses(arr)
         arr = arr.copy()
         arr.flags.writeable = False
-        object.__setattr__(self, "pmf", arr)
+        vars(self).update(_n=arr.size, _sparse=None, pmf=arr)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @classmethod
     def _on_atoms(cls, atoms: np.ndarray, probs: np.ndarray, n: int) -> "Distribution":
-        """Mass ``probs`` on the distinct indices ``atoms`` of a domain of size ``n >= 1``.
+        """Mass ``probs`` on the distinct ascending indices ``atoms`` of a domain of size ``n >= 1``.
 
-        The s masses get the constructor's checks; the length-n pmf is then
-        built fresh and locked without the O(n) validation and copy.
+        The s masses get the constructor's checks, and the distribution keeps
+        read-only copies of the atoms and masses: O(s) until ``pmf`` is read.
         """
-        probs = np.asarray(probs, dtype=np.float64)
+        atoms = np.array(atoms, dtype=np.int64)
+        probs = np.array(probs, dtype=np.float64)
         _check_masses(probs)
-        pmf = np.zeros(n)
+        atoms.flags.writeable = probs.flags.writeable = False
+        d = cls.__new__(cls)
+        vars(d).update(_n=int(n), _sparse=(atoms, probs))
+        return d
+
+    def _relabelled(self, perm: np.ndarray) -> "Distribution":
+        """The mass of each index i moved to ``perm[i]``, for a permutation ``perm`` of the domain.
+
+        The masses are this pmf's, already checked, so the scattered copy is
+        locked without the constructor's O(n) checks and copy.
+        """
+        pmf = np.zeros(self.n)
+        pmf[perm] = self.pmf
+        pmf.flags.writeable = False
+        d = Distribution.__new__(Distribution)
+        vars(d).update(_n=self.n, _sparse=None, pmf=pmf)
+        return d
+
+    @cached_property
+    def pmf(self) -> np.ndarray:
+        """The length-n pmf, read-only.
+
+        A distribution on atoms builds it on the first read; threads that
+        race here build equal arrays, and either may be kept.
+        """
+        atoms, probs = self._sparse
+        pmf = np.zeros(self._n)
         pmf[atoms] = probs
         pmf.flags.writeable = False
-        d = cls.__new__(cls)
-        object.__setattr__(d, "pmf", pmf)
-        return d
+        return pmf
+
+    def _atoms(self) -> tuple:
+        """The indices with positive mass, ascending, and their masses, as fresh arrays."""
+        if self._sparse is None:
+            atoms = np.flatnonzero(self.pmf > 0.0)
+            return atoms, self.pmf[atoms]
+        atoms, probs = self._sparse
+        keep = probs > 0.0
+        return atoms[keep], probs[keep]
 
     @cached_property
     def _guide(self) -> _GuideTable:
         """The sampling table, built on the first explicit draw and shared by every oracle over this pmf."""
-        return _GuideTable(self.pmf)
+        return _GuideTable(*self._atoms())
 
     @property
     def n(self) -> int:
         """Domain size."""
-        return int(self.pmf.size)
+        return self._n
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
@@ -235,11 +289,18 @@ class Distribution:
 
     def mass(self, indices: Iterable[int]) -> float:
         """Total probability mass of a set of indices; a repeated index counts once."""
-        return float(self.pmf[_index_set(indices, self.n)].sum())
+        idx = _index_set(indices, self.n)
+        if self._sparse is None:
+            return float(self.pmf[idx].sum())
+        # The entries pmf[idx] would hold, zeros included, so that the sum
+        # is the dense one bit for bit.
+        atoms, probs = self._sparse
+        at = np.minimum(np.searchsorted(atoms, idx), atoms.size - 1)
+        return float(np.where(atoms[at] == idx, probs[at], 0.0).sum())
 
     def support(self) -> np.ndarray:
         """Indices with strictly positive mass, ascending."""
-        return np.flatnonzero(self.pmf > 0.0)
+        return self._atoms()[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Distribution):
@@ -323,19 +384,23 @@ class SamplingOracle:
     def _blocks(self, table: _GuideTable, m: int):
         """Offset and slots in ``table.atoms`` of each block of ``m >= 1`` fresh draws.
 
-        The keys come ``max(_DRAW_BLOCK, s)`` at a time.  PCG64 spends one
-        64-bit output on each double, so the blocks' keys are those of
-        ``gen.random(m)``, bit for bit, and leave the generator where it would.
+        The keys are raw PCG64 outputs, ``max(_DRAW_BLOCK, s)`` at a time.
+        ``gen.random(m)`` would spend the same one output on each of its
+        doubles, so the slots are those of its keys, bit for bit, and the
+        generator ends where it would.
         """
         block = max(_DRAW_BLOCK, table.atoms.size)
+        raw = self._gen.bit_generator.random_raw
         for start in range(0, m, block):
-            yield start, table.slots(self._gen.random(min(block, m - start)))
+            yield start, table.slots(raw(min(block, m - start)))
 
     def draw(self, m: int) -> np.ndarray:
         """Draw ``m`` i.i.d. indices; deterministic given the seed.
 
-        An explicit pmf's draws are looked up block by block into one int64
-        output, so the temporaries are O(block + s), not O(m).
+        An explicit pmf's draws are raw generator outputs looked up block by
+        block into one int64 output, so the temporaries are O(block + s), not
+        O(m); the indices are those ``searchsorted`` of ``gen.random(m)`` in
+        the support's CDF gives.
         """
         m = _integer(m, "m")
         if m < 0:
@@ -361,8 +426,9 @@ class SamplingOracle:
 
         Equal to ``np.unique(self.draw(m), return_counts=True)``, and leaves
         the generator and ``samples_drawn`` where ``draw(m)`` would.  For an
-        explicit pmf it sums one ``bincount`` of the atom slots per block:
-        O(m + s) time, O(block + s) temporaries and no sort.
+        explicit pmf it sums one ``bincount`` of the atom slots per block of
+        raw keys: O(m + s) time, O(block + s) temporaries, no sort and no
+        floating-point key.
         """
         m = _integer(m, "m")
         if self._dist is None or m <= 0:

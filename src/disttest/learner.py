@@ -10,9 +10,9 @@ Candidates stay sparse while the guess grows: a guess that makes m draws
 tallies its learn draws into (support, counts) through
 :meth:`SamplingOracle.draw_tally` and maps the distinct values of its test
 draws onto that support by binary search, so over a source supported on s
-elements it costs O(m + s) time and nothing proportional to n.  Only the
-accepted candidate is densified into a :class:`Distribution`, with checks
-on its s masses only.
+elements it costs O(m + s) time and nothing proportional to n.  The
+accepted candidate is a :class:`Distribution` on its s atoms, with checks on
+its s masses only; it builds a length-n pmf only when its ``pmf`` is read.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def learn_known_support(
     within ``eta + delta`` of the truth with probability at least 9/10.
     The draws are tallied with :meth:`SamplingOracle.draw_tally`, so the
     result is the one :func:`empirical_distribution` gives on them, at
-    O(m + s) cost plus the length-n pmf.
+    O(m + s) cost: it holds its atoms and masses until its ``pmf`` is read.
     """
     if s < 1:
         raise ParameterError("s must be >= 1")
@@ -121,12 +121,12 @@ def tol_identity_test(
     Correct with probability at least 1 - kappa by an additive Chernoff bound
     unioned over the 2^(s+1) contracted events.
     """
-    supp = d_k.support()
+    supp, probs = d_k._atoms()
     if supp.size < 1:
         raise ParameterError("d_k must have nonempty support")
     if oracle.n != d_k.n:
         raise ParameterError(f"oracle domain {oracle.n} does not match d_k ({d_k.n})")
-    return _identity_verdict(oracle, supp, d_k.pmf[supp], params, c_test)
+    return _identity_verdict(oracle, supp, probs, params, c_test)
 
 
 def _identity_verdict(

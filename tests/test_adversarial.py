@@ -347,6 +347,22 @@ class TestRelabel:
         assert sorted(np.sort(shuffled.d_yes.pmf)) == pytest.approx(sorted(np.sort(pair.d_yes.pmf)))
 
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_relabel_scatters_both_pmfs_densely(self, seed):
+        # Each relabelled pmf is the dense scatter pmf[perm] = source, bit for
+        # bit, built without a detour through sorted atoms.
+        d = Distribution(random_pmf(np.random.default_rng(seed), 10**4))
+        pair = make_adversarial_pair(d, NonConcentrationParams(0.1, 0.3), "general", np.random.default_rng(seed))
+        moved = relabel(pair, np.random.default_rng(seed))
+        perm = np.random.default_rng(seed).permutation(d.n)
+        for got, source in ((moved.d_yes, pair.d_yes), (moved.d_no, pair.d_no)):
+            want = np.zeros(d.n)
+            want[perm] = source.pmf
+            assert "pmf" in vars(got) and got.pmf.dtype == np.float64
+            assert got.pmf.tobytes() == want.tobytes() and not got.pmf.flags.writeable
+        assert np.array_equal(moved.pairing.L, perm[pair.pairing.L])
+
+
 class TestCollisionRate:
     def test_point_mass_inside_pair(self):
         pmf = np.zeros(6)

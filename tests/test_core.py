@@ -469,15 +469,18 @@ class TestSamplingOracle:
 class TestGuideTable:
     @pytest.mark.parametrize("pmf", GUIDE_PMFS.values(), ids=GUIDE_PMFS.keys())
     def test_slots_exact_on_boundary_keys(self, pmf):
-        # Random keys almost never hit a CDF value or a bucket edge exactly;
-        # these keys do, together with their float neighbours.
+        # Random keys almost never land on a CDF value or a bucket edge; these
+        # do, from both sides. A key is a raw 64-bit output x whose double is
+        # k * 2**-53 for k = x >> 11, so each k comes with its 11 low bits
+        # all clear and all set.
         table = Distribution(pmf)._guide
-        edges = np.arange(table.buckets) / table.buckets
-        keys = np.concatenate([table.cdf, edges])
-        keys = np.concatenate([keys, np.nextafter(keys, 0.0), np.nextafter(keys, 1.0)])
-        keys = keys[(keys >= 0.0) & (keys < 1.0)]
-        expected = np.searchsorted(table.cdf, keys, side="right")
-        assert np.array_equal(table.slots(keys), expected)
+        edges = np.arange(table.buckets + 1) / table.buckets
+        scaled = np.concatenate([table.cdf, edges]) * 2.0**53
+        near = np.concatenate([np.floor(scaled), np.ceil(scaled)])
+        k = np.clip(np.concatenate([near - 1, near, near + 1]), 0, 2**53 - 1).astype(np.uint64)
+        x = np.concatenate([k << np.uint64(11), (k << np.uint64(11)) | np.uint64(2047)])
+        expected = np.searchsorted(table.cdf, np.r_[k, k] * 2.0**-53, side="right")
+        assert np.array_equal(table.slots(x), expected)
 
     def test_stress_pmfs_reach_every_bucket_kind(self):
         # hi - lo counts the CDF values strictly inside a bucket: none when
@@ -553,7 +556,7 @@ class TestGuideTable:
         for seed in (2, derive_seed(1, 0), derive_seed(1, 5)):
             SamplingOracle(d, seed).draw(10)
             assert d._guide is table
-        for arr in (table.atoms, table.cdf, table.lo, table.hi, table.deep):
+        for arr in (table.atoms, table.cdf, table.cut, table.lo, table.hi, table.deep):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -562,6 +565,77 @@ class TestGuideTable:
         d = Distribution.uniform(8)
         SamplingOracle(d, seed=1).draw_counts(100)
         assert "_guide" not in vars(d)
+
+
+@st.composite
+def guide_pmfs(draw) -> np.ndarray:
+    """Generic pmfs with zeros, dyadic pmfs (CDF values on bucket edges) and heavy atoms beside tiny ones."""
+    kind = draw(st.sampled_from(["generic", "dyadic", "heavy-tiny"]))
+    if kind == "generic":
+        pmf = np.array(draw(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=1, max_size=40)))
+        if pmf.sum() == 0.0:
+            pmf[0] = 1.0
+        return pmf / pmf.sum()
+    if kind == "dyadic":
+        pmf = [1.0]
+        for at in draw(st.lists(st.integers(0, 10**6), max_size=30)):
+            half = pmf.pop(at % len(pmf)) / 2.0
+            pmf[at % (len(pmf) + 1):at % (len(pmf) + 1)] = [half, half]
+        return np.array(pmf)
+    tiny = draw(st.floats(1e-18, 1e-6))
+    count = draw(st.integers(1, 300))
+    pmf = np.full(count + 1, tiny)
+    pmf[draw(st.integers(0, count))] = 1.0 - count * tiny
+    return pmf
+
+
+class TestIntegerKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(pmf=guide_pmfs(), data=st.data())
+    def test_slots_equal_the_search_on_the_double(self, pmf, data):
+        table = Distribution(pmf)._guide
+        # Uniform raw outputs, and outputs within two steps of a scaled CDF value.
+        anywhere = st.integers(0, 2**64 - 1)
+        near_cut = st.tuples(st.sampled_from(table.cut.tolist()), st.integers(-2, 2), st.integers(0, 2047)).map(
+            lambda t: (min(max(t[0] + t[1], 0), 2**53 - 1) << 11) | t[2]
+        )
+        x = np.array(data.draw(st.lists(anywhere | near_cut, min_size=1, max_size=200)), dtype=np.uint64)
+        expected = np.searchsorted(table.cdf, (x >> np.uint64(11)) * 2.0**-53, side="right")
+        assert np.array_equal(table.slots(x), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pmf=guide_pmfs(),
+        seed=st.integers(0, 2**64 - 1),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(["draw", "draw_tally", "draw_counts"]),
+                st.integers(0, 300) | st.sampled_from([_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1]),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_interleaved_calls_leave_the_generator_where_doubles_would(self, pmf, seed, calls):
+        d = Distribution(pmf)
+        oracle = SamplingOracle(d, seed)
+        twin = np.random.Generator(np.random.PCG64(seed))
+        atoms = np.flatnonzero(pmf > 0.0)
+        cdf = np.cumsum(pmf[atoms])
+        cdf /= cdf[-1]
+        for call, m in calls:
+            got = getattr(oracle, call)(m)
+            if m == 0:
+                continue
+            if call == "draw_counts":
+                assert np.array_equal(got, twin.multinomial(m, d.pmf / d.pmf.sum()))
+                continue
+            drawn = atoms[np.searchsorted(cdf, twin.random(m), side="right")]
+            if call == "draw":
+                assert np.array_equal(got, drawn)
+            else:
+                want = np.unique(drawn, return_counts=True)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert oracle._gen.bit_generator.state == twin.bit_generator.state
 
 
 class TestSparseConstruction:
@@ -574,6 +648,33 @@ class TestSparseConstruction:
         assert d == Distribution(pmf)
         assert d.pmf.dtype == np.float64 and not d.pmf.flags.writeable
         assert d.n == 12 and np.array_equal(d.support(), atoms)
+
+    def test_zero_mass_atom_is_outside_the_support(self):
+        atoms, probs = np.array([1, 3, 6]), np.array([0.5, 0.0, 0.5])
+        d = Distribution._on_atoms(atoms, probs, 8)
+        dense = Distribution(np.array([0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0]))
+        assert np.array_equal(d.support(), [1, 6])
+        assert d.mass([3]) == 0.0 and d.mass([0, 1, 3, 7]) == dense.mass([0, 1, 3, 7]) == 0.5
+        assert np.array_equal(SamplingOracle(d, 3).draw(1000), SamplingOracle(dense, 3).draw(1000))
+        assert "pmf" not in vars(d)
+        assert d == dense
+
+    def test_input_arrays_are_copied(self):
+        atoms, probs = np.array([0, 2]), np.array([0.5, 0.5])
+        d = Distribution._on_atoms(atoms, probs, 3)
+        atoms[0], probs[:] = 1, [0.25, 0.75]
+        assert atoms.flags.writeable and probs.flags.writeable
+        assert np.array_equal(d.support(), [0, 2]) and d.mass([0]) == 0.5
+        assert d.pmf.tolist() == [0.5, 0.0, 0.5]
+
+    def test_immutable(self):
+        for d in (Distribution(np.array([0.5, 0.5])), Distribution._on_atoms(np.array([1]), np.array([1.0]), 3)):
+            with pytest.raises(AttributeError):
+                d.pmf = np.array([1.0, 0.0])
+            with pytest.raises(AttributeError):
+                d.n = 5
+            with pytest.raises(AttributeError):
+                del d.pmf
 
     @pytest.mark.parametrize(
         "probs",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,3 +332,67 @@ class TestSparseMatchesDense:
                 learn_adaptive(oracle, eta=0.0, delta=0.5, n=n)
         with pytest.raises(ParameterError):
             tol_identity_test(oracle, Distribution.uniform(5), IdentityTestParams(0.1, 0.5, 0.05))
+
+
+def assert_reads_like(got, want, seed):
+    """``got``, a candidate on atoms, answers every reader as the dense ``want`` does, and builds its pmf last."""
+    assert "pmf" not in vars(got)
+    assert got.n == want.n
+    assert np.array_equal(got.support(), want.support())
+    rng = np.random.default_rng(seed)
+    supp = want.support()
+    for idx in (supp, supp[::2], rng.integers(0, want.n, 40), np.r_[supp, rng.integers(0, want.n, 40)], []):
+        assert got.mass(idx) == want.mass(idx)
+    for m in (1, 37, 5000):
+        assert np.array_equal(SamplingOracle(got, seed + m).draw(m), SamplingOracle(want, seed + m).draw(m))
+        by_got, by_want = SamplingOracle(got, seed).draw_tally(m), SamplingOracle(want, seed).draw_tally(m)
+        assert all(np.array_equal(a, b) for a, b in zip(by_got, by_want))
+    truth = Distribution.uniform(want.n)
+    params = IdentityTestParams(0.1, 0.6, 0.05)
+    assert tol_identity_test(SamplingOracle(truth, seed), got, params) is tol_identity_test(
+        SamplingOracle(truth, seed), want, params
+    )
+    assert "pmf" not in vars(got)
+    assert got.pmf.tobytes() == want.pmf.tobytes()
+    assert not got.pmf.flags.writeable and got.pmf is got.pmf
+    assert got == want
+
+
+class TestCandidateOnAtoms:
+    def sources(self):
+        rng = np.random.default_rng(8)
+        return [
+            Distribution.uniform_on(rng.choice(10**4, 64, replace=False), 10**4),
+            Distribution(random_pmf(rng, 40)),
+            Distribution.point_mass(30, 29),
+            Distribution.uniform(16),
+        ]
+
+    def test_learn_adaptive_equals_its_dense_construction(self):
+        for seed, source in enumerate(self.sources()):
+            res = learn_adaptive(SamplingOracle(source, seed), eta=0.0, delta=0.5, n=source.n)
+            want = dense_learn_adaptive(SamplingOracle(source, seed), 0.0, 0.5, source.n)[0]
+            assert res.learned and want is not None
+            assert_reads_like(res.distribution, want, seed)
+
+    def test_learn_known_support_equals_its_dense_construction(self):
+        for seed, source in enumerate(self.sources()):
+            m = _checked_ceil(8.0 * (20 + 5) / 0.25)
+            got = learn_known_support(SamplingOracle(source, seed), 20, 0.5)
+            want = empirical_distribution(SamplingOracle(source, seed).draw(m), source.n)
+            assert_reads_like(got, want, seed)
+
+    def test_learning_in_a_domain_of_10_7_allocates_no_length_n_array(self):
+        # One float64 array of length 10^7 is 80 MB; neither the source, a
+        # distribution on 64 atoms, nor the learned candidate may build one.
+        n = 10**7
+        atoms = np.sort(np.random.default_rng(5).choice(n, 64, replace=False))
+        oracle = SamplingOracle(Distribution._on_atoms(atoms, np.full(64, 1 / 64), n), seed=5)
+        tracemalloc.start()
+        try:
+            res = learn_adaptive(oracle, eta=0.1, delta=0.5, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.learned and np.isin(res.distribution.support(), atoms).all()
+        assert peak < 8 * n / 20

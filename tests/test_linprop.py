@@ -110,6 +110,20 @@ class TestUniformityPolyhedron:
             if n >= 2:
                 assert np.bincount(got.A.rows).min() == 2
 
+    def test_set_up_never_sorts_its_rows(self, monkeypatch):
+        # Rows emitted in canonical order pass _canonical's O(nnz) check;
+        # sorting them instead costs seconds of set-up at n=10^6.
+        def refuse(*args, **kwargs):
+            raise AssertionError("set-up reached the sort in _canonical")
+
+        monkeypatch.setattr(linprop.np, "argsort", refuse)
+        with pytest.raises(AssertionError, match="reached the sort"):
+            linprop._canonical(Triplets(np.array([1, 0]), np.array([0, 0]), np.array([1.0, 1.0]), (2, 1)))
+        for n in (2, 200):
+            for eps in (0.0, 0.1):
+                prop = uniformity_polyhedron(n, eps)
+                assert prop.contains(Distribution.uniform(n))
+
     def test_eps_zero_projects_to_uniform_only(self):
         prop = uniformity_polyhedron(4, 0.0)
         assert prop.contains(Distribution.uniform(4))

@@ -23,9 +23,8 @@ digest hashes the value as written.  ``accept`` runs the acceptance suite and
 takes only ``--out``.
 
 Seeds must lie in ``[0, 2**64 - 1]``; any other seed is a parameter error
-(exit code 2).  ``DISTTEST_THREADS`` caps seed-level parallelism (an integer
->= 1, default 1; any other value is a parameter error, exit code 2); rows are
-always written in (seed, repeat) order.
+(exit code 2).  Runs execute one after another, and rows are always written
+in (seed, repeat) order.
 """
 
 from __future__ import annotations
@@ -34,10 +33,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -402,36 +399,17 @@ COMMANDS = {
 # ------------------------------------------------------------------- batch
 
 
-def _thread_cap() -> int:
-    """Seed-level worker count from ``DISTTEST_THREADS``: an integer >= 1, default 1."""
-    raw = os.environ.get("DISTTEST_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ParameterError(f"DISTTEST_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
-
-
 def run_batch(config: ExperimentConfig, stream=None) -> list:
     """Execute the configured runs, write the CSV, and return the records."""
-    workers = _thread_cap()
     command = COMMANDS[config.subcommand]
     digest = params_digest(config.params)
     params = command.values(config.params)
     multiple = len(config.seeds) * config.repeats > 1
-
-    def for_seed(seed: int) -> list:
-        rows = command.run(seed, config.repeats, params, multiple)
-        return [RunRecord(seed, repeat, config.subcommand, digest, *row) for repeat, row in enumerate(rows)]
-
-    if workers > 1 and len(config.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(config.seeds))) as pool:
-            per_seed = list(pool.map(for_seed, config.seeds))
-    else:
-        per_seed = [for_seed(seed) for seed in config.seeds]
-    records = [rec for chunk in per_seed for rec in chunk]
+    records = [
+        RunRecord(seed, repeat, config.subcommand, digest, *row)
+        for seed in config.seeds
+        for repeat, row in enumerate(command.run(seed, config.repeats, params, multiple))
+    ]
     records.sort(key=lambda r: (r.seed, r.repeat))
 
     lines = [",".join(CSV_HEADER)]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import Distribution, _check_masses, _float_array, _integer, _is_int, _is_numbers, _read_json, _write_json
 from .errors import ParameterError, SolverError, StructureError
-from .simplex import FEAS_TOL, Triplets, extract_bounds, refutes, solve_feasibility
+from .simplex import FEAS_TOL, Triplets, _canonical, extract_bounds, refutes, solve_feasibility
 
 EPS_STRICT = 1e-12
 
@@ -44,37 +44,16 @@ EPS_STRICT = 1e-12
 DIM_CAP = 10
 
 
-def _canonical(A) -> Triplets:
-    """``A``, dense or :class:`Triplets`, as row-major triplets.
-
-    Duplicate coordinates are summed and zeros dropped, by one sort unless an
-    O(nnz) check finds them so already.  A malformed matrix raises
-    :class:`StructureError` when its :class:`Triplets` are built.
-    """
-    if not isinstance(A, Triplets):
-        A = Triplets.from_dense(A, ndmin=2)
-    N = A.shape[1]
-    key = A.rows * N + A.cols
-    if (key[1:] > key[:-1]).all() and A.vals.all():
-        return Triplets(A.rows.copy(), A.cols.copy(), A.vals.copy(), A.shape)
-    # A stable sort and an adjacent-difference mask, as in core._index_set; bincount adds in given order.
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.concatenate([[True], key[1:] != key[:-1]])
-    vals = np.bincount(np.cumsum(new) - 1, weights=A.vals[order])
-    nonzero = vals != 0.0
-    return Triplets(*np.divmod(key[new][nonzero], N), vals[nonzero], A.shape)
-
-
 @dataclass(frozen=True, eq=False)
 class Polyhedron:
     """The solution set of ``A x <= b, lower <= x <= upper`` (rows in ``strict_rows`` are ``<``).
 
-    ``A`` is stored as the triplets of :func:`_canonical`; they, ``b`` and the
-    bounds (-inf, +inf by default) are read-only, unless :meth:`_assembled`
-    stored them.  A strict row that is not an integer (a boolean, fraction or
-    nan) or lies outside ``[0, M)``, or a bound that is nan, of the wrong
-    length, a lower +inf or an upper -inf, raises :class:`StructureError`.
+    ``A`` is stored as the triplets of :func:`disttest.simplex._canonical`,
+    the form the solve seam hands HiGHS; they, ``b`` and the bounds (-inf,
+    +inf by default) are read-only, unless :meth:`_assembled` stored them.  A
+    strict row that is not an integer (a boolean, fraction or nan) or lies
+    outside ``[0, M)``, or a bound that is nan, of the wrong length, a lower
+    +inf or an upper -inf, raises :class:`StructureError`.
     """
 
     A: Triplets

@@ -1,8 +1,11 @@
 """Feasibility of systems ``Ax <= b`` with variable bounds, decided behind one seam.
 
 Every feasibility question in disttest goes through :func:`solve_feasibility`.
-It takes the rows as a dense matrix or as COO :class:`Triplets` and decides
-the system with HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018),
+It takes the rows as a dense matrix or as COO :class:`Triplets`, hands them
+to HiGHS row-wise in the canonical order of :func:`_canonical` (the one
+canonicalizer, which also builds the triplets every
+:class:`disttest.linprop.Polyhedron` stores) and decides the system with
+HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018),
 called through the bindings scipy ships as ``scipy.optimize._highspy`` with
 the options ``linprog(method="highs")`` would set, so verdicts and points
 are the ones linprog gives.  scipy is imported inside the seam, at the first
@@ -116,6 +119,30 @@ class Triplets:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
+
+
+def _canonical(A) -> Triplets:
+    """``A``, dense or :class:`Triplets`, as row-major triplets.
+
+    Duplicate coordinates are summed and zeros dropped, by one sort unless an
+    O(nnz) check finds them so already.  A malformed matrix raises
+    :class:`StructureError` when its :class:`Triplets` are built.  This is
+    the form every :class:`disttest.linprop.Polyhedron` stores and the form
+    :func:`solve_feasibility` hands HiGHS.
+    """
+    if not isinstance(A, Triplets):
+        A = Triplets.from_dense(A, ndmin=2)
+    N = A.shape[1]
+    key = A.rows * N + A.cols
+    if (key[1:] > key[:-1]).all() and A.vals.all():
+        return Triplets(A.rows.copy(), A.cols.copy(), A.vals.copy(), A.shape)
+    # A stable sort and an adjacent-difference mask, as in core._index_set; bincount adds in given order.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.concatenate([[True], key[1:] != key[:-1]])
+    vals = np.bincount(np.cumsum(new) - 1, weights=A.vals[order])
+    nonzero = vals != 0.0
+    return Triplets(*np.divmod(key[new][nonzero], N), vals[nonzero], A.shape)
 
 
 def _pinch(lower: np.ndarray, upper: np.ndarray) -> float:
@@ -242,8 +269,10 @@ def solve_feasibility(
 
     ``A`` is :class:`Triplets` or a dense matrix, converted to triplets here,
     once; a malformed matrix raises :class:`StructureError` when the triplets
-    are built.  Bounds that cross by at most ``FEAS_TOL`` pin the variable, as
-    in :func:`extract_bounds`.
+    are built.  The start point and the residual check read them as given;
+    HiGHS gets them row-wise, put in order by :func:`_canonical`.  Bounds that
+    cross by at most ``FEAS_TOL`` pin the variable, as in
+    :func:`extract_bounds`.
 
     HiGHS decides, holding every row within ``FEAS_TOL`` (its primal
     feasibility tolerance).  Reaching ``MAX_ITER`` iterations raises
@@ -281,25 +310,12 @@ def solve_feasibility(
     return _highs(A, b, lower, upper, measure_violation)
 
 
-def _csc(t: Triplets):
-    """``(start, index, value)`` of ``t`` in compressed-column form, duplicates summed."""
-    order = np.lexsort((t.rows, t.cols))
-    rows, cols, vals = t.rows[order], t.cols[order], t.vals[order]
-    new = np.ones(rows.size, dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    if not new.all():
-        first = np.flatnonzero(new)
-        rows, cols, vals = rows[first], cols[first], np.add.reduceat(vals, first)
-    start = np.zeros(t.shape[1] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=t.shape[1]), out=start[1:])
-    return start, rows.astype(np.int32), vals
-
-
 def _highs(A: Triplets, b, lower, upper, measure_violation):
     # Imported here: loading scipy.optimize costs more than importing disttest.
     # The bindings are called directly because linprog's Python layer (option
     # checks, sparse format conversions, dual bookkeeping we discard) took
-    # longer per call than the solve itself.
+    # longer per call than the solve itself.  They take the canonical triplets
+    # as they are, in HiGHS's row-wise format.
     try:
         from scipy.optimize._highspy import _core as highs
     except ImportError as exc:
@@ -315,16 +331,18 @@ def _highs(A: Triplets, b, lower, upper, measure_violation):
     options.simplex_iteration_limit = options.ipm_iteration_limit = MAX_ITER
 
     def solve(t: Triplets, cost, lo, hi):
-        """``(x, iterations, objective)``; ``x`` is None when the system is infeasible."""
+        """``(x, iterations, objective)`` for the canonical ``t``; ``x`` is None when the system is infeasible."""
         m, n = t.shape
-        start, index, value = _csc(t)
+        start = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(t.rows, minlength=m), out=start[1:])
         solver = highs._Highs()  # one per solve, so concurrent callers share nothing
         if solver.passOptions(options) != highs.HighsStatus.kOk:
             raise SolverError(f"HiGHS rejects tol={FEAS_TOL} or max_iter={MAX_ITER}")
         # The array form of passModel: every column continuous, no objective offset.
         passed = solver.passModel(
-            n, m, value.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
-            cost, lo, hi, np.full(m, -np.inf), b, start, index, value, np.zeros(n, dtype=np.int32),
+            n, m, t.nnz, highs.MatrixFormat.kRowwise, highs.ObjSense.kMinimize, 0.0,
+            cost, lo, hi, np.full(m, -np.inf), b, start, t.cols.astype(np.int32), t.vals,
+            np.zeros(n, dtype=np.int32),
         )
         if passed == highs.HighsStatus.kError:
             # HiGHS refuses, say, an entry beyond 1e15; linprog calls that infeasible too.
@@ -344,18 +362,21 @@ def _highs(A: Triplets, b, lower, upper, measure_violation):
         return x, info.simplex_iteration_count, info.objective_function_value
 
     m, n = A.shape
-    x, iterations, _ = solve(A, np.zeros(n), lower, upper)
+    canon = _canonical(A)
+    x, iterations, _ = solve(canon, np.zeros(n), lower, upper)
     if x is not None:
         violation = _check_residual(A, x, b, lower, upper)
         return FeasibilityResult(True, violation, x, iterations)
     violation = math.nan
     if measure_violation:
-        # Elastic form: Ax - s <= b with s >= 0, minimising sum(s).
-        k = np.arange(m)
+        # Elastic form: Ax - s <= b with s >= 0, minimising sum(s).  Slack i is
+        # the last column of row i, so inserting it at the row's end keeps the
+        # triplets canonical.
+        ends, k = np.cumsum(np.bincount(canon.rows, minlength=m)), np.arange(m)
         elastic = Triplets(
-            np.concatenate([A.rows, k]),
-            np.concatenate([A.cols, n + k]),
-            np.concatenate([A.vals, np.full(m, -1.0)]),
+            np.insert(canon.rows, ends, k),
+            np.insert(canon.cols, ends, n + k),
+            np.insert(canon.vals, ends, -1.0),
             (m, n + m),
         )
         cost = np.concatenate([np.zeros(n), np.ones(m)])

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import json
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import disttest.acceptance as acceptance
 from disttest.cli import CSV_HEADER, ExperimentConfig, build_parser, main, params_digest, run_batch
 from disttest.core import Distribution, load_distribution, save_distribution
 from disttest.errors import ParameterError
-from disttest.linprop import Polyhedron, save_polyhedron
+from disttest import simplex
+from disttest.linprop import Polyhedron, save_polyhedron, uniformity_polyhedron
 from disttest.adversarial import verify_adversarial, AdversarialPair, Pairing
 from disttest.core import NonConcentrationParams
 
@@ -104,7 +106,8 @@ class TestRunBatch:
             {"dist": dist_file, "property": "uniform", "lambda": 50, "gamma1": 0.1, "gamma2": 0.3},
             str(out),
         )
-        run_batch(cfg)
+        with pytest.warns(RuntimeWarning, match="unused indices"):
+            run_batch(cfg)
         summary = {
             line[2:].split("=")[0]: line.split("=")[1]
             for line in out.read_text().splitlines()
@@ -126,9 +129,8 @@ class TestRunBatch:
             outs.append(strip_wall_ms((tmp_path / name).read_text()))
         assert outs[0] == outs[1]
 
-    def test_parallel_rows_in_seed_order(self, small_dist_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("DISTTEST_THREADS", "4")
-        out = tmp_path / "par.csv"
+    def test_rows_in_seed_order(self, small_dist_file, tmp_path):
+        out = tmp_path / "seeds.csv"
         cfg = ExperimentConfig(
             "learn",
             (5, 1, 9, 3),
@@ -142,6 +144,34 @@ class TestRunBatch:
 
 
 class TestMainEntry:
+    @pytest.mark.parametrize("support, verdict, h_size", [(200, "Accept", 200), (100, "Reject", 125)])
+    def test_lp_file_property_gives_the_uniform_rows(self, support, verdict, h_size, tmp_path, monkeypatch):
+        # A file property carries no known member or ball, so each of its tester calls goes to HiGHS.
+        save_polyhedron(uniformity_polyhedron(200, 0.0).poly, tmp_path / "u.poly")
+        save_distribution(Distribution.uniform_on(range(support), 200), tmp_path / "d.json")
+        solves, highs = [], simplex._highs
+
+        def counted(*args):
+            solves.append(args)
+            return highs(*args)
+
+        monkeypatch.setattr(simplex, "_highs", counted)
+        results = []
+        for prop in ("lp:" + str(tmp_path / "u.poly"), "uniform"):
+            out, before = tmp_path / "o.csv", len(solves)
+            argv = ["tolerant-test", "--dist", str(tmp_path / "d.json"), "--property", prop, "--lambda", "50",
+                    "--gamma1", "0.1", "--gamma2", "0.3", "--seed", "3", "--repeats", "2", "--out", str(out)]
+            # Uniform(200) leaves no unseen index to pad H with.
+            with pytest.warns(RuntimeWarning, match="unused indices") if support == 200 else contextlib.nullcontext():
+                assert main(argv) == 0
+            # The metric, samples_used and extras columns of the two runs.
+            rows = [line.split(",")[4:7] for line in out.read_text().splitlines()[1:3]]
+            results.append((rows, len(solves) - before))
+        (lp_rows, lp_solves), (uniform_rows, uniform_solves) = results
+        assert lp_rows == uniform_rows and [r[0] for r in lp_rows] == [verdict] * 2
+        assert [r[2] for r in lp_rows] == [f"h_size={h_size}"] * 2
+        assert (lp_solves, uniform_solves) == (2, 0)
+
     def test_lp_feasible_prints_word(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         save_polyhedron(Polyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0])), path)
@@ -320,45 +350,30 @@ class TestMainEntry:
 
     def test_tolerant_test_row_fields(self, dist_file, tmp_path):
         out = tmp_path / "t.csv"
-        code = main(
-            [
-                "tolerant-test",
-                "--dist",
-                dist_file,
-                "--lambda",
-                "50",
-                "--gamma1",
-                "0.1",
-                "--gamma2",
-                "0.3",
-                "--seed",
-                "3",
-                "--out",
-                str(out),
-            ]
-        )
+        with pytest.warns(RuntimeWarning, match="unused indices"):
+            code = main(
+                [
+                    "tolerant-test",
+                    "--dist",
+                    dist_file,
+                    "--lambda",
+                    "50",
+                    "--gamma1",
+                    "0.1",
+                    "--gamma2",
+                    "0.3",
+                    "--seed",
+                    "3",
+                    "--out",
+                    str(out),
+                ]
+            )
         assert code == 0
         row = out.read_text().splitlines()[1].split(",")
         assert row[2] == "tolerant-test"
         assert row[4] in ("Accept", "Reject")
         assert int(row[5]) > 0
         assert "h_size=" in row[6]
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_thread_cap_exits_2(self, value, small_dist_file, tmp_path, monkeypatch, capsys):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr("disttest.cli.ThreadPoolExecutor", no_pool)
-        monkeypatch.setenv("DISTTEST_THREADS", value)
-        out = tmp_path / "o.csv"
-        code = main(
-            ["learn", "--dist", small_dist_file, "--eta", "0", "--delta", "0.5", "--out", str(out)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "DISTTEST_THREADS" in err and repr(value) in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("via_file", [False, True])
     @pytest.mark.parametrize("seed", ["-1", str(2**70)])
@@ -640,7 +655,10 @@ class TestSurfacePinned:
         monkeypatch.chdir(tmp_path)
         _pinned_setup()
         before = {p.name for p in tmp_path.iterdir()}
-        assert main(argv) == 0
+        # The tester's H covers all of uniform(200), so no index is left to pad it with.
+        padded = argv[0] == "tolerant-test"
+        with pytest.warns(RuntimeWarning, match="unused indices") if padded else contextlib.nullcontext():
+            assert main(argv) == 0
         text = (tmp_path / "o.csv").read_text()
         assert strip_wall_ms(text) == [",".join(CSV_HEADER)] + rows
         assert sorted({p.name for p in tmp_path.iterdir()} - before - {"o.csv"}) == written

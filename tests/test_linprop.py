@@ -312,6 +312,21 @@ class TestLPFeasible:
         assert folded.lower.tolist() == [-np.inf, 0.0] and folded.upper.tolist() == [1.0, np.inf]
         assert linprop._fold(folded) is folded
 
+    # Empty systems read feasible: a strict row is shaved by EPS_STRICT = 1e-12, below FEAS_TOL = 1e-9,
+    # and any point meets a row scaled by 1e-10 within FEAS_TOL.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: strict and scaled rows are decided within FEAS_TOL")
+    @pytest.mark.parametrize(
+        "A, b, strict",
+        [([[1.0]], [0.0], {0}), ([[1.0, 1.0]], [0.0], {0}), ([[1e-10, 1e-10]], [-1e-10], set())],
+        ids=["x<0", "x+y<0", "scaled-x+y<=-1"],
+    )
+    def test_empty_strict_or_scaled_probe_is_infeasible(self, A, b, strict):
+        assert not lp_feasible(Polyhedron(A, b, strict_rows=strict, lower=np.zeros(len(A[0]))))
+
+    def test_unscaled_probe_is_infeasible(self):
+        # The scaled probe at unit scale: x + y <= -1 with x, y >= 0.
+        assert not lp_feasible(Polyhedron([[1.0, 1.0]], [-1.0], lower=[0.0, 0.0]))
+
 
 class TestOracleInvariants:
     def test_monotone_in_bound(self, rng):

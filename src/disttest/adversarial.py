@@ -9,9 +9,10 @@ single-draw law of every pair identical between ``d_yes`` and the ``d_no``
 ensemble.  ``d_no`` loses a ``floor(beta*n)``-sized chunk of its support, so
 it cannot be non-concentrated.
 
-Pairings are int64 arrays and every per-pair step is whole-array numpy work:
-:func:`build_pairing` costs O(n + k log k) to select and order its 2k elements,
-the rest O(k) for k pairs.
+Pairings are int64 arrays and every per-pair step is whole-array numpy work.
+:func:`build_pairing` selects and orders its 2k elements in O(n + k log k) the
+first time on a ``d_yes``, which caches the order, and in O(k) on a repeat at
+the same or a smaller k; the rest is O(k) for k pairs.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ class Pairing:
             raise StructureError("pairs must partition L into disjoint pairs")
         object.__setattr__(self, "L", L)
 
+    @classmethod
+    def _trusted(cls, L: np.ndarray) -> "Pairing":
+        """A pairing on ``L``, distinct int64 indices by construction: locked and stored as given, unchecked."""
+        L.flags.writeable = False
+        pairing = object.__new__(cls)
+        object.__setattr__(pairing, "L", L)
+        return pairing
+
     @property
     def pairs(self) -> np.ndarray:
         return self.L.reshape(-1, 2)
@@ -97,16 +106,6 @@ class AdversarialPair:
         _check_domain(self.pairing, self.d_yes.n)
 
 
-def _stable_order(values: np.ndarray) -> np.ndarray:
-    """``argsort(values, kind="stable")``, by numpy's faster unstable argsort
-    when no two values are equal (its order is then the only one)."""
-    order = np.argsort(values)
-    ranked = values[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        return np.argsort(values, kind="stable")
-    return order
-
-
 def build_pairing(d_yes: Distribution, beta: float, rng: np.random.Generator | None = None) -> Pairing:
     """Collect the 2*floor(beta*n) lightest elements and match them into pairs.
 
@@ -115,23 +114,18 @@ def build_pairing(d_yes: Distribution, beta: float, rng: np.random.Generator | N
     it, elements adjacent in the (mass, index) order are paired, a fixed
     choice standing in for "arbitrary".
 
-    The selection equals ``argsort(pmf, kind="stable")[:2k]`` without sorting
-    all n: a partition finds the 2k-th smallest mass, every element below it
-    is stable-sorted by mass, and ties at it follow in index order.
+    The selection equals ``argsort(pmf, kind="stable")[:2k]``, read from the
+    lightest-first order ``d_yes`` caches (``Distribution._lightest``).
     """
     if not 0.0 < beta < 0.5:
         raise ParameterError("beta must lie in (0, 1/2)")
     k = int(math.floor(beta * d_yes.n))
     if k < 1:
         raise ParameterError(f"beta*n rounds below one pair (beta={beta}, n={d_yes.n})")
-    pmf = d_yes.pmf
-    threshold = np.partition(pmf, 2 * k - 1)[2 * k - 1]
-    below = np.flatnonzero(pmf < threshold)
-    ties = np.flatnonzero(pmf == threshold)[: 2 * k - below.size]
-    L = np.concatenate([below[_stable_order(pmf[below])], ties])
+    L = d_yes._lightest(2 * k)
     if rng is not None:
         L = rng.permutation(L)
-    return Pairing(L)
+    return Pairing._trusted(L)
 
 
 def dno_label_invariant(d_yes: Distribution, pairing: Pairing) -> Distribution:
@@ -247,12 +241,16 @@ def make_adversarial_pair(
 
 
 def relabel(pair: AdversarialPair, rng: np.random.Generator) -> AdversarialPair:
-    """Apply one uniformly random relabeling of the domain to the whole bundle."""
+    """Apply one uniformly random relabeling of the domain to the whole bundle.
+
+    ``perm`` is a permutation, so ``perm[L]`` is as distinct as ``L`` and
+    the relabelled pairing needs no check.
+    """
     perm = rng.permutation(pair.d_yes.n)
     return AdversarialPair(
         d_yes=pair.d_yes._relabelled(perm),
         d_no=pair.d_no._relabelled(perm),
-        pairing=Pairing(perm[pair.pairing.L]),
+        pairing=Pairing._trusted(perm[pair.pairing.L]),
         params=pair.params,
     )
 

@@ -175,6 +175,16 @@ class _GuideTable:
         return slot
 
 
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """``argsort(values, kind="stable")``, by numpy's faster unstable argsort
+    when no two values are equal (its order is then the only one)."""
+    order = np.argsort(values)
+    ranked = values[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        return np.argsort(values, kind="stable")
+    return order
+
+
 class Distribution:
     """Explicit pmf over the domain ``{0, ..., n-1}``.
 
@@ -182,7 +192,10 @@ class Distribution:
     to 1 within ``PMF_SUM_TOL``, and the domain is nonempty.  Instances are
     immutable (the underlying array is locked), so they are safe to share
     between threads; the sampling table is built on the first explicit draw
-    and cached on the instance.  A distribution the learner builds on s atoms
+    and cached on the instance.  So is the lightest-first order that
+    adversarial pairings of k pairs select from: the first selection on a
+    distribution costs O(n + k log k), and a repeat at the same or a smaller
+    k costs O(k).  A distribution the learner builds on s atoms
     holds those atoms and masses only, and builds its length-n ``pmf`` on the
     first read; its draws, ``n``, ``support()`` and ``mass()`` never build it.
     """
@@ -256,6 +269,27 @@ class Distribution:
     def _guide(self) -> _GuideTable:
         """The sampling table, built on the first explicit draw and shared by every oracle over this pmf."""
         return _GuideTable(*self._atoms())
+
+    def _lightest(self, count: int) -> np.ndarray:
+        """The first ``count`` indices in ascending (mass, index) order, read-only, for ``1 <= count <= n``.
+
+        Equal to ``argsort(pmf, kind="stable")[:count]`` without sorting all
+        n: a partition finds the count-th smallest mass, every element below
+        it is stable-sorted by mass, and ties at it follow in index order.
+        The longest prefix computed so far is cached on the instance; a
+        shorter request slices it, and only a longer one computes again.
+        Threads that race here compute prefixes of one order, and any may be kept.
+        """
+        prefix = vars(self).get("_lightest_prefix")
+        if prefix is None or prefix.size < count:
+            pmf = self.pmf
+            threshold = np.partition(pmf, count - 1)[count - 1]
+            below = np.flatnonzero(pmf < threshold)
+            ties = np.flatnonzero(pmf == threshold)[: count - below.size]
+            prefix = np.concatenate([below[_stable_order(pmf[below])], ties])
+            prefix.flags.writeable = False
+            vars(self)["_lightest_prefix"] = prefix
+        return prefix[:count]
 
     @property
     def n(self) -> int:

@@ -5,7 +5,6 @@ import pytest
 
 from disttest.adversarial import (
     AdversarialPair,
-    _stable_order,
     Pairing,
     build_pairing,
     collision_rate,
@@ -44,6 +43,23 @@ def many_levels_pmf(n):
     # Masses on ~100 levels: long runs of ties below any threshold.
     raw = np.ceil(np.random.default_rng(6).exponential(size=n) * 20)
     return raw / raw.sum()
+
+
+# Tie patterns the partition-and-sort selection must order as a stable argsort
+# does; "exponential-1e5" has no ties and takes the unstable-argsort path.
+tie_heavy = pytest.mark.parametrize(
+    "pmf",
+    [
+        np.r_[np.full(3, 0.05), np.full(10, 0.07), np.full(5, 0.018)],
+        np.r_[0.0, 0.25, 0.0, 0.25, 0.0, 0.25, 0.0, 0.25],
+        np.full(40, 1 / 40),
+        two_level_pmf(999),
+        one_tie_pmf(2000),
+        many_levels_pmf(5000),
+        random_pmf(np.random.default_rng(1), 10**5),
+    ],
+    ids=["ties-at-threshold", "zeros", "all-equal", "two-levels", "one-tie", "many-levels", "exponential-1e5"],
+)
 
 
 class TestPairing:
@@ -138,23 +154,9 @@ class TestPairing:
             assert all(d.pmf[i] <= cap + 1e-12 for i in p.L)
         assert checked >= 90
 
-    @pytest.mark.parametrize(
-        "pmf",
-        [
-            np.r_[np.full(3, 0.05), np.full(10, 0.07), np.full(5, 0.018)],
-            np.r_[0.0, 0.25, 0.0, 0.25, 0.0, 0.25, 0.0, 0.25],
-            np.full(40, 1 / 40),
-            two_level_pmf(999),
-            one_tie_pmf(2000),
-            many_levels_pmf(5000),
-            None,
-        ],
-        ids=["ties-at-threshold", "zeros", "all-equal", "two-levels", "one-tie", "many-levels", "exponential-1e5"],
-    )
+    @tie_heavy
     @pytest.mark.parametrize("beta", [0.125, 0.25, 0.49])
     def test_selection_equals_stable_argsort(self, pmf, beta):
-        if pmf is None:
-            pmf = random_pmf(np.random.default_rng(1), 10**5)
         d = Distribution(pmf / pmf.sum())
         k = math.floor(beta * d.n)
         reference = np.argsort(d.pmf, kind="stable")[: 2 * k]
@@ -177,18 +179,64 @@ class TestPairing:
             assert same_bytes(pairing.pairs, expected.reshape(k, 2), np.int64)
             assert rng.bit_generator.state == twin.bit_generator.state
 
-    def test_stable_order_matches_stable_argsort(self):
-        # Random tie patterns, signed zeros and the empty and one-element cases.
-        rng = np.random.default_rng(7)
-        for size in (0, 1, 2, 3, 50, 1000):
-            for levels in (1, 2, 30, None):
-                values = rng.random(size) if levels is None else rng.integers(0, levels, size) / 8.0
-                values[rng.random(size) < 0.1] = -0.0
-                assert same_bytes(_stable_order(values), np.argsort(values, kind="stable"), np.intp)
-
     def test_beta_too_small(self):
         with pytest.raises(ParameterError):
             build_pairing(Distribution.uniform(3), beta=0.2)
+
+
+class TestCachedSelection:
+    # Growing, then shrinking: a miss, hits, a longer miss, then slices.
+    BETAS = (0.125, 0.25, 0.49, 0.3, 0.25, 0.125)
+
+    @tie_heavy
+    def test_repeats_on_one_distribution_equal_stable_argsort(self, pmf):
+        d = Distribution(pmf / pmf.sum())
+        order = np.argsort(d.pmf, kind="stable")
+        for seed, beta in enumerate(self.BETAS):
+            k = math.floor(beta * d.n)
+            assert same_bytes(build_pairing(d, beta).L, order[: 2 * k], np.int64)
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert same_bytes(build_pairing(d, beta, rng).L, twin.permutation(order[: 2 * k]), np.int64)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_pairings_and_cached_prefix_are_read_only(self):
+        d = Distribution(random_pmf(np.random.default_rng(4), 200))
+        fixed, shuffled = build_pairing(d, 0.25), build_pairing(d, 0.25, np.random.default_rng(1))
+        pair = make_adversarial_pair(d, NonConcentrationParams(0.1, 0.25), "general", np.random.default_rng(2))
+        moved = relabel(pair, np.random.default_rng(3)).pairing
+        for array in (fixed.L, fixed.pairs, shuffled.L, moved.L, d._lightest(100), vars(d)["_lightest_prefix"]):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        assert fixed.L.tolist() == np.argsort(d.pmf, kind="stable")[:100].tolist()
+
+    def test_repeat_at_equal_or_smaller_k_never_selects_again(self, monkeypatch):
+        # The first pairing partitions and sorts the pmf; a repeat on the same
+        # distribution at an equal or smaller k only slices the cached order.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a repeat reached the selection")
+
+        d = Distribution(many_levels_pmf(5000))
+        build_pairing(d, 0.25)
+        monkeypatch.setattr(np, "partition", refuse)
+        monkeypatch.setattr(np, "argsort", refuse)
+        for beta in (0.25, 0.1, 0.01):
+            build_pairing(d, beta)
+            build_pairing(d, beta, np.random.default_rng(0))
+        with pytest.raises(AssertionError, match="reached the selection"):
+            build_pairing(d, 0.3)
+
+
+class TestTrustedPairing:
+    @pytest.mark.parametrize("mode", ["label-invariant", "general"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_relabelled_pairing_equals_the_checked_one(self, mode, seed):
+        d = Distribution(two_level_pmf(999))
+        pair = make_adversarial_pair(d, NonConcentrationParams(0.1, 0.25), mode, np.random.default_rng(seed))
+        rng, twin = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        moved = relabel(pair, rng)
+        checked = Pairing(twin.permutation(d.n)[pair.pairing.L])
+        assert same_bytes(moved.pairing.L, checked.L, np.int64)
+        assert same_bytes(pair.pairing.L, Pairing(pair.pairing.L).L, np.int64)
 
 
 class TestLabelInvariantConstruction:

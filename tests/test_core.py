@@ -12,6 +12,7 @@ from disttest.core import (
     NonConcentrationParams,
     SamplingOracle,
     _index_set,
+    _stable_order,
     additive_chernoff_bound,
     derive_seed,
     empirical_distribution,
@@ -311,6 +312,27 @@ class TestNonConcentration:
             NonConcentrationParams(alpha=0.4, beta=0.3)
         with pytest.raises(ParameterError):
             is_non_concentrated(Distribution.uniform(2), NonConcentrationParams(0.1, 0.3))
+
+
+class TestLightestOrder:
+    def test_stable_order_matches_stable_argsort(self):
+        # Random tie patterns, signed zeros and the empty and one-element cases.
+        rng = np.random.default_rng(7)
+        for size in (0, 1, 2, 3, 50, 1000):
+            for levels in (1, 2, 30, None):
+                values = rng.random(size) if levels is None else rng.integers(0, levels, size) / 8.0
+                values[rng.random(size) < 0.1] = -0.0
+                got, want = _stable_order(values), np.argsort(values, kind="stable")
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_prefix_keeps_the_longest_request(self):
+        levels = np.ceil(_exponential_pmf(1000) * 5000)  # runs of equal masses
+        d = Distribution(levels / levels.sum())
+        order = np.argsort(d.pmf, kind="stable")
+        for count, kept in ((10, 10), (400, 400), (3, 400), (400, 400), (1000, 1000), (1, 1000)):
+            got = d._lightest(count)
+            assert got.tobytes() == order[:count].tobytes() and not got.flags.writeable
+            assert vars(d)["_lightest_prefix"].size == kept
 
 
 class TestSampleSize:

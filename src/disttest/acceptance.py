@@ -33,6 +33,7 @@ from .core import (
     additive_chernoff_bound,
     derive_seed,
     format_field,
+    high_set,
     is_non_concentrated,
     l1_distance,
     multiplicative_chernoff_bound,
@@ -156,7 +157,7 @@ def _tester_bundle(cfg) -> dict:
     uniform = Distribution.uniform(n)
     half = Distribution.uniform_on(range(n // 2), n)
     threshold = params.eta_prime / params.q**2
-    high_true = frozenset(int(i) for i in np.flatnonzero(uniform.pmf >= threshold))
+    high_true = high_set(uniform, threshold)
 
     accepts = rejects = 0
     containment = lem3 = 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, NonConcentrationParams
+from .core import Distribution, NonConcentrationParams, _integer
 from .errors import ParameterError, StructureError
 
 CONSERVATION_TOL = 1e-12
@@ -274,12 +274,8 @@ def collision_rate(
     cdf outgrows the cache (from n of about 10^4), about even for small n,
     and holds three more arrays of ``trials * m`` entries while it runs.
     """
-    m = int(m)
-    trials = int(trials)
-    if m < 2:
-        raise ParameterError("m must be >= 2")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    m = _integer(m, "m", 2)
+    trials = _integer(trials, "trials", 1)
     _check_domain(pairing, d.n)
     cdf = np.cumsum(d.pmf)
     cdf /= cdf[-1]
@@ -294,7 +290,8 @@ def collision_rate(
 
 
 def pair_collision_bound(d: Distribution, pairing: Pairing, m: int) -> float:
-    """Union bound m^2 * p_max / 2 on the same-pair collision probability."""
+    """Union bound m^2 * p_max / 2 on the same-pair collision probability; ``m`` is an integer >= 2."""
+    m = _integer(m, "m", 2)
     _check_domain(pairing, d.n)
     x, y = pairing.pairs.T
     p_max = float((d.pmf[x] + d.pmf[y]).max())

@@ -58,6 +58,8 @@ def _integer(value, what: str, low: int | None = None) -> int:
     Python and numpy integers and integral floats count; booleans, fractions,
     non-finite floats and non-numbers do not, nor values below ``low``.
     """
+    if type(value) is int and (low is None or value >= low):
+        return value  # plain ints skip the slower ABC checks below
     if isinstance(value, (bool, np.bool_)) or not (
         isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
     ) or low is not None and value < low:
@@ -506,8 +508,9 @@ class SamplingOracle:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Stable 64-bit child seed for experiment fan-out."""
-    return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1, np.uint64)[0])
+    """Stable 64-bit child seed for experiment fan-out; ``seed`` and ``index`` are integers >= 0."""
+    seed, index = _integer(seed, "seed", 0), _integer(index, "index", 0)
+    return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
 def l1_distance(d1: Distribution, d2: Distribution) -> float:

@@ -7,11 +7,13 @@ so storage and set-up cost O(nnz), and a :class:`LinearProperty` folds any
 singleton rows into bounds once, at construction.  Given the tester's
 high-mass estimate, :func:`build_feasibility_lp` appends the slack-linearized
 rows whose feasibility answers "is there a member of the property close to
-the surrogate distribution with its heavy elements inside H?".
-:func:`lp_feasible` and :func:`feasibility_report` pass every system to the
-solve seam :func:`disttest.simplex.solve_feasibility`, with its fixed
-tolerance and iteration cap; a :class:`~disttest.errors.SolverError` from the
-seam is raised again here with the digest of the instance that caused it.
+the surrogate distribution with its heavy elements inside H?"; like every
+system the library builds, its rows are written canonical.
+:func:`lp_feasible` and :func:`feasibility_report` hand every system, as a
+``Polyhedron``, to the solve seam :func:`disttest.simplex.solve_feasibility`,
+with its fixed tolerance and iteration cap; a
+:class:`~disttest.errors.SolverError` from the seam is raised again here with
+the digest of the instance that caused it.
 
 A property may carry one known member, checked against its system at
 construction; :func:`uniformity_polyhedron` carries its centre.  The step-5
@@ -51,9 +53,10 @@ class Polyhedron:
     ``A`` is stored as the triplets of :func:`disttest.simplex._canonical`,
     the form the solve seam hands HiGHS; they, ``b`` and the bounds (-inf,
     +inf by default) are read-only, unless :meth:`_assembled` stored them.  A
-    strict row that is not an integer (a boolean, fraction or nan) or lies
-    outside ``[0, M)``, or a bound that is nan, of the wrong length, a lower
-    +inf or an upper -inf, raises :class:`StructureError`.
+    ``b`` that is not finite or not of length M, a strict row that is not an
+    integer (a boolean, fraction or nan) or lies outside ``[0, M)``, or a
+    bound that is nan, of the wrong length, a lower +inf or an upper -inf,
+    raises :class:`StructureError`; the solve seam trusts these checks.
     """
 
     A: Triplets
@@ -79,11 +82,11 @@ class Polyhedron:
             raise StructureError(f"lower and upper must hold N = {N} bounds, none nan, +inf below or -inf above")
         for part in (A.rows, A.cols, A.vals, b, lower, upper):
             part.flags.writeable = False
-        self.__dict__.update(vars(self._assembled(A, b, lower, upper, frozenset(int(i) for i in strict))))
+        self.__dict__.update(A=A, b=b, strict_rows=frozenset(int(i) for i in strict), lower=lower, upper=upper)
 
     @classmethod
     def _assembled(cls, A: Triplets, b, lower, upper, strict_rows=frozenset()) -> "Polyhedron":
-        """A system whose rows are unique by construction, stored as given: no check, sort, copy or flag."""
+        """A system canonical by construction, stored as given: no check, sort, copy or flag."""
         poly = object.__new__(cls)
         poly.__dict__.update(A=A, b=b, strict_rows=strict_rows, lower=lower, upper=upper)
         return poly
@@ -225,10 +228,10 @@ class LinearProperty:
 class FeasibilityInstance:
     """The assembled slack-variable system for one tester step-5 question.
 
-    :func:`build_feasibility_lp` writes the rows of ``poly`` unique, in block
-    order, and stores them unchecked.  ``farkas`` is a candidate Farkas vector
-    for ``poly``, one 0/1 multiplier per row, written when the property
-    declares a ``ball`` (else None).  :meth:`refuted` checks it.
+    :func:`build_feasibility_lp` writes the rows of ``poly`` canonical and
+    stores them unchecked.  ``farkas`` is a candidate Farkas vector for
+    ``poly``, one 0/1 multiplier per row, written when the property declares a
+    ``ball`` (else None).  :meth:`refuted` checks it.
     """
 
     poly: Polyhedron
@@ -242,7 +245,7 @@ class FeasibilityInstance:
         """
         if self.farkas is None:
             return False
-        return refutes(self.poly.A, self.poly.b, self.farkas)
+        return refutes(self.poly, self.farkas)
 
 
 def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
@@ -370,26 +373,28 @@ def build_feasibility_lp(
     tail_col = N + h
     V = tail_col + 1
 
-    # Row m0 is the budget; rows m0+1+2k and m0+2+2k bound |z_Hs[k] - ref[k]|
-    # by slack k; the last two rows bound the off-H total by the tail slack.
+    # Rows, written canonical: row m0 is the budget; rows up[k] and dn[k] = up[k]+1
+    # read z_Hs[k] - s_k <= ref[k] and -z_Hs[k] - s_k <= -ref[k], so pair k's
+    # entries are (Hs[k], 1), (s_k, -1), (Hs[k], -1), (s_k, -1); the last two rows
+    # bound the off-H total by the tail slack.
     m0 = base.M
     up = m0 + 1 + 2 * np.arange(h)
     dn = up + 1
     slack = N + np.arange(h)
     tail_up = m0 + 1 + 2 * h
     tail_len = comp.size + 1
-    ones_h, ones_c = np.ones(h), np.ones(comp.size)
+    pair_vals = np.full(4 * h, -1.0)
+    pair_vals[::4] = 1.0
+    ones_c = np.ones(comp.size)
     rows = np.concatenate(
-        [base.A.rows, np.full(h + 1, m0), up, up, dn, dn]
+        [base.A.rows, np.full(h + 1, m0), np.arange(m0 + 1, tail_up).repeat(2)]
         + [np.full(tail_len, tail_up), np.full(tail_len, tail_up + 1)]
     )
     cols = np.concatenate(
-        [base.A.cols, np.arange(N, V), Hs, slack, Hs, slack, comp, [tail_col], comp, [tail_col]]
+        [base.A.cols, np.arange(N, V), np.column_stack([Hs, slack, Hs, slack]).ravel()]
+        + [comp, [tail_col], comp, [tail_col]]
     )
-    vals = np.concatenate(
-        [base.A.vals, np.ones(h + 1), ones_h, -ones_h, -ones_h, -ones_h]
-        + [ones_c, [-1.0], -ones_c, [-1.0]]
-    )
+    vals = np.concatenate([base.A.vals, np.ones(h + 1), pair_vals, ones_c, [-1.0], -ones_c, [-1.0]])
     b = np.concatenate(
         [base.b, [t.bound], np.column_stack([ref, -ref]).ravel(), [tail_ref, -tail_ref]]
     )
@@ -418,7 +423,7 @@ def _solve(inst, measure_violation: bool):
         raise ParameterError("expected a FeasibilityInstance or Polyhedron")
     inst, s = (inst.poly, inst.poly) if isinstance(inst, FeasibilityInstance) else (inst, _fold(inst))
     try:
-        return solve_feasibility(s.A, s.b, s.lower, s.upper, measure_violation=measure_violation)
+        return solve_feasibility(s, measure_violation=measure_violation)
     except SolverError as exc:
         raise SolverError(str(exc), inst.digest()) from None
 

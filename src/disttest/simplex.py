@@ -1,17 +1,17 @@
-"""Feasibility of systems ``Ax <= b`` with variable bounds, decided behind one seam.
+"""Feasibility of a :class:`disttest.linprop.Polyhedron`, decided behind one seam.
 
 Every feasibility question in disttest goes through :func:`solve_feasibility`.
-It takes the rows as a dense matrix or as COO :class:`Triplets`, hands them
-to HiGHS row-wise in the canonical order of :func:`_canonical` (the one
-canonicalizer, which also builds the triplets every
-:class:`disttest.linprop.Polyhedron` stores) and decides the system with
-HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018),
-called through the bindings scipy ships as ``scipy.optimize._highspy`` with
-the options ``linprog(method="highs")`` would set, so verdicts and points
-are the ones linprog gives.  scipy is imported inside the seam, at the first
-system the start point does not already satisfy, so it loads only when an LP
-is needed: importing disttest does not load it, and neither does a tester
-call that the property's known member or its Farkas vector decides
+It takes a ``Polyhedron``, whose constructor has checked ``b`` and the bounds
+and stored ``A`` as the row-major triplets of :func:`_canonical` (the one
+canonicalizer), so the seam checks nothing again and hands the rows to HiGHS
+row-wise as they are.  HiGHS's dual simplex (Huangfu & Hall, Math. Prog.
+Comp. 2018) decides, called through the bindings scipy ships as
+``scipy.optimize._highspy`` with the options ``linprog(method="highs")``
+would set, so verdicts and points are the ones linprog gives.  scipy is
+imported inside the seam, at the first system the start point does not
+already satisfy, so it loads only when an LP is needed: importing disttest
+does not load it, and neither does a tester call that the property's known
+member or its Farkas vector decides
 (:class:`disttest.linprop.LinearPropertyOracle`), since that call never
 reaches the seam.
 
@@ -20,25 +20,27 @@ The layer has fixed settings: every row and bound holds within
 :data:`MAX_ITER` simplex iterations, and a point reported feasible must miss
 no row or bound by more than 1e-6.
 
-:func:`refutes` checks an infeasibility certificate apart from any solver:
-an integral Farkas vector ``y >= 0`` with ``A^T y = 0`` exactly and
-``y^T b`` below zero, with a stated margin for rounding, in O(nnz) with
-numpy only.
-
-A malformed matrix raises :class:`StructureError` when its :class:`Triplets`
-are built, so it never reaches the seam; the seam raises
-:class:`ParameterError` on a bad ``b`` or bound.  The seam takes general
-lower/upper bounds, free variables included.
+:func:`refutes` checks an infeasibility certificate for a ``Polyhedron``
+apart from any solver: an integral Farkas vector ``y >= 0`` with
+``A^T y = 0`` exactly and ``y^T b`` below zero, with a stated margin for
+rounding, in O(nnz) with numpy only.  A malformed matrix, ``b`` or bound
+raises :class:`StructureError` when its :class:`Triplets` or ``Polyhedron``
+is built, so none reaches the seam.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParameterError, SolverError, StructureError
+from .core import _integer
+from .errors import SolverError, StructureError
+
+if TYPE_CHECKING:
+    from .linprop import Polyhedron
 
 FEAS_TOL = 1e-9
 MAX_ITER = 10**6
@@ -71,8 +73,9 @@ class Triplets:
     matrix; nothing scatters the triplets into a dense array, so
     ``np.asarray(A)`` is not that matrix.  ``rows`` and ``cols`` are
     stored as int64, ``vals`` as float64; :class:`StructureError` is raised
-    unless all three are 1-D and of one length, every coordinate is an integer
-    (not a boolean) inside ``shape`` and every value is finite.
+    unless ``shape`` holds two integers >= 0 (not booleans or fractions), all
+    three are 1-D and of one length, every coordinate is an integer (not a
+    boolean) inside ``shape`` and every value is finite.
     """
 
     rows: np.ndarray
@@ -81,11 +84,14 @@ class Triplets:
     shape: tuple
 
     def __post_init__(self):
-        M, N = (int(d) for d in self.shape)
+        try:
+            M, N = (_integer(d, "shape", 0) for d in self.shape)
+        except (TypeError, ValueError):  # ParameterError is a ValueError
+            raise StructureError(f"shape must be two integers >= 0, not {self.shape!r}") from None
         rows, cols, vals = np.asarray(self.rows), np.asarray(self.cols), np.asarray(self.vals, dtype=np.float64)
         if not rows.shape == cols.shape == vals.shape == (vals.size,):
             raise StructureError("rows, cols and vals must be 1-D arrays of one length")
-        if min(M, N) < 0 or vals.size and not (
+        if vals.size and not (
             rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
             and 0 <= rows.min() <= rows.max() < M and 0 <= cols.min() <= cols.max() < N
         ):
@@ -127,8 +133,8 @@ def _canonical(A) -> Triplets:
     Duplicate coordinates are summed and zeros dropped, by one sort unless an
     O(nnz) check finds them so already.  A malformed matrix raises
     :class:`StructureError` when its :class:`Triplets` are built.  This is
-    the form every :class:`disttest.linprop.Polyhedron` stores and the form
-    :func:`solve_feasibility` hands HiGHS.
+    the form every :class:`disttest.linprop.Polyhedron` stores, and so the
+    form :func:`solve_feasibility` hands HiGHS.
     """
     if not isinstance(A, Triplets):
         A = Triplets.from_dense(A, ndmin=2)
@@ -204,20 +210,19 @@ _UNIT_ROUNDOFF = 2.0**-53  # float64 rounds to nearest with at most this relativ
 _EXACT_INTEGERS = 2.0**53  # float64 holds every integer of smaller magnitude
 
 
-def refutes(A: Triplets, b, y) -> bool:
+def refutes(poly: "Polyhedron", y) -> bool:
     """Whether the Farkas vector ``y`` proves that no x meets ``A x <= b`` within ``FEAS_TOL``.
 
-    ``A`` is :class:`Triplets` and ``y`` holds one multiplier per row.  True
-    means: no x has every row ``A_i x <= b_i + FEAS_TOL``, so no point
-    :func:`solve_feasibility` looks for exists, whatever the bounds.  False
-    means only that ``y`` proves nothing.  The check is numpy only,
+    ``A`` and ``b`` are the rows of ``poly`` and ``y`` holds one multiplier
+    per row.  True means: no x has every row ``A_i x <= b_i + FEAS_TOL``, so
+    no point :func:`solve_feasibility` looks for exists, whatever the bounds.
+    False means only that ``y`` proves nothing.  The check is numpy only,
     O(nnz + M + N), and never calls a solver; it is the infeasible-side
     counterpart of :func:`_check_residual`.
 
     False is also the answer when ``y`` is not finite, non-negative and of
-    length M; when ``b`` is not finite and of length M; when an entry of
-    ``A`` or ``y`` is not an integer, or ``max|A| * sum(y)`` reaches 2^53;
-    and when ``A^T y`` is not 0.
+    length M; when an entry of ``A`` or ``y`` is not an integer, or
+    ``max|A| * sum(y)`` reaches 2^53; and when ``A^T y`` is not 0.
 
     Why True is sound.  With ``A^T y = 0`` and y >= 0, any such x gives
 
@@ -234,12 +239,13 @@ def refutes(A: Triplets, b, y) -> bool:
     Stability of Numerical Algorithms*, 2002, section 3.1); it is compared
     with 0 with that margin.
     """
+    A, b = poly.A, poly.b
     m, n = A.shape
     try:
-        y, b = np.asarray(y, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
     except (TypeError, ValueError):
         return False
-    if y.shape != (m,) or b.shape != (m,) or not np.isfinite(b).all():
+    if y.shape != (m,):
         return False
     # y >= 0 is False at nan, and a sum of non-negatives is finite only when every one is.
     total = float(y.sum())
@@ -258,54 +264,32 @@ def refutes(A: Triplets, b, y) -> bool:
     return ceiling + margin < 0.0
 
 
-def solve_feasibility(
-    A,
-    b: np.ndarray,
-    lower: np.ndarray | None = None,
-    upper: np.ndarray | None = None,
-    measure_violation: bool = True,
-) -> FeasibilityResult:
-    """Decide whether ``{x : Ax <= b, lower <= x <= upper}`` is nonempty.
+def solve_feasibility(poly: "Polyhedron", measure_violation: bool = True) -> FeasibilityResult:
+    """Decide whether ``{x : Ax <= b, lower <= x <= upper}`` of ``poly`` is nonempty.
 
-    ``A`` is :class:`Triplets` or a dense matrix, converted to triplets here,
-    once; a malformed matrix raises :class:`StructureError` when the triplets
-    are built.  The start point and the residual check read them as given;
-    HiGHS gets them row-wise, put in order by :func:`_canonical`.  Bounds that
-    cross by at most ``FEAS_TOL`` pin the variable, as in
-    :func:`extract_bounds`.
+    ``poly``'s strict rows are not read; :func:`disttest.linprop.lp_feasible`
+    folds them first.  Its constructor has checked ``b`` and the bounds and
+    stored ``A`` canonical, so the start point, the residual check and HiGHS
+    all read the triplets as they are.  Bounds that cross by at most
+    ``FEAS_TOL`` pin the variable, as in :func:`extract_bounds`.
 
     HiGHS decides, holding every row within ``FEAS_TOL`` (its primal
     feasibility tolerance).  Reaching ``MAX_ITER`` iterations raises
     :class:`SolverError`, and so does a feasible point that misses a single
-    row or bound by more than 1e-6.  :class:`ParameterError` is raised before
-    any solve when ``b`` holds a non-finite entry, a bound is nan, ``lower``
-    is +inf or ``upper`` is -inf, or a length does not match ``A.shape``.
+    row or bound by more than 1e-6.
 
     ``violation`` is described on :class:`FeasibilityResult`.  With
     ``measure_violation`` false, the elastic solve that measures it on
     infeasible systems is skipped.
     """
-    if not isinstance(A, Triplets):
-        A = Triplets.from_dense(A)
-    b = np.asarray(b, dtype=np.float64)
-    m, n = A.shape
-    lower = np.full(n, -np.inf) if lower is None else np.array(lower, dtype=np.float64)
-    upper = np.full(n, np.inf) if upper is None else np.array(upper, dtype=np.float64)
-    if b.shape != (m,) or lower.shape != (n,) or upper.shape != (n,):
-        raise ParameterError(
-            f"A is {m}x{n} but b, lower and upper have shapes {b.shape}, {lower.shape}, {upper.shape}"
-        )
-    if not np.isfinite(b).all():
-        raise ParameterError("b must be finite")
-    if np.isnan(lower).any() or np.isnan(upper).any() or (lower == np.inf).any() or (upper == -np.inf).any():
-        raise ParameterError("bounds must not be nan, and lower must not be +inf nor upper -inf")
+    A, b, lower, upper = poly.A, poly.b, poly.lower, poly.upper.copy()
     widest = _pinch(lower, upper)
     if widest > FEAS_TOL:
         return FeasibilityResult(False, widest, None, 0)
 
     # The start point: 0, moved onto the nearer bound when it lies outside them.
     x0 = np.where(upper < 0, upper, np.where(lower > 0, lower, 0.0))
-    if m == 0 or not np.any(b - A @ x0 < 0.0):
+    if A.shape[0] == 0 or not np.any(b - A @ x0 < 0.0):
         return FeasibilityResult(True, 0.0, x0, 0)
     return _highs(A, b, lower, upper, measure_violation)
 
@@ -315,7 +299,7 @@ def _highs(A: Triplets, b, lower, upper, measure_violation):
     # The bindings are called directly because linprog's Python layer (option
     # checks, sparse format conversions, dual bookkeeping we discard) took
     # longer per call than the solve itself.  They take the canonical triplets
-    # as they are, in HiGHS's row-wise format.
+    # of a Polyhedron as they are, in HiGHS's row-wise format.
     try:
         from scipy.optimize._highspy import _core as highs
     except ImportError as exc:
@@ -362,8 +346,7 @@ def _highs(A: Triplets, b, lower, upper, measure_violation):
         return x, info.simplex_iteration_count, info.objective_function_value
 
     m, n = A.shape
-    canon = _canonical(A)
-    x, iterations, _ = solve(canon, np.zeros(n), lower, upper)
+    x, iterations, _ = solve(A, np.zeros(n), lower, upper)
     if x is not None:
         violation = _check_residual(A, x, b, lower, upper)
         return FeasibilityResult(True, violation, x, iterations)
@@ -372,11 +355,11 @@ def _highs(A: Triplets, b, lower, upper, measure_violation):
         # Elastic form: Ax - s <= b with s >= 0, minimising sum(s).  Slack i is
         # the last column of row i, so inserting it at the row's end keeps the
         # triplets canonical.
-        ends, k = np.cumsum(np.bincount(canon.rows, minlength=m)), np.arange(m)
+        ends, k = np.cumsum(np.bincount(A.rows, minlength=m)), np.arange(m)
         elastic = Triplets(
-            np.insert(canon.rows, ends, k),
-            np.insert(canon.cols, ends, n + k),
-            np.insert(canon.vals, ends, -1.0),
+            np.insert(A.rows, ends, k),
+            np.insert(A.cols, ends, n + k),
+            np.insert(A.vals, ends, -1.0),
             (m, n + m),
         )
         cost = np.concatenate([np.zeros(n), np.ones(m)])

@@ -486,6 +486,28 @@ class TestCollisionRate:
         with pytest.raises(ParameterError):
             collision_rate(d, pairing, m=2, trials=0, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "m, trials", [(2.9, 10), (True, 10), (2, 10.7), (2, np.bool_(True))],
+        ids=["fractional-m", "bool-m", "fractional-trials", "bool-trials"],
+    )
+    def test_counts_must_be_integers(self, m, trials):
+        # int() ran m=2.9 as 2 and trials=10.7 as 10.
+        d = Distribution.uniform(6)
+        pairing = Pairing((0, 1, 2, 3))
+        with pytest.raises(ParameterError, match="must be an integer"):
+            collision_rate(d, pairing, m=m, trials=trials, rng=np.random.default_rng(0))
+        rate = collision_rate(d, pairing, m=2.0, trials=np.int64(10), rng=np.random.default_rng(0))
+        assert rate == collision_rate(d, pairing, m=2, trials=10, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m", [-3, 0, 1, 2.5, True], ids=["negative", "zero", "one", "fraction", "bool"])
+    def test_union_bound_needs_an_integer_m_of_at_least_2(self, m):
+        # m = -3 returned 0.09, a bound on no number of draws.
+        d = Distribution.uniform(6)
+        pairing = Pairing((0, 1, 2, 3))
+        with pytest.raises(ParameterError, match="m must be an integer >= 2"):
+            pair_collision_bound(d, pairing, m)
+        assert pair_collision_bound(d, pairing, 2.0) == pair_collision_bound(d, pairing, 2)
+
 
 # Per-pair loop versions of the adversarial layer on tuples of Python ints:
 # the reference the vectorised code must reproduce bit for bit.

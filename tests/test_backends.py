@@ -19,7 +19,7 @@ import pytest
 
 import disttest.simplex as simplex
 from disttest.core import Distribution, SamplingOracle
-from disttest.errors import ParameterError, SolverError, StructureError
+from disttest.errors import SolverError, StructureError
 from disttest.linprop import (
     LinearProperty,
     LinearPropertyOracle,
@@ -118,23 +118,22 @@ def mixture_estimates(n: int):
 
 NAN, INF = float("nan"), float("inf")
 # Each system is feasible at the start point but for the bad entry, so a
-# missing check shows as a feasible verdict.  A malformed matrix raises
-# StructureError when its Triplets are built, so "triplet-outside" is built in
-# the test body; the seam raises ParameterError on b and the bounds.
+# missing check shows as a feasible verdict.  The seam takes a Polyhedron,
+# whose constructor raises StructureError on each of them; "triplet-outside"
+# is built in the test body, where its Triplets raise.
 BAD_INPUTS = {
-    "nan-in-b": ([[1.0]], [NAN], None, None, ParameterError),
-    "inf-in-b": ([[1.0]], [INF], None, None, ParameterError),
-    "nan-in-A": ([[NAN]], [1.0], None, None, StructureError),
-    "inf-in-A": ([[-INF]], [1.0], None, None, StructureError),
-    "nan-lower": ([[1.0]], [1.0], [NAN], None, ParameterError),
-    "nan-upper": ([[1.0]], [1.0], None, [NAN], ParameterError),
-    "lower-plus-inf": ([[1.0]], [1.0], [INF], None, ParameterError),
-    "upper-minus-inf": ([[1.0]], [1.0], None, [-INF], ParameterError),
-    "b-too-short": ([[1.0], [1.0]], [1.0], None, None, ParameterError),
-    "lower-too-long": ([[1.0]], [1.0], [0.0, 0.0], None, ParameterError),
-    "triplet-outside": (
-        lambda: Triplets(np.array([0]), np.array([1]), np.array([1.0]), (1, 1)), [1.0], None, None, StructureError
-    ),
+    "nan-in-b": ([[1.0]], [NAN], None, None),
+    "inf-in-b": ([[1.0]], [INF], None, None),
+    "nan-in-A": ([[NAN]], [1.0], None, None),
+    "inf-in-A": ([[-INF]], [1.0], None, None),
+    "nan-lower": ([[1.0]], [1.0], [NAN], None),
+    "nan-upper": ([[1.0]], [1.0], None, [NAN]),
+    "lower-plus-inf": ([[1.0]], [1.0], [INF], None),
+    "upper-minus-inf": ([[1.0]], [1.0], None, [-INF]),
+    "b-too-short": ([[1.0], [1.0]], [1.0], None, None),
+    "b-too-long": ([[1.0]], [1.0, 1.0], None, None),
+    "lower-too-long": ([[1.0]], [1.0], [0.0, 0.0], None),
+    "triplet-outside": (lambda: Triplets(np.array([0]), np.array([1]), np.array([1.0]), (1, 1)), [1.0], None, None),
 }
 
 
@@ -142,13 +141,13 @@ class TestSeam:
     @pytest.mark.parametrize("system", [TRIVIAL, EQUALITY_PAIR], ids=["trivial", "equality-pair"])
     def test_infeasible_violation_on_both_backends(self, system):
         A, b, want = system
-        res = solve_feasibility(A, b)
+        res = solve_feasibility(Polyhedron(A, b))
         assert not res.feasible
         assert res.violation == pytest.approx(want, abs=1e-8)
 
     def test_violation_skipped_when_not_asked(self):
         A, b, _ = EQUALITY_PAIR
-        res = solve_feasibility(A, b, measure_violation=False)
+        res = solve_feasibility(Polyhedron(A, b), measure_violation=False)
         assert not res.feasible and np.isnan(res.violation)
 
     def test_triplets_and_dense_rows_agree(self):
@@ -165,22 +164,22 @@ class TestSeam:
                 t.shape,
             )
             assert holds_dense(halves, A)
-            dense = solve_feasibility(A, b)
-            for sparse in (solve_feasibility(t, b), solve_feasibility(halves, b)):
+            dense = solve_feasibility(Polyhedron(A, b))
+            for sparse in (solve_feasibility(Polyhedron(t, b)), solve_feasibility(Polyhedron(halves, b))):
                 assert sparse.feasible == dense.feasible
                 if not dense.feasible:
                     assert sparse.violation == dense.violation
 
     def test_system_without_variables(self):
         # HiGHS calls a model without columns empty rather than infeasible.
-        res = solve_feasibility(np.zeros((3, 0)), [-1.0, 2.0, -0.5])
+        res = solve_feasibility(Polyhedron(np.zeros((3, 0)), [-1.0, 2.0, -0.5]))
         assert (res.feasible, res.violation, res.x, res.iterations) == (False, 1.5, None, 0)
-        assert solve_feasibility(np.zeros((2, 0)), [0.0, 2.0]).feasible
+        assert solve_feasibility(Polyhedron(np.zeros((2, 0)), [0.0, 2.0])).feasible
 
-    @pytest.mark.parametrize("A, b, lower, upper, error", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-    def test_bad_input_is_rejected_before_any_solve(self, A, b, lower, upper, error):
-        with pytest.raises(error):
-            solve_feasibility(A() if callable(A) else A, b, lower, upper)
+    @pytest.mark.parametrize("A, b, lower, upper", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_input_is_rejected_before_any_solve(self, A, b, lower, upper):
+        with pytest.raises(StructureError):
+            solve_feasibility(Polyhedron(A() if callable(A) else A, b, lower=lower, upper=upper))
 
     def test_iteration_cap_names_the_polyhedron_lazily(self, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_ITER", 1)
@@ -204,7 +203,7 @@ class TestBackendsAgree:
             inst = build_feasibility_lp(prop, est.H, est.d_tilde, params.q, params.bound)
             verdicts.append(lp_feasible(inst))
             system = inst.poly
-            got = solve_feasibility(system.A, system.b, system.lower, system.upper, measure_violation=False)
+            got = solve_feasibility(system, measure_violation=False)
             want = linprog_reference(system.A, system.b, system.lower, system.upper)
             assert got.feasible == (want.status == 0) and want.status in (0, 2)
             assert got.iterations == want.nit

@@ -487,6 +487,19 @@ class TestSamplingOracle:
             assert top_elements(d, m) == [0, 1, 2]
             assert Distribution.point_mass(4, m) == Distribution.point_mass(4, 3)
 
+    @pytest.mark.parametrize(
+        "seed, index", [(1.5, 0), (True, 0), (-1, 0), (0, 2.5), (0, np.bool_(True)), (0, -1)],
+        ids=["fractional-seed", "bool-seed", "negative-seed", "fractional-index", "bool-index", "negative-index"],
+    )
+    def test_derive_seed_takes_integers_at_least_zero(self, seed, index):
+        # int() read 1.5 and True as 1, and -1 raised numpy's bare ValueError.
+        with pytest.raises(ParameterError, match="must be an integer >= 0"):
+            derive_seed(seed, index)
+
+    def test_derive_seed_accepts_integral_values_of_any_type(self):
+        want = derive_seed(3, 4)
+        assert derive_seed(3.0, np.int64(4)) == derive_seed(np.uint64(3), np.float64(4.0)) == want
+
 
 class TestGuideTable:
     @pytest.mark.parametrize("pmf", GUIDE_PMFS.values(), ids=GUIDE_PMFS.keys())

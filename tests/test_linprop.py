@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import disttest.linprop as linprop
+import disttest.simplex as simplex
 from disttest.core import Distribution
 from disttest.errors import ParameterError, StructureError
 from disttest.linprop import (
@@ -18,7 +19,7 @@ from disttest.linprop import (
     uniformity_polyhedron,
 )
 from disttest.reference import simplex_grid, vertex_enumeration_feasible
-from disttest.simplex import Triplets, solve_feasibility
+from disttest.simplex import Triplets
 from disttest.tester import HighEstimate, check_conditions
 
 from conftest import holds_dense, random_pmf
@@ -194,6 +195,8 @@ class TestBuildFeasibilityLP:
             q, bound = int(rng.integers(1, 6)), float(rng.uniform(0.0, 1.0))
             got = build_feasibility_lp(prop, est.H, est.d_tilde, q, bound).poly
             A, b, lower, upper = setdiff_feasibility_lp(prop, est.H, est.d_tilde, q, bound)
+            # The reference writes its rows in block order; the builder writes them canonical.
+            A = linprop._canonical(A)
             assert got.A.shape == A.shape
             for mine, theirs in zip((got.A.rows, got.A.cols, got.A.vals, got.b, got.lower, got.upper),
                                     (A.rows, A.cols, A.vals, b, lower, upper)):
@@ -647,22 +650,31 @@ class TestTripletStorage:
     def test_malformed_triplets_rejected(self, rows, cols, vals, dense):
         # The matrix checks itself when built, so every route that builds one
         # raises the same error: Polyhedron and LinearProperty hold triplets,
-        # and the solve seam converts a dense matrix at its entry.
+        # and the solve seam takes a Polyhedron.
         with pytest.raises(StructureError):
             Triplets(np.array(rows), np.array(cols), np.array(vals), (2, 2))
         if dense is not None:
             for build in (
                 lambda: Polyhedron(dense, [0.0, 0.0]),
                 lambda: LinearProperty(Polyhedron(dense, [0.0, 0.0]), 2),
-                lambda: solve_feasibility(dense, [0.0, 0.0]),
             ):
                 with pytest.raises(StructureError):
                     build()
 
     @pytest.mark.parametrize(
+        "shape", [(2.5, 1.9), (True, 1), (2, np.bool_(False)), (2, -1), (2,), (2, 2, 2), None],
+        ids=["fractions", "bool-rows", "numpy-bool-cols", "negative", "one-dimension", "three-dimensions", "none"],
+    )
+    def test_shape_must_be_two_integers_at_least_zero(self, shape):
+        # int() read (2.5, 1.9) as (2, 1) and True as 1.
+        with pytest.raises(StructureError, match="shape must be two integers"):
+            Triplets(np.array([0]), np.array([0]), np.array([1.0]), shape)
+        assert Triplets(np.array([1]), np.array([0]), np.array([1.0]), (2.0, np.int64(1))).shape == (2, 1)
+
+    @pytest.mark.parametrize(
         "build",
-        [Triplets.from_dense, lambda A: Polyhedron(A, [1.0, 1.0]), lambda A: solve_feasibility(A, [1.0, 1.0])],
-        ids=["from_dense", "Polyhedron", "solve_feasibility"],
+        [Triplets.from_dense, lambda A: Polyhedron(A, [1.0, 1.0])],
+        ids=["from_dense", "Polyhedron"],
     )
     @pytest.mark.parametrize(
         "A", [np.ones((1, 1, 1)), [[1.0], [1.0, 2.0]], [[1.0, 2.0], [[3.0], 4.0]]], ids=["3-d", "ragged", "nested"]
@@ -674,9 +686,8 @@ class TestTripletStorage:
 
     def test_flat_dense_matrix_is_one_row_only_for_a_polyhedron(self):
         assert Polyhedron([1.0, 2.0], [1.0]).A.shape == (1, 2)
-        for build in (Triplets.from_dense, lambda A: solve_feasibility(A, [1.0])):
-            with pytest.raises(StructureError):
-                build([1.0, 2.0])
+        with pytest.raises(StructureError):
+            Triplets.from_dense([1.0, 2.0])
 
     def test_dense_and_triplet_forms_agree(self, rng):
         for _ in range(20):
@@ -703,6 +714,79 @@ class TestTripletStorage:
         assert prop.poly.A.shape == (2 * n + 3, 2 * n)
         assert prop.poly.A.nnz == 7 * n
         assert np.all(prop.poly.lower == 0.0)
+
+
+def assert_canonical(poly: Polyhedron) -> None:
+    """``poly.A`` is, byte for byte, what ``_canonical`` makes of it: row-major, unique, no zeros."""
+    got, want = poly.A, linprop._canonical(poly.A)
+    assert got.shape == want.shape
+    for mine, theirs in zip((got.rows, got.cols, got.vals), (want.rows, want.cols, want.vals)):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+class TestCanonicalSystems:
+    """Every system the library builds is canonical, so the solve seam and ``refutes`` read it as it is."""
+
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    def test_uniformity_property(self, n):
+        assert_canonical(uniformity_polyhedron(n, 0.1).poly)
+
+    def test_property_loaded_from_its_file(self, tmp_path):
+        save_polyhedron(uniformity_polyhedron(50, 0.1).poly, tmp_path / "u.json")
+        loaded = load_polyhedron(tmp_path / "u.json")
+        assert_canonical(loaded)
+        assert_canonical(LinearProperty(loaded, 50).poly)
+
+    @pytest.mark.parametrize(
+        "b, consistent", [([2.0, -1.0, 5.0, 1.0], True), ([0.0, -1.0, 5.0, 1.0], False)],
+        ids=["consistent", "contradictory"],
+    )
+    def test_fold_of_singleton_rows(self, b, consistent):
+        # x <= b0 and x >= -b1 fold into bounds unless they cross; the other
+        # two rows, one of them strict, stay rows either way.
+        poly = Polyhedron([[1.0, 0.0], [-1.0, 0.0], [1.0, 1.0], [2.0, -1.0]], b, frozenset({3}))
+        folded = linprop._fold(poly)
+        assert folded.M == (2 if consistent else 4)
+        assert_canonical(folded)
+
+    def test_system_contains_solves(self, monkeypatch):
+        seen = []
+
+        def record(poly, measure_violation=True):
+            seen.append(poly)
+            return solve(poly, measure_violation)
+
+        solve = linprop.solve_feasibility
+        monkeypatch.setattr(linprop, "solve_feasibility", record)
+        prop = uniformity_polyhedron(20, 0.1)
+        assert prop.contains(Distribution.uniform(20))
+        assert not prop.contains(Distribution.point_mass(20, 0))
+        assert len(seen) == 2
+        for poly in seen:
+            assert_canonical(poly)
+
+    @pytest.mark.parametrize("h_size", [0, 7, 30], ids=["empty", "partial", "full"])
+    def test_step5_instance(self, rng, h_size):
+        prop = uniformity_polyhedron(30, 0.1)
+        est = synthetic_estimate(rng, 30, h_size)
+        assert_canonical(build_feasibility_lp(prop, est.H, est.d_tilde, 3, 0.4).poly)
+
+    def test_solving_a_step5_instance_never_canonicalizes(self, monkeypatch):
+        # The seam trusts the instance's rows, so neither verdict nor the
+        # elastic solve that measures the violation sorts them again.
+        prop = uniformity_polyhedron(8, 0.0)
+        near = build_feasibility_lp(prop, range(4), Distribution.uniform(8), 2, 0.5)
+        far = build_feasibility_lp(prop, [0], Distribution.point_mass(8, 0), 2, 0.1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solve reached _canonical")
+
+        monkeypatch.setattr(simplex, "_canonical", refuse)
+        monkeypatch.setattr(linprop, "_canonical", refuse)
+        assert lp_feasible(near) and feasibility_report(near).feasible
+        assert not lp_feasible(far)
+        report = feasibility_report(far)
+        assert not report.feasible and report.violation > 0.1
 
 
 class TestPolyhedronFiles:

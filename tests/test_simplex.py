@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import disttest.simplex as simplex
 from disttest.errors import SolverError
+from disttest.linprop import Polyhedron
 from disttest.reference import vertex_enumeration_feasible
 from disttest.simplex import FEAS_TOL, Triplets, _check_residual, extract_bounds, refutes, solve_feasibility
 
@@ -14,7 +15,7 @@ from conftest import holds_dense
 def check_against_oracle(A, b, box=1e4):
     A2, b2, lower, upper, consistent = extract_bounds(Triplets.from_dense(A), b)
     if consistent:
-        res = solve_feasibility(A2, b2, lower=lower, upper=upper)
+        res = solve_feasibility(Polyhedron(A2, b2, lower=lower, upper=upper))
         got = res.feasible
     else:
         got = False
@@ -114,11 +115,11 @@ class TestExtractBounds:
 
 class TestSolveFeasibility:
     def test_trivial_box(self):
-        res = solve_feasibility(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+        res = solve_feasibility(Polyhedron(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])))
         assert res.feasible and res.violation <= 1e-9
 
     def test_trivial_infeasible(self):
-        res = solve_feasibility(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
+        res = solve_feasibility(Polyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0])))
         assert not res.feasible
         assert res.violation == pytest.approx(1.0, abs=1e-9)
 
@@ -126,7 +127,7 @@ class TestSolveFeasibility:
         # x + y = 1, x >= 0.6, y >= 0.6 -> infeasible by 0.2
         A = np.array([[1.0, 1.0], [-1.0, -1.0], [-1.0, 0.0], [0.0, -1.0]])
         b = np.array([1.0, -1.0, -0.6, -0.6])
-        res = solve_feasibility(A, b)
+        res = solve_feasibility(Polyhedron(A, b))
         assert not res.feasible
         assert res.violation == pytest.approx(0.2, abs=1e-8)
 
@@ -134,16 +135,16 @@ class TestSolveFeasibility:
         # x - y <= -5 and y - x <= -5 is infeasible even for free vars.
         A = np.array([[1.0, -1.0], [-1.0, 1.0]])
         b = np.array([-5.0, -5.0])
-        assert not solve_feasibility(A, b).feasible
+        assert not solve_feasibility(Polyhedron(A, b)).feasible
         # One of the two alone is fine.
-        assert solve_feasibility(A[:1], b[:1]).feasible
+        assert solve_feasibility(Polyhedron(A[:1], b[:1])).feasible
 
     def test_feasible_point_is_returned_and_valid(self):
         rng = np.random.default_rng(3)
         A = rng.uniform(-2, 2, size=(6, 4))
         x_star = rng.uniform(-1, 1, size=4)
         b = A @ x_star + rng.uniform(0.1, 1.0, size=6)
-        res = solve_feasibility(A, b)
+        res = solve_feasibility(Polyhedron(A, b))
         assert res.feasible
         assert np.all(A @ res.x - b <= 1e-9)
 
@@ -188,7 +189,7 @@ class TestSolveFeasibility:
             ]
         )
         b = np.zeros(6)
-        assert solve_feasibility(A, b).feasible
+        assert solve_feasibility(Polyhedron(A, b)).feasible
 
     def test_medium_scale_known_feasible(self):
         # b = A x* + nonnegative margin guarantees feasibility.
@@ -198,7 +199,7 @@ class TestSolveFeasibility:
             A = rng.uniform(-3, 3, size=(m, n))
             x_star = rng.uniform(-2, 2, size=n)
             b = A @ x_star + rng.uniform(0.0, 0.5, size=m)
-            assert solve_feasibility(A, b).feasible
+            assert solve_feasibility(Polyhedron(A, b)).feasible
 
     def test_medium_scale_farkas_infeasible(self):
         # y >= 0 with y^T A = 0 and y^T b = -1 certifies infeasibility.
@@ -210,7 +211,7 @@ class TestSolveFeasibility:
             last = -(y[:-1] @ A) / y[-1]
             b = rng.uniform(-1, 1, size=m)
             b[-1] = (-1.0 - y[:-1] @ b[:-1]) / y[-1]
-            assert not solve_feasibility(np.vstack([A, last]), b).feasible
+            assert not solve_feasibility(Polyhedron(np.vstack([A, last]), b)).feasible
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_ITER", 1)
@@ -218,16 +219,13 @@ class TestSolveFeasibility:
         A = rng.uniform(-2, 2, size=(8, 4))
         b = -np.abs(rng.uniform(1, 2, size=8))
         with pytest.raises(SolverError) as info:
-            solve_feasibility(A, b)
+            solve_feasibility(Polyhedron(A, b))
         # The seam knows no instance name; linprop adds the digest.
         assert (str(info.value), info.value.digest) == ("iteration cap 1 exceeded", "")
 
     def test_bounds_only_no_rows(self):
         res = solve_feasibility(
-            np.zeros((0, 2)),
-            np.zeros(0),
-            lower=np.array([1.0, -np.inf]),
-            upper=np.array([2.0, 0.0]),
+            Polyhedron(np.zeros((0, 2)), np.zeros(0), lower=np.array([1.0, -np.inf]), upper=np.array([2.0, 0.0]))
         )
         assert res.feasible
         assert res.x[0] == 1.0
@@ -291,13 +289,12 @@ class TestRefutes:
     @settings(max_examples=300, deadline=None)
     def test_no_vector_refutes_a_system_with_a_known_point(self, system):
         A, b, y = system
-        assert not refutes(Triplets.from_dense(A), b, y)
+        assert not refutes(Polyhedron(A, b), y)
 
     @staticmethod
     def below_zero(delta):
         """``x <= -delta`` and ``-x <= 0``: y = (1, 1) refutes once delta > 2 tol."""
-        free = np.full(1, np.inf)
-        return Triplets.from_dense([[1.0], [-1.0]]), np.array([-delta, 0.0]), -free, free, np.ones(2)
+        return Polyhedron([[1.0], [-1.0]], [-delta, 0.0]), np.ones(2)
 
     @staticmethod
     def pair(delta, a, box):
@@ -305,8 +302,7 @@ class TestRefutes:
         a = np.asarray(a)
         beta = 0.7
         bound = np.full(a.size, box)
-        A = Triplets.from_dense(np.vstack([a, -a]))
-        return A, np.array([beta, -beta - delta]), -bound, bound, np.ones(2)
+        return Polyhedron(np.vstack([a, -a]), [beta, -beta - delta], lower=-bound, upper=bound), np.ones(2)
 
     @pytest.mark.parametrize(
         "system",
@@ -322,46 +318,40 @@ class TestRefutes:
         # 2 tol = tol * sum(y); past it, plus the rounding margin, none.  The
         # seam, which also sees the bounds, agrees.
         for delta in (0.0, 0.5 * FEAS_TOL, 1.9 * FEAS_TOL):
-            A, b, _, _, y = system(delta)
-            assert not refutes(A, b, y)
+            poly, y = system(delta)
+            assert not refutes(poly, y)
         for delta in (2.1 * FEAS_TOL, 1e-6, 1.0):
-            A, b, lower, upper, y = system(delta)
-            assert refutes(A, b, y) is True
-            assert not solve_feasibility(A, b, lower, upper).feasible
+            poly, y = system(delta)
+            assert refutes(poly, y) is True
+            assert not solve_feasibility(poly).feasible
 
     @pytest.mark.parametrize(
         "y", [[1.0, -0.5], [1.0, np.nan], [1.0, np.inf], [1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]],
         ids=["negative", "nan", "inf", "short", "long", "2-d"],
     )
     def test_malformed_vector_proves_nothing(self, y):
-        A, b, _, _, good = self.pair(1.0, [1.0, -2.0], np.inf)
-        assert refutes(A, b, good)
-        assert not refutes(A, b, y)
+        poly, good = self.pair(1.0, [1.0, -2.0], np.inf)
+        assert refutes(poly, good)
+        assert not refutes(poly, y)
 
     def test_fractional_or_too_large_entries_prove_nothing(self):
         # The same certificate with half a multiplier, half a matrix, or
         # multipliers whose sums could pass 2^53: none is examined.
-        A, b, _, _, y = self.pair(1.0, [1.0, -2.0], np.inf)
-        assert refutes(A, b, y)
-        assert not refutes(A, b, 0.5 * y)
-        halved = Triplets(A.rows, A.cols, 0.5 * A.vals, A.shape)
-        assert not refutes(halved, 0.5 * b, y)
-        assert not refutes(A, b, 2.0**52 * y)
+        poly, y = self.pair(1.0, [1.0, -2.0], np.inf)
+        assert refutes(poly, y)
+        assert not refutes(poly, 0.5 * y)
+        A = poly.A
+        halved = Polyhedron(Triplets(A.rows, A.cols, 0.5 * A.vals, A.shape), 0.5 * poly.b)
+        assert not refutes(halved, y)
+        assert not refutes(poly, 2.0**52 * y)
 
     def test_uncancelled_column_proves_nothing(self):
         # x <= -1 and -x <= 0: y = (1, 1) cancels x and refutes.  y = (1, 0)
         # leaves A^T y = 1 and y = (0, 1) leaves -1, though y^T b < 0 or = 0;
         # a bound x >= 0 would make y = (1, 0) a proof, but bounds play no
         # part in the check, so neither proves anything.
-        A, b = Triplets.from_dense([[1.0], [-1.0]]), np.array([-1.0, 0.0])
-        assert refutes(A, b, [1.0, 1.0])
-        assert not refutes(A, b, [1.0, 0.0])
-        assert not refutes(A, b, [0.0, 1.0])
-        assert not solve_feasibility([[1.0]], b[:1], np.zeros(1)).feasible
-
-    @pytest.mark.parametrize(
-        "b", [[np.nan, 0.0], [-1.0, -np.inf], [-1.0], [-1.0, 0.0, 0.0]],
-        ids=["nan-b", "inf-b", "b-too-short", "b-too-long"],
-    )
-    def test_inputs_the_seam_rejects_prove_nothing(self, b):
-        assert not refutes(Triplets.from_dense([[1.0], [-1.0]]), b, [1.0, 1.0])
+        poly = Polyhedron([[1.0], [-1.0]], [-1.0, 0.0])
+        assert refutes(poly, [1.0, 1.0])
+        assert not refutes(poly, [1.0, 0.0])
+        assert not refutes(poly, [0.0, 1.0])
+        assert not solve_feasibility(Polyhedron([[1.0]], [-1.0], lower=np.zeros(1))).feasible

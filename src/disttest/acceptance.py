@@ -395,13 +395,13 @@ CRITERIA = (
 )
 
 
-def run_all(config: dict | None = None) -> list:
+def run_all() -> list:
     """Run criteria 1 through 12 once, in order.
 
     Criteria 04 and 05 judge one set of tester runs, made when 04 first asks
     for them, so 04's time covers them.
     """
-    cfg = (config or load_config())["criteria"]
+    cfg = load_config()["criteria"]
     tester_runs = functools.cache(lambda: _tester_bundle(cfg["c04"]))
     shared = {"c04": (tester_runs,), "c05": (tester_runs,)}
     return [criterion(cfg[key], *shared.get(key, ())) for key, criterion in CRITERIA]

@@ -59,7 +59,7 @@ from .core import (
     save_distribution,
 )
 from .errors import ParameterError, SolverError, StructureError
-from .learner import DEFAULT_C_LEARN, DEFAULT_C_TEST, learn_adaptive, learn_known_support
+from .learner import DEFAULT_C_TEST, learn_adaptive, learn_known_support
 from .linprop import (
     LinearProperty,
     feasibility_report,
@@ -159,11 +159,7 @@ def _run_tolerant_test(seed: int, repeats: int, params: dict, multiple: bool):
         prop = LinearProperty(load_polyhedron(selector[3:]), n)
     else:
         raise ParameterError(f"property must be 'uniform' or 'lp:<file>', got {selector!r}")
-    constants = {}
-    for key, name in (("c_star", "c_star"), ("c_w", "c_W"), ("c_z", "c_Z")):
-        if key in params:
-            constants[name] = params[key]
-    tparams = derive_params(params["lambda"], params["gamma1"], params["gamma2"], n, constants)
+    tparams = derive_params(params["lambda"], params["gamma1"], params["gamma2"], n)
     oracle = SamplingOracle(d, seed)
     prop_oracle = linear_property_oracle(prop)
     for _ in range(repeats):
@@ -234,17 +230,16 @@ def _run_collision_rate(seed: int, repeats: int, params: dict, multiple: bool):
 def _run_learn(seed: int, repeats: int, params: dict, multiple: bool):
     d = load_distribution(params["dist"])
     eta, delta = params["eta"], params["delta"]
-    c_learn = params.get("c_learn", DEFAULT_C_LEARN)
     c_test = params.get("c_test", DEFAULT_C_TEST)
     oracle = SamplingOracle(d, seed)
     for _ in range(repeats):
         before = oracle.samples_drawn
         t0 = time.perf_counter()
         if "known_s" in params:
-            learned = learn_known_support(oracle, params["known_s"], delta, c_learn)
+            learned = learn_known_support(oracle, params["known_s"], delta)
             outcome, final_guess, dist = "Learned", params["known_s"], learned
         else:
-            res = learn_adaptive(oracle, eta, delta, d.n, c_learn, c_test)
+            res = learn_adaptive(oracle, eta, delta, d.n, c_test)
             outcome, final_guess, dist = res.outcome, res.final_guess, res.distribution
         wall = _ms_since(t0)
         measured = l1_distance(d, dist) if dist is not None else float("nan")
@@ -346,9 +341,6 @@ COMMANDS = {
             _param("lambda", dest="lam", type=int, required=True),
             _param("gamma1", type=float, required=True),
             _param("gamma2", type=float, required=True),
-            _param("c_star", type=float),
-            _param("c_w", type=float),
-            _param("c_z", type=float),
         ),
     ),
     "lp-feasible": Command(
@@ -366,7 +358,6 @@ COMMANDS = {
             _param("mode", choices=["label-invariant", "general"], default="label-invariant"),
             _param("out_yes"),
             _param("out_no"),
-            Option(None, "--report", dict(help="alias for --out")),
             _param("permute", action="store_true", help="relabel the bundle uniformly at random"),
         ),
     ),
@@ -389,7 +380,6 @@ COMMANDS = {
             _param("eta", type=float, required=True),
             _param("delta", type=float, required=True),
             _param("known_s", type=int),
-            _param("c_learn", type=float),
             _param("c_test", type=float),
         ),
     ),
@@ -486,8 +476,6 @@ def main(argv=None) -> int:
         params = _collect_params(args)
         seeds = (args.seed,)
         repeats = args.repeats
-        # --report is gen-adversarial's alias for --out.
-        out = args.out or getattr(args, "report", None)
         if args.config:
             doc = json.loads(Path(args.config).read_text())
             if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
@@ -504,7 +492,7 @@ def main(argv=None) -> int:
             seeds=seeds,
             repeats=repeats,
             params=params,
-            output_path=out,
+            output_path=args.out,
         )
         records = run_batch(config)
     except (OSError, json.JSONDecodeError, ParameterError, StructureError) as exc:

@@ -52,18 +52,22 @@ def format_field(value) -> str:
     return f"{float(value):.12e}"
 
 
-def _integer(value, what: str, low: int | None = None) -> int:
+def _integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` as an int, or :class:`ParameterError` naming it ``what``.
 
     Python and numpy integers and integral floats count; booleans, fractions,
-    non-finite floats and non-numbers do not, nor values below ``low``.
+    non-finite floats and non-numbers do not, nor values below ``low`` or
+    above ``high``.
     """
-    if type(value) is int and (low is None or value >= low):
+    if type(value) is int and (low is None or value >= low) and (high is None or value <= high):
         return value  # plain ints skip the slower ABC checks below
     if isinstance(value, (bool, np.bool_)) or not (
         isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
-    ) or low is not None and value < low:
-        bound = "" if low is None else f" >= {low}"
+    ) or low is not None and value < low or high is not None and value > high:
+        if high is None:
+            bound = "" if low is None else f" >= {low}"
+        else:
+            bound = f" <= {high}" if low is None else f" in [{low}, {high}]"
         raise ParameterError(f"{what} must be an integer{bound}, not {value!r}")
     return int(value)
 
@@ -203,7 +207,10 @@ class Distribution:
     """
 
     def __init__(self, pmf: np.ndarray):
-        arr = np.asarray(pmf, dtype=np.float64)
+        try:
+            arr = np.asarray(pmf, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ParameterError("pmf must be a vector of numbers") from None
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("pmf must be a nonempty 1-d vector")
         _check_masses(arr)
@@ -366,6 +373,9 @@ DrawProcedure = Callable[[np.random.Generator, int], np.ndarray]
 
 _SEED_MAX = 2**64 - 1
 
+# The most draws one call may ask for: draws and their counts are int64.
+_COUNT_MAX = 2**63 - 1
+
 # Chunk size for streaming counts out of opaque sources.
 _COUNT_CHUNK = 10_000_000
 
@@ -438,9 +448,7 @@ class SamplingOracle:
         O(m); the indices are those ``searchsorted`` of ``gen.random(m)`` in
         the support's CDF gives.
         """
-        m = _integer(m, "m")
-        if m < 0:
-            raise ParameterError("m must be >= 0")
+        m = _integer(m, "m", 0, _COUNT_MAX)
         if m == 0:
             return np.empty(0, dtype=np.int64)
         if self._dist is not None:
@@ -466,8 +474,8 @@ class SamplingOracle:
         raw keys: O(m + s) time, O(block + s) temporaries, no sort and no
         floating-point key.
         """
-        m = _integer(m, "m")
-        if self._dist is None or m <= 0:
+        m = _integer(m, "m", 0, _COUNT_MAX)
+        if self._dist is None or m == 0:
             return np.unique(self.draw(m), return_counts=True)
         table = self._dist._guide
         tallies = (np.bincount(slots, minlength=table.atoms.size) for _, slots in self._blocks(table, m))
@@ -488,9 +496,7 @@ class SamplingOracle:
         sources are streamed in chunks.  Counts are attributed to the sample
         budget exactly like literal draws.
         """
-        m = _integer(m, "m")
-        if m < 0:
-            raise ParameterError("m must be >= 0")
+        m = _integer(m, "m", 0, _COUNT_MAX)
         if m == 0:
             return np.zeros(self._n, dtype=np.int64)
         if self._dist is not None:
@@ -634,12 +640,13 @@ def _is_numbers(x) -> bool:
     return isinstance(x, list) and all(_is_int(v) or isinstance(v, float) for v in x)
 
 
-def _float_array(values: list, what: str) -> np.ndarray:
-    """A checked JSON number array as float64; an integer beyond float64 is a :class:`StructureError`."""
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a new float64 array; :class:`StructureError` when they are
+    not numbers or hold an integer beyond float64."""
     try:
-        return np.asarray(values, dtype=np.float64)
-    except OverflowError as exc:
-        raise StructureError(f"{what} entries must be finite: {exc}") from exc
+        return np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructureError(f"{what} entries must be finite numbers: {exc}") from None
 
 
 def load_distribution(path) -> Distribution:

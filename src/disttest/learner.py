@@ -27,7 +27,7 @@ from .core import Distribution, SamplingOracle, _checked_ceil, empirical_distrib
 from .errors import ParameterError
 from .tester import Verdict
 
-DEFAULT_C_LEARN = 8.0
+C_LEARN = 8.0  # learn draws per unit of support, at delta = 1
 DEFAULT_C_TEST = 8.0
 
 
@@ -72,10 +72,8 @@ class LearnResult:
         return "Learned" if self.learned else "Failure"
 
 
-def learn_known_support(
-    oracle: SamplingOracle, s: int, delta: float, c_learn: float = DEFAULT_C_LEARN
-) -> Distribution:
-    """Empirical distribution from ``ceil(c_learn*(s+5)/delta^2)`` draws.
+def learn_known_support(oracle: SamplingOracle, s: int, delta: float) -> Distribution:
+    """Empirical distribution from ``ceil(C_LEARN*(s+5)/delta^2)`` draws.
 
     If some set S of size ``s`` carries mass >= 1 - eta/2, the result is
     within ``eta + delta`` of the truth with probability at least 9/10.
@@ -87,7 +85,7 @@ def learn_known_support(
         raise ParameterError("s must be >= 1")
     if not 0.0 < delta <= 2.0:
         raise ParameterError("delta must lie in (0, 2]")
-    m = _checked_ceil(c_learn * (s + 5) / (delta * delta))
+    m = _checked_ceil(C_LEARN * (s + 5) / (delta * delta))
     atoms, hits = oracle.draw_tally(m)
     return Distribution._on_atoms(atoms, hits / m, oracle.n)
 
@@ -159,12 +157,11 @@ def learn_adaptive(
     eta: float,
     delta: float,
     n: int,
-    c_learn: float = DEFAULT_C_LEARN,
     c_test: float = DEFAULT_C_TEST,
 ) -> LearnResult:
     """Learn without knowing the support size, doubling a guess until accepted.
 
-    Iteration k guesses ``s = 2^(k-1)``, draws ``ceil(c_learn*s/delta^2)``
+    Iteration k guesses ``s = 2^(k-1)``, draws ``ceil(C_LEARN*s/delta^2)``
     samples into an empirical candidate, and runs the identity test at
     proximity ``(eta + delta/2, eta + delta)`` with failure budget
     ``kappa_k = 1/(100 k^2)``; over all iterations these sum to at most
@@ -194,7 +191,7 @@ def learn_adaptive(
     while s <= 2 * n:
         k += 1
         kappa = 1.0 / (100.0 * k * k)
-        m_learn = _checked_ceil(c_learn * s / (delta * delta))
+        m_learn = _checked_ceil(C_LEARN * s / (delta * delta))
         supp, hits = oracle.draw_tally(m_learn)
         probs = hits / m_learn
         before = oracle.samples_drawn

@@ -53,10 +53,10 @@ class Polyhedron:
     ``A`` is stored as the triplets of :func:`disttest.simplex._canonical`,
     the form the solve seam hands HiGHS; they, ``b`` and the bounds (-inf,
     +inf by default) are read-only, unless :meth:`_assembled` stored them.  A
-    ``b`` that is not finite or not of length M, a strict row that is not an
+    ``b`` that is not a finite vector of length M, a strict row that is not an
     integer (a boolean, fraction or nan) or lies outside ``[0, M)``, or a
-    bound that is nan, of the wrong length, a lower +inf or an upper -inf,
-    raises :class:`StructureError`; the solve seam trusts these checks.
+    bound that is not a number, nan, of the wrong length, a lower +inf or an
+    upper -inf, raises :class:`StructureError`; the solve seam trusts these checks.
     """
 
     A: Triplets
@@ -68,16 +68,16 @@ class Polyhedron:
     def __post_init__(self):
         A = _canonical(self.A)
         M, N = A.shape
-        b = np.array(self.b, dtype=np.float64).ravel()
-        if M != b.size:
-            raise StructureError(f"A has {M} rows but b has {b.size} entries")
+        b = _float_array(self.b, "b")
+        if b.shape != (M,):
+            raise StructureError(f"A has {M} rows but b has shape {b.shape}")
         if not np.all(np.isfinite(b)):
             raise StructureError("polyhedron entries must be finite")
         strict = frozenset(self.strict_rows)
         if not all(isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < M for i in strict):
             raise StructureError("strict rows must be integer row indices inside [0, M)")
-        lower = np.full(N, -np.inf) if self.lower is None else np.array(self.lower, dtype=np.float64)
-        upper = np.full(N, np.inf) if self.upper is None else np.array(self.upper, dtype=np.float64)
+        lower = np.full(N, -np.inf) if self.lower is None else _float_array(self.lower, "lower")
+        upper = np.full(N, np.inf) if self.upper is None else _float_array(self.upper, "upper")
         if lower.shape != (N,) or upper.shape != (N,) or not ((lower < np.inf).all() and (upper > -np.inf).all()):
             raise StructureError(f"lower and upper must hold N = {N} bounds, none nan, +inf below or -inf above")
         for part in (A.rows, A.cols, A.vals, b, lower, upper):

@@ -104,14 +104,14 @@ class Triplets:
         object.__setattr__(self, "shape", (M, N))
 
     @classmethod
-    def from_dense(cls, A, ndmin: int = 0) -> "Triplets":
-        """The nonzero entries of a dense 2-D matrix.
+    def from_dense(cls, A) -> "Triplets":
+        """The nonzero entries of a dense 2-D matrix; a flat ``A`` reads as one row.
 
-        With ``ndmin=2`` a flat ``A`` reads as one row.  A ragged nesting, or
-        a matrix that is not 2-D, raises :class:`StructureError`.
+        A ragged nesting, or a matrix of more than two dimensions, raises
+        :class:`StructureError`.
         """
         try:
-            A = np.array(A, dtype=np.float64, ndmin=ndmin)
+            A = np.array(A, dtype=np.float64, ndmin=2)
         except (TypeError, ValueError) as exc:
             raise StructureError(f"a dense matrix must be a rectangular array of numbers: {exc}") from None
         if A.ndim != 2:
@@ -137,7 +137,7 @@ def _canonical(A) -> Triplets:
     form :func:`solve_feasibility` hands HiGHS.
     """
     if not isinstance(A, Triplets):
-        A = Triplets.from_dense(A, ndmin=2)
+        A = Triplets.from_dense(A)
     N = A.shape[1]
     key = A.rows * N + A.cols
     if (key[1:] > key[:-1]).all() and A.vals.all():

@@ -13,14 +13,18 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .core import Distribution, SamplingOracle, _checked_ceil, _index_set
+from .core import Distribution, SamplingOracle, _checked_ceil, _index_set, _integer
 from .errors import DimensionError, ParameterError
 
-DEFAULT_CONSTANTS = {"c_star": 10.0, "c_W": 4.0, "c_Z": 4.0}
+# The constants the paper leaves open: q = ceil(lambda / C_STAR), and the two
+# phase budgets W and Z_size scale with C_W and C_Z.
+C_STAR = 10.0
+C_W = 4.0
+C_Z = 4.0
 
 #: A property oracle answers: is there a member of the property within the
 #: stated combined distance of d_tilde whose 1/q^2-heavy elements all lie in H?
@@ -40,31 +44,33 @@ class TesterParams:
     """Derived budgets and thresholds for one tester configuration.
 
     ``q`` scales with the non-tolerant budget, ``W`` and ``Z_size`` are the
-    two sampling phases, and ``bound = 26*eta_prime + zeta`` is the combined
-    distance allowance of the acceptance condition.
+    two sampling phases, ``eta_prime = eta/64``, and ``bound = 26*eta_prime +
+    zeta`` is the combined distance allowance of the acceptance condition.
     """
 
     q: int
     zeta: float
     eta: float
-    eta_prime: float
     W: int
     Z_size: int
-    bound: float
 
     def __post_init__(self):
         if self.q < 1:
             raise ParameterError("q must be >= 1")
         if not 0.0 <= self.zeta < self.zeta + self.eta <= 2.0:
             raise ParameterError("need 0 <= zeta < zeta + eta <= 2")
-        if self.eta_prime != self.eta / 64.0:
-            raise ParameterError("eta_prime must equal eta/64 exactly")
-        if self.bound != 26.0 * self.eta_prime + self.zeta:
-            raise ParameterError("bound must equal 26*eta_prime + zeta exactly")
         if self.W < self.q * self.q:
             raise ParameterError("W must be at least q^2")
         if self.Z_size < self.W:
             raise ParameterError("Z_size must be at least W")
+
+    @property
+    def eta_prime(self) -> float:
+        return self.eta / 64.0
+
+    @property
+    def bound(self) -> float:
+        return 26.0 * self.eta_prime + self.zeta
 
 
 @dataclass(frozen=True)
@@ -76,48 +82,27 @@ class HighEstimate:
     low_mass: float
 
 
-def derive_params(
-    lam: int,
-    gamma1: float,
-    gamma2: float,
-    n: int,
-    constants: Mapping[str, float] | None = None,
-) -> TesterParams:
+def derive_params(lam: int, gamma1: float, gamma2: float, n: int) -> TesterParams:
     """Tester budgets for proximity parameters (gamma1, gamma2 + epsilon).
 
-    ``lam`` is the hypothetical non-tolerant sample complexity; ``n`` is
-    accepted for interface symmetry with the sampling stage (the derived
-    budgets do not depend on it).  Constants default to
-    ``DEFAULT_CONSTANTS`` and are surfaced for recalibration.
+    ``lam`` is the hypothetical non-tolerant sample complexity, an integer
+    >= 1; ``n`` is accepted for interface symmetry with the sampling stage
+    (the derived budgets do not depend on it).  The budgets use the fixed
+    constants ``C_STAR``, ``C_W`` and ``C_Z``.
     """
-    if lam < 1:
-        raise ParameterError("lambda must be >= 1")
+    lam = _integer(lam, "lambda", 1)
     if not 0.0 <= gamma1 < gamma2:
         raise ParameterError("need 0 <= gamma1 < gamma2")
     del n
-    consts = dict(DEFAULT_CONSTANTS)
-    if constants:
-        unknown = set(constants) - set(consts)
-        if unknown:
-            raise ParameterError(f"unknown constants: {sorted(unknown)}")
-        consts.update({k: float(v) for k, v in constants.items()})
     zeta = float(gamma1)
     eta = float(gamma2 - gamma1)
     if zeta + eta > 2.0:
         raise ParameterError("gamma2 must be at most 2")
     eta_prime = eta / 64.0
-    q = max(1, _checked_ceil(lam / consts["c_star"]))
-    W = _checked_ceil(consts["c_W"] * q * q * math.log(q + 2) / eta_prime)
-    Z_size = _checked_ceil(consts["c_Z"] * W * math.log(W + 2) / (eta_prime * eta_prime))
-    return TesterParams(
-        q=q,
-        zeta=zeta,
-        eta=eta,
-        eta_prime=eta_prime,
-        W=W,
-        Z_size=Z_size,
-        bound=26.0 * eta_prime + zeta,
-    )
+    q = _checked_ceil(lam / C_STAR)  # >= 1, since lam >= 1
+    W = _checked_ceil(C_W * q * q * math.log(q + 2) / eta_prime)
+    Z_size = _checked_ceil(C_Z * W * math.log(W + 2) / (eta_prime * eta_prime))
+    return TesterParams(q=q, zeta=zeta, eta=eta, W=W, Z_size=Z_size)
 
 
 def estimate_high_part(oracle: SamplingOracle, params: TesterParams, n: int) -> HighEstimate:

@@ -132,6 +132,12 @@ BAD_INPUTS = {
     "upper-minus-inf": ([[1.0]], [1.0], None, [-INF]),
     "b-too-short": ([[1.0], [1.0]], [1.0], None, None),
     "b-too-long": ([[1.0]], [1.0, 1.0], None, None),
+    # b of shape (1, 2) or (2, 1) was ravelled and accepted, and a string raised a bare ValueError.
+    "b-one-row": ([[1.0], [1.0]], [[1.0, 1.0]], None, None),
+    "b-one-column": ([[1.0], [1.0]], [[1.0], [1.0]], None, None),
+    "string-in-b": ([[1.0]], ["a"], None, None),
+    "string-lower": ([[1.0]], [1.0], ["a"], None),
+    "dict-upper": ([[1.0]], [1.0], None, [{"x": 1.0}]),
     "lower-too-long": ([[1.0]], [1.0], [0.0, 0.0], None),
     "triplet-outside": (lambda: Triplets(np.array([0]), np.array([1]), np.array([1.0]), (1, 1)), [1.0], None, None),
 }

@@ -288,7 +288,7 @@ class TestMainEntry:
                 str(yes),
                 "--out-no",
                 str(no),
-                "--report",
+                "--out",
                 str(rep),
             ]
         )
@@ -454,6 +454,31 @@ class TestMainEntry:
         assert row[3] == params_digest({"dist": dist_file, "beta": 0.25, "m": "25", "trials": None})
         assert row[5] == "25000" and row[6].endswith("m=25 trials=1000")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tolerant-test", "--lambda", "50", "--gamma1", "0.1", "--gamma2", "0.3", "--c-star", "10"],
+            ["tolerant-test", "--lambda", "50", "--gamma1", "0.1", "--gamma2", "0.3", "--c-w", "4"],
+            ["learn", "--eta", "0", "--delta", "0.5", "--c-learn", "8"],
+            ["gen-adversarial", "--alpha", "0.2", "--beta", "0.2", "--report", "rep.csv"],
+        ],
+        ids=["c-star", "c-w", "c-learn", "report"],
+    )
+    def test_removed_flags_exit_2(self, argv, dist_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--dist", dist_file])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["c_star", "c_w", "c_z"])
+    def test_removed_constants_in_a_config_exit_2(self, key, dist_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {key: 10.0}}))
+        argv = ["tolerant-test", "--dist", dist_file, "--lambda", "50", "--gamma1", "0.1", "--gamma2", "0.3"]
+        assert main(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown parameter keys" in err and key in err
+
     def test_cli_entry_point_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "disttest.cli", "--help"], capture_output=True, text=True
@@ -498,9 +523,6 @@ _PARSER_SURFACE = {
         (("--lambda",), "lam", int, None, True, None, None, None),
         (("--gamma1",), "gamma1", float, None, True, None, None, None),
         (("--gamma2",), "gamma2", float, None, True, None, None, None),
-        (("--c-star",), "c_star", float, None, False, None, None, None),
-        (("--c-w",), "c_w", float, None, False, None, None, None),
-        (("--c-z",), "c_z", float, None, False, None, None, None),
     ] + _COMMON,
     "lp-feasible": [
         (("--lp",), "lp", None, None, True, None, None, None),
@@ -512,7 +534,6 @@ _PARSER_SURFACE = {
         (("--mode",), "mode", None, "label-invariant", False, ["label-invariant", "general"], None, None),
         (("--out-yes",), "out_yes", None, None, False, None, None, None),
         (("--out-no",), "out_no", None, None, False, None, None, None),
-        (("--report",), "report", None, None, False, None, None, None),
         (("--permute",), "permute", None, False, False, None, 0, True),
     ] + _COMMON,
     "collision-rate": [
@@ -527,7 +548,6 @@ _PARSER_SURFACE = {
         (("--eta",), "eta", float, None, True, None, None, None),
         (("--delta",), "delta", float, None, True, None, None, None),
         (("--known-s",), "known_s", int, None, False, None, None, None),
-        (("--c-learn",), "c_learn", float, None, False, None, None, None),
         (("--c-test",), "c_test", float, None, False, None, None, None),
     ] + _COMMON,
     "accept": [
@@ -579,10 +599,10 @@ class TestSurfacePinned:
         [
             (
                 ["tolerant-test", "--dist", "d.json", "--property", "uniform", "--lambda", "50", "--gamma1", "0.1",
-                 "--gamma2", "0.3", "--c-star", "10", "--c-w", "4", "--c-z", "4", "--seed", "3", "--repeats", "2",
+                 "--gamma2", "0.3", "--seed", "3", "--repeats", "2",
                  "--out", "o.csv"],
-                ["3,0,tolerant-test,741a67b2ae65,Accept,281565314427,h_size=200",
-                 "3,1,tolerant-test,741a67b2ae65,Accept,281565314427,h_size=200"]
+                ["3,0,tolerant-test,8a0a877404aa,Accept,281565314427,h_size=200",
+                 "3,1,tolerant-test,8a0a877404aa,Accept,281565314427,h_size=200"]
                 + _summary(2, "2.815653144270e+11"),
                 [],
             ),
@@ -604,7 +624,7 @@ class TestSurfacePinned:
             (
                 ["gen-adversarial", "--dist", "d.json", "--alpha", "0.2", "--beta", "0.2", "--mode", "general",
                  "--permute", "--out-yes", "yes.json", "--out-no", "no.json", "--seed", "5", "--repeats", "2",
-                 "--report", "o.csv"],
+                 "--out", "o.csv"],
                 [f"5,0,gen-adversarial,87e40e1d7053,pass,0,{_ADV_EXTRAS}",
                  f"5,1,gen-adversarial,87e40e1d7053,pass,0,{_ADV_EXTRAS}"]
                 + _summary(2, "0.000000000000e+00"),
@@ -634,10 +654,10 @@ class TestSurfacePinned:
                 [],
             ),
             (
-                ["learn", "--dist", "small.json", "--eta", "0", "--delta", "0.5", "--known-s", "4", "--c-learn", "6",
+                ["learn", "--dist", "small.json", "--eta", "0", "--delta", "0.5", "--known-s", "4",
                  "--c-test", "9", "--seed", "1", "--out", "o.csv"],
-                ["1,0,learn,99dfecf2e54c,Learned,216,final_guess=4 measured_l1=1.111111111111e-01"]
-                + _summary(1, "2.160000000000e+02"),
+                ["1,0,learn,9b16bc258ef9,Learned,288,final_guess=4 measured_l1=4.861111111111e-02"]
+                + _summary(1, "2.880000000000e+02"),
                 [],
             ),
             (

@@ -128,11 +128,16 @@ class TestDistribution:
             [-0.1, 1.1],
             [np.nan, 1.0],
             [0.5, 0.5 + 1e-8],
+            # Not numbers: these raised a bare ValueError, TypeError or OverflowError.
+            "ab",
+            [0.5, "a"],
+            {"a": 1.0},
+            [10**400],
         ],
     )
     def test_invalid_construction(self, pmf):
         with pytest.raises(ParameterError):
-            Distribution(np.asarray(pmf, dtype=np.float64))
+            Distribution(pmf)
 
     def test_immutable(self):
         d = Distribution.uniform(3)
@@ -479,6 +484,16 @@ class TestSamplingOracle:
         # int() read 1.9 as 1 and True as 1; point_mass read True as a mask.
         with pytest.raises(ParameterError, match="must be an integer"):
             call(value)
+
+    @pytest.mark.parametrize("m", [2**63, np.uint64(2**63), 1e19, 2**70], ids=["int", "uint64", "float", "huge"])
+    @pytest.mark.parametrize("call", ["draw", "draw_tally", "draw_counts"])
+    def test_draw_counts_beyond_int64_raise(self, call, m):
+        # draw_counts(2**63) raised a bare OverflowError and draw(2**63) a bare ValueError.
+        for source, n in ((Distribution.uniform(2), None), (lambda gen, size: gen.integers(0, 2, size), 2)):
+            oracle = SamplingOracle(source, seed=1, n=n)
+            with pytest.raises(ParameterError, match=r"m must be an integer in \[0, 9223372036854775807\]"):
+                getattr(oracle, call)(m)
+            assert oracle.samples_drawn == 0
 
     def test_integral_values_of_any_type_are_accepted(self):
         d = Distribution.uniform(4)

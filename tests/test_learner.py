@@ -264,16 +264,16 @@ def dense_identity_test(oracle, d_k, params, c_test=8.0):
     return Verdict.ACCEPT if estimate <= (params.eps1 + params.eps2) / 2.0 else Verdict.REJECT
 
 
-def dense_learn_adaptive(oracle, eta, delta, n, c_learn=8.0, c_test=8.0):
+def dense_learn_adaptive(oracle, eta, delta, n):
     """The adaptive learner with a dense empirical candidate on every guess."""
     records, total, k, s = [], 0, 0, 1
     while s <= 2 * n:
         k += 1
         params = IdentityTestParams(eta + delta / 2.0, eta + delta, 1.0 / (100.0 * k * k))
-        m_learn = _checked_ceil(c_learn * s / (delta * delta))
+        m_learn = _checked_ceil(8.0 * s / (delta * delta))
         candidate = empirical_distribution(oracle.draw(m_learn), n)
         before = oracle.samples_drawn
-        accepted = dense_identity_test(oracle, candidate, params, c_test) is Verdict.ACCEPT
+        accepted = dense_identity_test(oracle, candidate, params) is Verdict.ACCEPT
         test_draws = oracle.samples_drawn - before
         records.append(IterationRecord(s, m_learn, test_draws, accepted))
         total += m_learn + test_draws

@@ -684,10 +684,11 @@ class TestTripletStorage:
         with pytest.raises(StructureError):
             build(A)
 
-    def test_flat_dense_matrix_is_one_row_only_for_a_polyhedron(self):
+    def test_flat_dense_matrix_is_one_row(self):
         assert Polyhedron([1.0, 2.0], [1.0]).A.shape == (1, 2)
-        with pytest.raises(StructureError):
-            Triplets.from_dense([1.0, 2.0])
+        t = Triplets.from_dense([1.0, 0.0, 2.0])
+        assert t.shape == (1, 3)
+        assert (t.rows.tolist(), t.cols.tolist(), t.vals.tolist()) == ([0, 0], [0, 2], [1.0, 2.0])
 
     def test_dense_and_triplet_forms_agree(self, rng):
         for _ in range(20):

@@ -39,12 +39,6 @@ class TestDeriveParams:
         z = math.ceil(4.0 * w * math.log(w + 2) / eta_prime**2)
         assert (p.q, p.W, p.Z_size) == (q, w, z)
 
-    def test_custom_constants(self):
-        p = derive_params(50, 0.1, 0.3, 500, constants={"c_star": 25.0})
-        assert p.q == 2
-        with pytest.raises(ParameterError):
-            derive_params(50, 0.1, 0.3, 500, constants={"bogus": 1.0})
-
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             derive_params(50, 0.3, 0.1, 500)
@@ -53,9 +47,28 @@ class TestDeriveParams:
 
     def test_tester_params_invariants(self):
         with pytest.raises(ParameterError):
-            tester.TesterParams(q=0, zeta=0.1, eta=0.2, eta_prime=0.2 / 64, W=10, Z_size=10, bound=26 * 0.2 / 64 + 0.1)
+            tester.TesterParams(q=0, zeta=0.1, eta=0.2, W=10, Z_size=10)
         with pytest.raises(ParameterError):
-            tester.TesterParams(q=1, zeta=0.1, eta=0.2, eta_prime=0.01, W=10, Z_size=10, bound=0.36)
+            tester.TesterParams(q=1, zeta=0.3, eta=1.8, W=10, Z_size=10)
+        with pytest.raises(ParameterError):
+            tester.TesterParams(q=4, zeta=0.1, eta=0.2, W=10, Z_size=10)
+        with pytest.raises(ParameterError):
+            tester.TesterParams(q=1, zeta=0.1, eta=0.2, W=10, Z_size=9)
+
+    def test_eta_prime_and_bound_follow_eta_and_zeta(self):
+        p = tester.TesterParams(q=1, zeta=0.1, eta=0.2, W=10, Z_size=10)
+        assert p.eta_prime == 0.2 / 64.0
+        assert p.bound == 26.0 * (0.2 / 64.0) + 0.1
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 50.7, True, np.bool_(True), "50", 0, -3])
+    def test_lambda_must_be_an_integer_at_least_one(self, lam):
+        # nan raised a bare ValueError and inf a bare OverflowError; 50.7 ran with q=6 and True with q=1.
+        with pytest.raises(ParameterError, match="lambda must be an integer >= 1"):
+            derive_params(lam, 0.1, 0.3, 500)
+
+    def test_integral_lambda_of_any_integer_type(self):
+        want = derive_params(50, 0.1, 0.3, 500)
+        assert derive_params(50.0, 0.1, 0.3, 500) == derive_params(np.int64(50), 0.1, 0.3, 500) == want
 
 
 def small_params() -> tester.TesterParams:

@@ -17,9 +17,10 @@ holds the help text, the runner and the options, every option with its params
 key and argparse settings.  The parser, the params keys that
 :class:`ExperimentConfig` accepts, the params dict (so ``params_digest``), the
 runners' defaults and the dispatch are all derived from it.  A ``--config``
-params value goes through its option's ``type`` and ``choices`` as the flag
-would; one that does not convert is a parameter error (exit code 2), and the
-digest hashes the value as written.  ``accept`` runs the acceptance suite and
+params value is read as its flag would be: its text goes through the option's
+``type``, a store_true option takes only a boolean, and ``choices`` apply;
+one that does not read is a parameter error (exit code 2), and the digest
+hashes the value as written.  ``accept`` runs the acceptance suite and
 takes only ``--out``.
 
 Seeds must lie in ``[0, 2**64 - 1]``; any other seed is a parameter error
@@ -53,6 +54,7 @@ from .core import (
     _SEED_MAX,
     NonConcentrationParams,
     SamplingOracle,
+    _integer,
     format_field,
     l1_distance,
     load_distribution,
@@ -81,13 +83,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.subcommand not in COMMANDS:
             raise ParameterError(f"unknown subcommand {self.subcommand!r}")
-        if not self.seeds:
-            raise ParameterError("seeds must be nonempty")
-        for seed in self.seeds:
-            if not 0 <= seed <= _SEED_MAX:
-                raise ParameterError(f"seed {seed} outside [0, 2**64 - 1]")
-        if self.repeats < 1:
-            raise ParameterError("repeats must be >= 1")
+        if not isinstance(self.seeds, (tuple, list)) or not self.seeds:
+            raise ParameterError(f"seeds must be a nonempty list, not {self.seeds!r}")
+        object.__setattr__(self, "seeds", tuple(_integer(s, "seed", 0, _SEED_MAX) for s in self.seeds))
+        object.__setattr__(self, "repeats", _integer(self.repeats, "repeats", 1))
         unknown = set(self.params) - COMMANDS[self.subcommand].keys
         if unknown:
             raise ParameterError(
@@ -266,12 +265,17 @@ class Option:
         return self.settings.get("dest", self.key)
 
     def convert(self, value):
-        """A params value through the option's ``type`` and ``choices``, as argparse treats a flag."""
+        """A params value through the option's ``type`` and ``choices``, as argparse treats a flag.
+
+        A store_true option takes only a boolean, and an untyped one only a string.
+        """
         convert = self.settings.get("type")
         if convert is not None:
             value = _converted(convert, value, f"parameter {self.key!r}")
-        elif "action" not in self.settings and not isinstance(value, str):
-            raise ParameterError(f"parameter {self.key!r} must be a string, got {value!r}")
+        else:
+            kind, want = ("a boolean", bool) if "action" in self.settings else ("a string", str)
+            if not isinstance(value, want):
+                raise ParameterError(f"parameter {self.key!r} must be {kind}, got {value!r}")
         choices = self.settings.get("choices")
         if choices is not None and value not in choices:
             raise ParameterError(f"parameter {self.key!r} must be one of {choices}, got {value!r}")
@@ -279,9 +283,10 @@ class Option:
 
 
 def _converted(convert: Callable, value, what: str):
+    """``convert`` applied to ``value`` as argparse applies it to a flag: to its text."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
+        return convert(str(value))
+    except ValueError:
         raise ParameterError(f"{what} must be {convert.__name__}, got {value!r}") from None
 
 
@@ -481,10 +486,8 @@ def main(argv=None) -> int:
             if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
                 raise ParameterError("a config must be a JSON object, its 'params' an object")
             params.update(doc.get("params", {}))
-            if "seeds" in doc:
-                seeds = tuple(_converted(int, s, "a config seed") for s in doc["seeds"])
-            if "repeats" in doc:
-                repeats = _converted(int, doc["repeats"], "config 'repeats'")
+            seeds = doc.get("seeds", seeds)
+            repeats = doc.get("repeats", repeats)
         if args.seeds_file:
             seeds = _read_seeds_file(args.seeds_file)
         config = ExperimentConfig(

@@ -72,6 +72,21 @@ def _integer(value, what: str, low: int | None = None, high: int | None = None) 
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float, or :class:`ParameterError` naming it ``what``.
+
+    Python and numpy reals count, nan and infinities included, so that range
+    checks reject them with their own message; booleans, non-numbers and
+    integers beyond float64 do not.
+    """
+    if not isinstance(value, (bool, np.bool_)) and isinstance(value, Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ParameterError(f"{what} must be a real number, not {value!r}")
+
+
 def _check_masses(probs: np.ndarray) -> None:
     """Reject masses that are not finite and non-negative or do not sum to 1 within ``PMF_SUM_TOL``."""
     if not np.all(np.isfinite(probs)):
@@ -307,15 +322,13 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
-        if n < 1:
-            raise ParameterError("n must be >= 1")
+        n = _integer(n, "n", 1)
         return cls(np.full(n, 1.0 / n))
 
     @classmethod
     def point_mass(cls, n: int, index: int) -> "Distribution":
-        index = _integer(index, "index")
-        if not 0 <= index < n:
-            raise ParameterError(f"index {index} outside domain of size {n}")
+        n = _integer(n, "n", 1)
+        index = _integer(index, "index", 0, n - 1)
         pmf = np.zeros(n)
         pmf[index] = 1.0
         return cls(pmf)
@@ -323,6 +336,7 @@ class Distribution:
     @classmethod
     def uniform_on(cls, indices: Iterable[int], n: int) -> "Distribution":
         """Uniform distribution restricted to ``indices`` inside a size-n domain."""
+        n = _integer(n, "n", 1)
         idx = _index_set(indices, n)
         if idx.size == 0:
             raise ParameterError("support must be nonempty")
@@ -362,7 +376,8 @@ class NonConcentrationParams:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= self.beta < 0.5):
+        alpha, beta = _real(self.alpha, "alpha"), _real(self.beta, "beta")
+        if not 0.0 < alpha <= beta < 0.5:
             raise ParameterError(
                 f"need 0 < alpha <= beta < 1/2; got alpha={self.alpha}, beta={self.beta}"
             )
@@ -390,11 +405,11 @@ class SamplingOracle:
 
     ``source`` is either an explicit :class:`Distribution` or an opaque
     callable ``(generator, size) -> indices`` (in which case ``n`` must be
-    given).  ``seed`` and ``n`` must be integers.  Rebuilding an oracle with
-    the same seed and source replays the identical sample sequence.  An
-    explicit-pmf draw costs O(1) expected, from an O(s) table over the support
-    of size s that the :class:`Distribution` builds on the first draw and
-    caches for every oracle over it.
+    given).  ``seed`` must be an integer in ``[0, 2**64 - 1]`` and ``n`` one
+    >= 1.  Rebuilding an oracle with the same seed and source replays the
+    identical sample sequence.  An explicit-pmf draw costs O(1) expected, from
+    an O(s) table over the support of size s that the :class:`Distribution`
+    builds on the first draw and caches for every oracle over it.
 
     The oracle is stateful (it owns an RNG position): use one oracle per
     thread of execution.  To fan out, build ``SamplingOracle(d,
@@ -402,9 +417,7 @@ class SamplingOracle:
     """
 
     def __init__(self, source: Union[Distribution, DrawProcedure], seed: int, n: int | None = None):
-        seed = _integer(seed, "seed")
-        if not 0 <= seed <= _SEED_MAX:
-            raise ParameterError("seed must be a 64-bit unsigned integer")
+        seed = _integer(seed, "seed", 0, _SEED_MAX)
         self._gen = np.random.Generator(np.random.PCG64(seed))
         self.samples_drawn = 0
         if isinstance(source, Distribution):
@@ -414,9 +427,7 @@ class SamplingOracle:
         elif callable(source):
             if n is None:
                 raise ParameterError("opaque sources require an explicit domain size n")
-            n = _integer(n, "n")
-            if n < 1:
-                raise ParameterError("n must be >= 1")
+            n = _integer(n, "n", 1)
             self._dist = None
             self._proc = source
             self._n = n
@@ -535,9 +546,7 @@ def high_set(d: Distribution, kappa: float) -> frozenset:
 
 def top_elements(d: Distribution, t: int) -> list:
     """The ``t`` indices of largest mass, non-increasing; ties go to the smaller index."""
-    t = _integer(t, "t")
-    if not 0 <= t <= d.n:
-        raise ParameterError(f"t must lie in [0, {d.n}]")
+    t = _integer(t, "t", 0, d.n)
     order = np.lexsort((np.arange(d.n), -d.pmf))
     return order[:t].tolist()
 
@@ -590,13 +599,15 @@ def multiplicative_chernoff_bound(mu: float, delta: float) -> float:
 
 def additive_chernoff_bound(n: int, deviation: float) -> float:
     """Upper bound on P(X >= E[X] + deviation) for a sum of n [0,1] variables."""
-    if n < 1 or deviation <= 0:
-        raise ParameterError("need n >= 1 and deviation > 0")
+    n = _integer(n, "n", 1)
+    if deviation <= 0:
+        raise ParameterError("deviation must be > 0")
     return math.exp(-2.0 * deviation * deviation / n)
 
 
 def empirical_distribution(samples: np.ndarray, n: int) -> Distribution:
     """Frequency distribution of a nonempty sample multiset over ``{0..n-1}``."""
+    n = _integer(n, "n", 1)
     samples = np.asarray(samples, dtype=np.int64)
     if samples.size == 0:
         raise ParameterError("samples must be nonempty")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # empirical_distribution is not called here; perfbench/spans.py wraps it under this module's name.
-from .core import Distribution, SamplingOracle, _checked_ceil, empirical_distribution  # noqa: F401
+from .core import Distribution, SamplingOracle, _checked_ceil, _integer, empirical_distribution  # noqa: F401
 from .errors import ParameterError
 from .tester import Verdict
 
@@ -81,8 +81,7 @@ def learn_known_support(oracle: SamplingOracle, s: int, delta: float) -> Distrib
     result is the one :func:`empirical_distribution` gives on them, at
     O(m + s) cost: it holds its atoms and masses until its ``pmf`` is read.
     """
-    if s < 1:
-        raise ParameterError("s must be >= 1")
+    s = _integer(s, "s", 1)
     if not 0.0 < delta <= 2.0:
         raise ParameterError("delta must lie in (0, 2]")
     m = _checked_ceil(C_LEARN * (s + 5) / (delta * delta))
@@ -92,6 +91,7 @@ def learn_known_support(oracle: SamplingOracle, s: int, delta: float) -> Distrib
 
 def identity_test_sample_size(s: int, params: IdentityTestParams, c_test: float = DEFAULT_C_TEST) -> int:
     """Draw budget of the plug-in identity test for a support of size ``s``."""
+    s = _integer(s, "s", 1)
     gap = (params.eps2 - params.eps1) / 4.0
     return _checked_ceil(c_test * (s + 1 + math.log(1.0 / params.kappa)) / (gap * gap))
 
@@ -177,8 +177,7 @@ def learn_adaptive(
         raise ParameterError("delta must lie in (0, 2]")
     if eta + delta > 2.0:
         raise ParameterError("eta + delta must be at most 2 (the L1 diameter)")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    n = _integer(n, "n", 1)
     if oracle.n != n:
         raise ParameterError(f"oracle domain {oracle.n} does not match n ({n})")
 

@@ -159,9 +159,7 @@ class LinearProperty:
     """
 
     def __init__(self, poly: Polyhedron, n: int, member=None, ball=None):
-        n = _integer(n, "n")
-        if n < 1:
-            raise ParameterError("n must be >= 1")
+        n = _integer(n, "n", 1)
         if n > poly.N:
             raise ParameterError(f"projection dimension {n} exceeds variable count {poly.N}")
         if poly.N > DIM_CAP * n:
@@ -259,9 +257,7 @@ def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
     declares as its ``ball``.  At n = 1 the budget row is a singleton and
     folds into a bound, so that property carries no ball.
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    n = _integer(n, "n", 1)
     if not 0.0 <= eps <= 2.0:
         raise ParameterError("eps must lie in [0, 2]")
     N = 2 * n

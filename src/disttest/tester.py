@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Distribution, SamplingOracle, _checked_ceil, _index_set, _integer
+from .core import _COUNT_MAX, Distribution, SamplingOracle, _checked_ceil, _index_set, _integer, _real
 from .errors import DimensionError, ParameterError
 
 # The constants the paper leaves open: q = ceil(lambda / C_STAR), and the two
@@ -85,17 +85,17 @@ class HighEstimate:
 def derive_params(lam: int, gamma1: float, gamma2: float, n: int) -> TesterParams:
     """Tester budgets for proximity parameters (gamma1, gamma2 + epsilon).
 
-    ``lam`` is the hypothetical non-tolerant sample complexity, an integer
-    >= 1; ``n`` is accepted for interface symmetry with the sampling stage
-    (the derived budgets do not depend on it).  The budgets use the fixed
-    constants ``C_STAR``, ``C_W`` and ``C_Z``.
+    ``lam`` is the hypothetical non-tolerant sample complexity, an integer in
+    ``[1, 2**63 - 1]``; ``n`` is accepted for interface symmetry with the
+    sampling stage (the derived budgets do not depend on it).  The budgets use
+    the fixed constants ``C_STAR``, ``C_W`` and ``C_Z``.
     """
-    lam = _integer(lam, "lambda", 1)
-    if not 0.0 <= gamma1 < gamma2:
+    lam = _integer(lam, "lambda", 1, _COUNT_MAX)
+    zeta, gamma2 = _real(gamma1, "gamma1"), _real(gamma2, "gamma2")
+    if not 0.0 <= zeta < gamma2:
         raise ParameterError("need 0 <= gamma1 < gamma2")
     del n
-    zeta = float(gamma1)
-    eta = float(gamma2 - gamma1)
+    eta = gamma2 - zeta
     if zeta + eta > 2.0:
         raise ParameterError("gamma2 must be at most 2")
     eta_prime = eta / 64.0
@@ -114,7 +114,7 @@ def estimate_high_part(oracle: SamplingOracle, params: TesterParams, n: int) -> 
     surrogate carries the phase-two empirical mass on H, and the residual is
     split evenly off H.
     """
-    q = params.q
+    n, q = _integer(n, "n", 1), params.q
     if n <= 4 * q * q:
         raise ParameterError(
             f"domain size {n} must exceed 4*q^2 = {4 * q * q} for this configuration"

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import disttest.acceptance as acceptance
+import disttest.cli as cli
 from disttest.cli import CSV_HEADER, ExperimentConfig, build_parser, main, params_digest, run_batch
 from disttest.core import Distribution, load_distribution, save_distribution
-from disttest.errors import ParameterError
+from disttest.errors import ParameterError, SolverError
 from disttest import simplex
 from disttest.linprop import Polyhedron, save_polyhedron, uniformity_polyhedron
 from disttest.adversarial import verify_adversarial, AdversarialPair, Pairing
@@ -430,8 +431,15 @@ class TestMainEntry:
             (["collision-rate", "--beta", "0.25", "--m", "10"], {"trials": [5]}),
             (["gen-adversarial", "--alpha", "0.2", "--beta", "0.2"], {"mode": "sideways"}),
             (["gen-adversarial", "--alpha", "0.2", "--beta", "0.2"], {"out_yes": 5}),
+            (["collision-rate", "--beta", "0.25", "--m", "10"], {"m": 1.5}),
+            (["collision-rate", "--beta", "0.25", "--m", "10"], {"m": 2.0}),
+            (["collision-rate", "--beta", "0.25", "--m", "10"], {"trials": True}),
+            (["collision-rate", "--beta", "0.25", "--m", "10"], {"beta": True}),
+            (["gen-adversarial", "--alpha", "0.2", "--beta", "0.2"], {"permute": "false"}),
+            (["collision-rate", "--beta", "0.25", "--m", "10"], {"random_pairing": 1}),
         ],
-        ids=["int", "list-for-int", "choices", "number-for-path"],
+        ids=["int", "list-for-int", "choices", "number-for-path", "fraction-for-int", "integral-float-for-int",
+             "bool-for-int", "bool-for-float", "string-for-flag", "number-for-flag"],
     )
     def test_config_param_checked_like_its_flag(self, command, params, dist_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -453,6 +461,64 @@ class TestMainEntry:
         row = out.read_text().splitlines()[1].split(",")
         assert row[3] == params_digest({"dist": dist_file, "beta": 0.25, "m": "25", "trials": None})
         assert row[5] == "25000" and row[6].endswith("m=25 trials=1000")
+
+    @pytest.mark.parametrize("key", ["gamma1", "gamma2"])
+    def test_config_float_beyond_float64_exits_2(self, key, dist_file, tmp_path, capsys):
+        # float() of the JSON integer raised a bare OverflowError; its text reads as inf.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {key: 10**400}}))
+        out = tmp_path / "o.csv"
+        argv = ["tolerant-test", "--dist", dist_file, "--lambda", "50", "--gamma1", "0.1", "--gamma2", "0.3"]
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"seeds": [1.5]}, {"seeds": [1, True]}, {"seeds": ["3"]}, {"seeds": 5}, {"repeats": 2.7}, {"repeats": True}],
+        ids=["fraction-seed", "bool-seed", "string-seed", "number-for-seeds", "fraction-repeats", "bool-repeats"],
+    )
+    def test_config_seeds_and_repeats_are_integers(self, doc, dist_file, tmp_path, capsys):
+        # int() ran seeds [1.5, true] as seed 1 twice, and repeats 2.7 as 2.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        argv = ["collision-rate", "--dist", dist_file, "--beta", "0.25", "--m", "10"]
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("permute", [False, True])
+    def test_config_flag_runs_as_the_flag(self, permute, dist_file, tmp_path):
+        # A JSON boolean runs as the flag given or left out.
+        argv = ["gen-adversarial", "--dist", dist_file, "--alpha", "0.2", "--beta", "0.2", "--seed", "3"]
+        cfg, flagged, configured = tmp_path / "cfg.json", tmp_path / "f.csv", tmp_path / "c.csv"
+        cfg.write_text(json.dumps({"params": {"permute": permute}}))
+        assert main(argv + ["--permute"] * permute + ["--out", str(flagged)]) == 0
+        assert main(argv + ["--config", str(cfg), "--out", str(configured)]) == 0
+        # The metric, samples_used and extras columns.
+        rows = [path.read_text().splitlines()[1].split(",")[4:7] for path in (flagged, configured)]
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("command", ["tolerant-test", "lp-feasible"])
+    def test_solver_error_is_an_error_row(self, command, dist_file, tmp_path, monkeypatch):
+        def fail(*args):
+            raise SolverError("HiGHS did not converge", "abcd")
+
+        if command == "tolerant-test":
+            monkeypatch.setattr(cli, "tolerant_test_detailed", fail)
+            argv = [command, "--dist", dist_file, "--lambda", "50", "--gamma1", "0.1", "--gamma2", "0.3"]
+        else:
+            monkeypatch.setattr(cli, "feasibility_report", fail)
+            save_polyhedron(Polyhedron([[1.0]], [1.0]), tmp_path / "p.json")
+            argv = [command, "--lp", str(tmp_path / "p.json")]
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--repeats", "2", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[4:7:2] for line in lines[1:3]] == [["error", "solver_digest=abcd"]] * 2
+        assert "# success_fraction=0.000000000000e+00" in lines
 
     @pytest.mark.parametrize(
         "argv",

@@ -27,13 +27,45 @@ from disttest.core import (
     sorted_l1_distance,
     top_elements,
 )
+from disttest.cli import ExperimentConfig
 from disttest.errors import DimensionError, ParameterError, StructureError
+from disttest.learner import IdentityTestParams, identity_test_sample_size, learn_adaptive, learn_known_support
+from disttest.linprop import LinearProperty, Polyhedron, uniformity_polyhedron
 from disttest.reference import min_permutation_l1, min_subset_mass
+from disttest.tester import derive_params, estimate_high_part
 
 from conftest import random_distribution, random_pmf
 
 
 pmf_lists = st.lists(st.floats(0.01, 10.0), min_size=1, max_size=12)
+
+# Every public integer argument: a call that passes its argument on, and a
+# value just outside its bound.
+INTEGER_SITES = {
+    "seed": (lambda v: SamplingOracle(Distribution.uniform(2), seed=v), 2**64),
+    "opaque-n": (lambda v: SamplingOracle(lambda gen, size: gen.integers(0, 2, size), seed=1, n=v), 0),
+    "draw": (lambda v: SamplingOracle(Distribution.uniform(2), seed=1).draw(v), -1),
+    "draw_tally": (lambda v: SamplingOracle(Distribution.uniform(2), seed=1).draw_tally(v), -1),
+    "draw_counts": (lambda v: SamplingOracle(Distribution.uniform(2), seed=1).draw_counts(v), 2**63),
+    "point_mass": (lambda v: Distribution.point_mass(4, v), 4),
+    "point_mass-n": (lambda v: Distribution.point_mass(v, 0), 0),
+    "uniform": (lambda v: Distribution.uniform(v), 0),
+    "uniform_on": (lambda v: Distribution.uniform_on([0], v), 0),
+    "top_elements": (lambda v: top_elements(Distribution.uniform(4), v), 5),
+    "empirical_distribution": (lambda v: empirical_distribution([0], v), 0),
+    "additive_chernoff_bound": (lambda v: additive_chernoff_bound(v, 0.1), 0),
+    "LinearProperty": (lambda v: LinearProperty(Polyhedron([[1.0, 1.0]], [1.0]), v), 0),
+    "uniformity_polyhedron": (lambda v: uniformity_polyhedron(v, 0.1), 0),
+    "derive_params": (lambda v: derive_params(v, 0.1, 0.3, 10), 2**63),
+    "estimate_high_part": (
+        lambda v: estimate_high_part(SamplingOracle(Distribution.uniform(8), 1), derive_params(1, 0.1, 0.3, 8), v), 0
+    ),
+    "learn_known_support": (lambda v: learn_known_support(SamplingOracle(Distribution.uniform(4), 1), v, 0.5), 0),
+    "identity_test_sample_size": (lambda v: identity_test_sample_size(v, IdentityTestParams(0.1, 0.3, 0.1)), 0),
+    "learn_adaptive": (lambda v: learn_adaptive(SamplingOracle(Distribution.uniform(4), 1), 0.0, 0.5, v), 0),
+    "config-seed": (lambda v: ExperimentConfig("learn", (1, v), 1, {"dist": "x"}, None), -1),
+    "config-repeats": (lambda v: ExperimentConfig("learn", (1,), v, {"dist": "x"}, None), 0),
+}
 
 
 def to_dist(values) -> Distribution:
@@ -465,24 +497,32 @@ class TestSamplingOracle:
             SamplingOracle(Distribution.uniform(2), seed=-1)
 
     @pytest.mark.parametrize(
-        "value", [1.9, True, np.bool_(True), np.nan, "3"], ids=["fraction", "bool", "numpy-bool", "nan", "str"]
+        "value", [2.5, True, np.bool_(True), np.nan, "3", None],
+        ids=["fraction", "bool", "numpy-bool", "nan", "str", "out-of-range"],
     )
+    @pytest.mark.parametrize("call, outside", INTEGER_SITES.values(), ids=INTEGER_SITES.keys())
+    def test_integer_arguments_reject_fractions_and_booleans(self, call, outside, value):
+        # int() read 1.9 as 1 and True as 1; point_mass read True as a mask;
+        # Distribution.uniform(2.5) raised numpy's TypeError; learn_known_support
+        # ran s=2.5 as 7.5 draws' worth; derive_params(10**400, ...) overflowed.
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call(outside if value is None else value)
+
+    @pytest.mark.parametrize("value", ["0.1", True, np.bool_(False), None, 10**400])
     @pytest.mark.parametrize(
         "call",
         [
-            lambda v: SamplingOracle(Distribution.uniform(2), seed=v),
-            lambda v: SamplingOracle(lambda gen, size: gen.integers(0, 2, size), seed=1, n=v),
-            lambda v: SamplingOracle(Distribution.uniform(2), seed=1).draw(v),
-            lambda v: SamplingOracle(Distribution.uniform(2), seed=1).draw_tally(v),
-            lambda v: SamplingOracle(Distribution.uniform(2), seed=1).draw_counts(v),
-            lambda v: Distribution.point_mass(4, v),
-            lambda v: top_elements(Distribution.uniform(4), v),
+            lambda v: derive_params(50, v, 0.3, 10),
+            lambda v: derive_params(50, 0.1, v, 10),
+            lambda v: NonConcentrationParams(v, 0.2),
+            lambda v: NonConcentrationParams(0.1, v),
         ],
-        ids=["seed", "opaque-n", "draw", "draw_tally", "draw_counts", "point_mass", "top_elements"],
+        ids=["gamma1", "gamma2", "alpha", "beta"],
     )
-    def test_integer_arguments_reject_fractions_and_booleans(self, call, value):
-        # int() read 1.9 as 1 and True as 1; point_mass read True as a mask.
-        with pytest.raises(ParameterError, match="must be an integer"):
+    def test_real_arguments_reject_strings_and_booleans(self, call, value):
+        # derive_params(50, "0.1", 0.3, 10) and NonConcentrationParams("a", 0.2)
+        # raised a bare TypeError from a range compare.
+        with pytest.raises(ParameterError, match="must be a real number"):
             call(value)
 
     @pytest.mark.parametrize("m", [2**63, np.uint64(2**63), 1e19, 2**70], ids=["int", "uint64", "float", "huge"])

@@ -44,6 +44,8 @@ class TestDeriveParams:
             derive_params(50, 0.3, 0.1, 500)
         with pytest.raises(ParameterError):
             derive_params(0, 0.1, 0.3, 500)
+        with pytest.raises(ParameterError, match="gamma2 must be at most 2"):
+            derive_params(50, 0.5, 2.5, 1000)
 
     def test_tester_params_invariants(self):
         with pytest.raises(ParameterError):
@@ -60,10 +62,13 @@ class TestDeriveParams:
         assert p.eta_prime == 0.2 / 64.0
         assert p.bound == 26.0 * (0.2 / 64.0) + 0.1
 
-    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 50.7, True, np.bool_(True), "50", 0, -3])
+    @pytest.mark.parametrize(
+        "lam", [float("nan"), float("inf"), 50.7, True, np.bool_(True), "50", 0, -3, 2**63, 10**400]
+    )
     def test_lambda_must_be_an_integer_at_least_one(self, lam):
-        # nan raised a bare ValueError and inf a bare OverflowError; 50.7 ran with q=6 and True with q=1.
-        with pytest.raises(ParameterError, match="lambda must be an integer >= 1"):
+        # nan raised a bare ValueError and inf a bare OverflowError; 50.7 ran with q=6 and True with
+        # q=1; 10**400 passed the read and overflowed in lam / C_STAR.
+        with pytest.raises(ParameterError, match=r"lambda must be an integer in \[1, 9223372036854775807\]"):
             derive_params(lam, 0.1, 0.3, 500)
 
     def test_integral_lambda_of_any_integer_type(self):

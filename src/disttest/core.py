@@ -1,8 +1,16 @@
 """Discrete distributions over a finite domain: data model, distances, sampling.
 
 The domain is always ``{0, 1, ..., n-1}``.  A :class:`Distribution` is an
-explicit probability mass function, held as a length-n array or, for the
-learner's output, as s atoms and their masses until its ``pmf`` is read.  A
+explicit probability mass function, held either as a length-n array (the
+constructor, :meth:`~Distribution.uniform`, :func:`empirical_distribution`,
+:func:`load_distribution`) or, when it has s atoms, as those atoms and their
+masses until its ``pmf`` is read (:meth:`~Distribution.uniform_on`,
+:meth:`~Distribution.point_mass` and the learner's output).  On atoms,
+``n``, ``support()``, ``mass()``, :func:`high_set` and the sampling table
+cost O(s), and draws and tallies never build the pmf; :func:`l1_distance`
+builds one length-n scratch array and no pmf; every other reader of
+``pmf`` (``==``, ``draw_counts``, the testers, the adversarial layer,
+:func:`save_distribution`) builds it once and caches it.  A
 :class:`SamplingOracle` produces seeded i.i.d. draws from one (or from an
 opaque sampling procedure), at O(1) expected per draw from an O(s) table
 cached on the distribution for a support of size s; the table looks up raw
@@ -152,16 +160,21 @@ class _GuideTable:
     bisect that bucket's own slots.  A bucket holding j values costs its keys
     O(log j) and covers 1/K of [0, 1), and the j sum to at most s <= K/2, so
     a key costs O(1) expected.  All arrays are read-only.
+
+    The build counts instead of searching: cdf * K is exact, so for an
+    integer b, ``cdf <= b/K`` exactly when ceil(cdf * K) <= b and ``cdf <
+    (b+1)/K`` exactly when floor(cdf * K) <= b, and ``lo`` and ``hi`` are
+    cumulative counts of those ceilings and floors, in O(s + K).
     """
 
     def __init__(self, atoms: np.ndarray, probs: np.ndarray):
         cdf = np.cumsum(probs)
         cdf /= cdf[-1]
-        self.buckets = 1 << (2 * atoms.size - 1).bit_length()
-        self._shift = np.uint64(65 - self.buckets.bit_length())
-        edges = np.arange(self.buckets + 1) / self.buckets
-        lo = np.searchsorted(cdf, edges[:-1], side="right")
-        hi = np.searchsorted(cdf, edges[1:], side="left")
+        self.buckets = k = 1 << (2 * atoms.size - 1).bit_length()
+        self._shift = np.uint64(65 - k.bit_length())
+        scaled = cdf * k
+        lo = np.cumsum(np.bincount(np.ceil(scaled).astype(np.int64), minlength=k + 1)[:k])
+        hi = np.cumsum(np.bincount(np.floor(scaled).astype(np.int64), minlength=k + 1)[:k])
         held = hi - lo
         self.held = int(held.max())
         deep = held >= 2
@@ -216,9 +229,15 @@ class Distribution:
     and cached on the instance.  So is the lightest-first order that
     adversarial pairings of k pairs select from: the first selection on a
     distribution costs O(n + k log k), and a repeat at the same or a smaller
-    k costs O(k).  A distribution the learner builds on s atoms
-    holds those atoms and masses only, and builds its length-n ``pmf`` on the
-    first read; its draws, ``n``, ``support()`` and ``mass()`` never build it.
+    k costs O(k).
+
+    The constructor and :meth:`uniform` hold a length-n pmf.
+    :meth:`uniform_on`, :meth:`point_mass` and the learner's output hold
+    their s atoms and masses only, and build the length-n ``pmf``, the same
+    bytes, on its first read.  Their draws and tallies, ``n``,
+    ``support()``, ``mass()``, :func:`high_set` and :func:`l1_distance` never
+    build it; ``==``, ``draw_counts``, :func:`save_distribution` and the
+    testers' and adversarial layer's readers do.
     """
 
     def __init__(self, pmf: np.ndarray):
@@ -327,22 +346,19 @@ class Distribution:
 
     @classmethod
     def point_mass(cls, n: int, index: int) -> "Distribution":
+        """All mass on ``index``, held as one atom."""
         n = _integer(n, "n", 1)
         index = _integer(index, "index", 0, n - 1)
-        pmf = np.zeros(n)
-        pmf[index] = 1.0
-        return cls(pmf)
+        return cls._on_atoms([index], [1.0], n)
 
     @classmethod
     def uniform_on(cls, indices: Iterable[int], n: int) -> "Distribution":
-        """Uniform distribution restricted to ``indices`` inside a size-n domain."""
+        """Uniform distribution restricted to ``indices`` inside a size-n domain, held as its atoms."""
         n = _integer(n, "n", 1)
         idx = _index_set(indices, n)
         if idx.size == 0:
             raise ParameterError("support must be nonempty")
-        pmf = np.zeros(n)
-        pmf[idx] = 1.0 / idx.size
-        return cls(pmf)
+        return cls._on_atoms(idx, np.full(idx.size, 1.0 / idx.size), n)
 
     def mass(self, indices: Iterable[int]) -> float:
         """Total probability mass of a set of indices; a repeated index counts once."""
@@ -531,17 +547,34 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def l1_distance(d1: Distribution, d2: Distribution) -> float:
-    """L1 distance between two pmfs on the same domain; lies in [0, 2]."""
+    """L1 distance between two pmfs on the same domain; lies in [0, 2].
+
+    Equal, bit for bit, to ``np.abs(d1.pmf - d2.pmf).sum()``, in one length-n
+    scratch array and without building the pmf of a distribution on atoms:
+    the scratch takes d1's masses and loses d2's, and outside an atom the
+    difference is x - 0 = x or 0 - y = -y exactly, whose sign ``abs`` clears.
+    """
     if d1.n != d2.n:
         raise DimensionError(f"domain sizes differ: {d1.n} vs {d2.n}")
-    return float(np.abs(d1.pmf - d2.pmf).sum())
+    if d1._sparse is None:
+        diff = d1.pmf.copy()
+    else:
+        diff = np.zeros(d1.n)
+        diff[d1._sparse[0]] = d1._sparse[1]
+    if d2._sparse is None:
+        np.subtract(diff, d2.pmf, out=diff)
+    else:
+        diff[d2._sparse[0]] -= d2._sparse[1]
+    return float(np.abs(diff, out=diff).sum())
 
 
 def high_set(d: Distribution, kappa: float) -> frozenset:
     """Indices carrying mass at least ``kappa``, for 0 < kappa < 1."""
+    kappa = _real(kappa, "kappa")
     if not 0.0 < kappa < 1.0:
         raise ParameterError("kappa must lie in (0, 1)")
-    return frozenset(np.flatnonzero(d.pmf >= kappa).tolist())
+    atoms, probs = d._atoms()
+    return frozenset(atoms[probs >= kappa].tolist())
 
 
 def top_elements(d: Distribution, t: int) -> list:
@@ -583,8 +616,9 @@ def sample_size_additive(delta: float, kappa: float) -> int:
     ``delta`` is a fractional deviation of an empirical mean of m bounded
     variables; the closed form is ceil(ln(1/kappa) / (2*delta^2)).
     """
-    if delta <= 0.0:
-        raise ParameterError("delta must be positive")
+    delta, kappa = _real(delta, "delta"), _real(kappa, "kappa")
+    if not 0.0 < delta < math.inf:
+        raise ParameterError("delta must be positive and finite")
     if not 0.0 < kappa < 1.0:
         raise ParameterError("kappa must lie in (0, 1)")
     return _checked_ceil(-math.log(kappa) / (2.0 * delta * delta))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # empirical_distribution is not called here; perfbench/spans.py wraps it under this module's name.
-from .core import Distribution, SamplingOracle, _checked_ceil, _integer, empirical_distribution  # noqa: F401
+from .core import Distribution, SamplingOracle, _checked_ceil, _integer, _real, empirical_distribution  # noqa: F401
 from .errors import ParameterError
 from .tester import Verdict
 
@@ -81,7 +81,7 @@ def learn_known_support(oracle: SamplingOracle, s: int, delta: float) -> Distrib
     result is the one :func:`empirical_distribution` gives on them, at
     O(m + s) cost: it holds its atoms and masses until its ``pmf`` is read.
     """
-    s = _integer(s, "s", 1)
+    s, delta = _integer(s, "s", 1), _real(delta, "delta")
     if not 0.0 < delta <= 2.0:
         raise ParameterError("delta must lie in (0, 2]")
     m = _checked_ceil(C_LEARN * (s + 5) / (delta * delta))
@@ -89,9 +89,17 @@ def learn_known_support(oracle: SamplingOracle, s: int, delta: float) -> Distrib
     return Distribution._on_atoms(atoms, hits / m, oracle.n)
 
 
+def _c_test(value) -> float:
+    """The identity test's budget constant as a float, or :class:`ParameterError` unless finite and > 0."""
+    c_test = _real(value, "c_test")
+    if not 0.0 < c_test < math.inf:
+        raise ParameterError(f"c_test must be positive and finite, not {c_test!r}")
+    return c_test
+
+
 def identity_test_sample_size(s: int, params: IdentityTestParams, c_test: float = DEFAULT_C_TEST) -> int:
-    """Draw budget of the plug-in identity test for a support of size ``s``."""
-    s = _integer(s, "s", 1)
+    """Draw budget of the plug-in identity test for a support of size ``s``; ``c_test`` is finite and > 0."""
+    s, c_test = _integer(s, "s", 1), _c_test(c_test)
     gap = (params.eps2 - params.eps1) / 4.0
     return _checked_ceil(c_test * (s + 1 + math.log(1.0 / params.kappa)) / (gap * gap))
 
@@ -171,6 +179,7 @@ def learn_adaptive(
     at least 2/3, at an expected total of O(|S|/delta^2) draws.
     ``n`` must equal ``oracle.n``.
     """
+    eta, delta, c_test = _real(eta, "eta"), _real(delta, "delta"), _c_test(c_test)
     if not 0.0 <= eta < 2.0:
         raise ParameterError("eta must lie in [0, 2)")
     if not 0.0 < delta <= 2.0:

@@ -35,7 +35,9 @@ from typing import Collection, Iterable
 
 import numpy as np
 
-from .core import Distribution, _check_masses, _float_array, _integer, _is_int, _is_numbers, _read_json, _write_json
+from .core import (
+    Distribution, _check_masses, _float_array, _integer, _is_int, _is_numbers, _read_json, _real, _write_json
+)
 from .errors import ParameterError, SolverError, StructureError
 from .simplex import FEAS_TOL, Triplets, _canonical, extract_bounds, refutes, solve_feasibility
 
@@ -257,7 +259,7 @@ def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
     declares as its ``ball``.  At n = 1 the budget row is a singleton and
     folds into a bound, so that property carries no ball.
     """
-    n = _integer(n, "n", 1)
+    n, eps = _integer(n, "n", 1), _real(eps, "eps")
     if not 0.0 <= eps <= 2.0:
         raise ParameterError("eps must lie in [0, 2]")
     N = 2 * n
@@ -267,7 +269,7 @@ def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
     rows = np.concatenate([np.zeros(n, np.int64), pairs.ravel()])
     cols = np.concatenate([n + i, np.column_stack([i, n + i, i, n + i]).ravel()])
     vals = np.concatenate([np.ones(n), np.tile([1.0, -1.0, -1.0, -1.0], n)])
-    b = np.concatenate([[float(eps)], np.tile([1.0 / n, -1.0 / n], n)])
+    b = np.concatenate([[eps], np.tile([1.0 / n, -1.0 / n], n)])
     centre = np.concatenate([np.full(n, 1.0 / n), np.zeros(n)])
     ball = (0, 1 + 2 * i, 2 + 2 * i) if n > 1 else None
     poly = Polyhedron(Triplets(rows, cols, vals, (1 + 2 * n, N)), b, lower=np.zeros(N))

@@ -474,6 +474,17 @@ class TestMainEntry:
         assert err.startswith("error:") and err.count("\n") == 1 and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("c_test", ["inf", "0"])
+    def test_c_test_out_of_range_exits_2(self, c_test, dist_file, tmp_path, capsys):
+        # inf escaped as an OverflowError traceback with exit 1, and 0 ran
+        # every identity test on no samples and reported Failure.
+        out = tmp_path / "o.csv"
+        argv = ["learn", "--dist", dist_file, "--eta", "0", "--delta", "0.5", "--seed", "1", "--c-test", c_test]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "c_test" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "doc",
         [{"seeds": [1.5]}, {"seeds": [1, True]}, {"seeds": ["3"]}, {"seeds": 5}, {"repeats": 2.7}, {"repeats": True}],

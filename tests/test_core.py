@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -516,14 +517,43 @@ class TestSamplingOracle:
             lambda v: derive_params(50, 0.1, v, 10),
             lambda v: NonConcentrationParams(v, 0.2),
             lambda v: NonConcentrationParams(0.1, v),
+            lambda v: uniformity_polyhedron(4, v),
+            lambda v: high_set(Distribution.uniform(4), v),
+            lambda v: learn_adaptive(SamplingOracle(Distribution.uniform(4), 1), v, 0.5, 4),
+            lambda v: learn_adaptive(SamplingOracle(Distribution.uniform(4), 1), 0.0, v, 4),
+            lambda v: learn_known_support(SamplingOracle(Distribution.uniform(4), 1), 2, v),
+            lambda v: sample_size_additive(v, 0.1),
+            lambda v: sample_size_additive(0.1, v),
+            lambda v: identity_test_sample_size(2, IdentityTestParams(0.1, 0.3, 0.1), v),
         ],
-        ids=["gamma1", "gamma2", "alpha", "beta"],
+        ids=["gamma1", "gamma2", "alpha", "beta", "eps", "kappa", "eta", "delta", "known-s-delta",
+             "additive-delta", "additive-kappa", "c_test"],
     )
     def test_real_arguments_reject_strings_and_booleans(self, call, value):
-        # derive_params(50, "0.1", 0.3, 10) and NonConcentrationParams("a", 0.2)
-        # raised a bare TypeError from a range compare.
+        # derive_params(50, "0.1", 0.3, 10), NonConcentrationParams("a", 0.2),
+        # uniformity_polyhedron(4, "0.1"), high_set(d, "0.1") and
+        # learn_adaptive(oracle, "0", 0.5, 4) raised a bare TypeError from a
+        # range compare, and sample_size_additive(True, 0.1) returned 2.
         with pytest.raises(ParameterError, match="must be a real number"):
             call(value)
+
+    @pytest.mark.parametrize(
+        "c_test", [0, 0.0, -1.0, np.inf, np.nan], ids=["zero", "zero-float", "negative", "inf", "nan"]
+    )
+    def test_c_test_must_be_positive_and_finite(self, c_test):
+        # inf overflowed in the ceiling and 0 drew no test samples, so every
+        # test divided by zero and rejected.
+        oracle = SamplingOracle(Distribution.uniform(4), 1)
+        with pytest.raises(ParameterError, match="c_test must be positive and finite"):
+            identity_test_sample_size(2, IdentityTestParams(0.1, 0.3, 0.1), c_test)
+        with pytest.raises(ParameterError, match="c_test must be positive and finite"):
+            learn_adaptive(oracle, 0.0, 0.5, 4, c_test)
+        assert oracle.samples_drawn == 0
+
+    @pytest.mark.parametrize("delta", [np.inf, np.nan])
+    def test_additive_delta_must_be_finite(self, delta):
+        with pytest.raises(ParameterError, match="delta must be positive and finite"):
+            sample_size_additive(delta, 0.1)
 
     @pytest.mark.parametrize("m", [2**63, np.uint64(2**63), 1e19, 2**70], ids=["int", "uint64", "float", "huge"])
     @pytest.mark.parametrize("call", ["draw", "draw_tally", "draw_counts"])
@@ -587,6 +617,17 @@ class TestGuideTable:
             assert np.array_equal(tables[name].deep, held[name] >= 2)
         assert held["heavy-plus-tiny"].max() >= 512
         assert tables["s-1"].buckets == 2
+
+    @pytest.mark.parametrize("pmf", GUIDE_PMFS.values(), ids=GUIDE_PMFS.keys())
+    def test_counted_bounds_equal_the_searched_ones(self, pmf):
+        # The reference build: two searches of the CDF for the K+1 bucket edges.
+        table = Distribution(pmf)._guide
+        edges = np.arange(table.buckets + 1) / table.buckets
+        lo = np.searchsorted(table.cdf, edges[:-1], side="right")
+        hi = np.searchsorted(table.cdf, edges[1:], side="left")
+        for got, want in ((table.lo, lo), (table.hi, hi), (table.deep, hi - lo >= 2)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert table.held == (hi - lo).max()
 
     def test_bucket_count_depends_on_support_size_only(self):
         for s, buckets in ((1, 2), (2, 4), (3, 8), (64, 128), (65, 256)):
@@ -779,6 +820,129 @@ class TestSparseConstruction:
             Distribution(pmf)
         with pytest.raises(ParameterError):
             Distribution._on_atoms(atoms, np.array(probs, dtype=np.float64), 4)
+
+
+def _dense_twin(d: Distribution) -> Distribution:
+    """The distribution as a length-n pmf, built the way the dense constructors built it."""
+    atoms, probs = d._sparse
+    pmf = np.zeros(d.n)
+    pmf[atoms] = probs
+    return Distribution(pmf)
+
+
+def _compact_cases():
+    """Distributions on atoms, over random supports: one atom, the full domain, tied and distinct masses."""
+    rng = np.random.default_rng(7)
+    cases = {
+        "point-mass": Distribution.point_mass(40, 17),
+        "point-mass-n1": Distribution.point_mass(1, 0),
+        "uniform-on-full": Distribution.uniform_on(range(40), 40),
+        "uniform-on-one": Distribution.uniform_on([39], 40),
+    }
+    for s in (2, 7, 30):
+        cases[f"uniform-on-{s}"] = Distribution.uniform_on(rng.choice(40, s, replace=False), 40)
+        tied = rng.integers(1, 3, size=s).astype(np.float64)
+        cases[f"tied-{s}"] = Distribution._on_atoms(np.sort(rng.choice(40, s, replace=False)), tied / tied.sum(), 40)
+    raw = rng.exponential(size=40)
+    cases["exponential-full"] = Distribution._on_atoms(np.arange(40), raw / raw.sum(), 40)
+    return cases
+
+
+COMPACT_CASES = _compact_cases()
+
+
+class TestCompactEqualsDense:
+    """A distribution on atoms reads as its dense twin does, byte for byte, without building its pmf."""
+
+    @pytest.mark.parametrize("name", COMPACT_CASES)
+    def test_pmf_bytes(self, name):
+        d = _compact_cases()[name]
+        assert "pmf" not in vars(d)
+        assert d.pmf.tobytes() == _dense_twin(d).pmf.tobytes()
+        assert not d.pmf.flags.writeable
+
+    def test_constructors_hold_their_atoms(self):
+        pmf = np.zeros(9)
+        pmf[[2, 4, 5]] = 1.0 / 3
+        assert Distribution.uniform_on([5, 2, 4, 2], 9).pmf.tobytes() == pmf.tobytes()
+        pmf = np.zeros(9)
+        pmf[3] = 1.0
+        assert Distribution.point_mass(9, 3).pmf.tobytes() == pmf.tobytes()
+        for d in (Distribution.uniform_on([5, 2, 4, 2], 9), Distribution.point_mass(9, 3)):
+            assert d._sparse is not None and "pmf" not in vars(d)
+
+    @pytest.mark.parametrize("name", COMPACT_CASES)
+    def test_l1_distance_bit_for_bit_in_every_pairing(self, name):
+        cases = _compact_cases()
+        first = cases[name]
+        others = [d for d in cases.values() if d.n == first.n]
+        for a, b in [(first, other) for other in others] + [(other, first) for other in others]:
+            want = float(np.abs(_dense_twin(a).pmf - _dense_twin(b).pmf).sum())
+            for x in (a, _dense_twin(a)):
+                for y in (b, _dense_twin(b)):
+                    assert l1_distance(x, y) == want
+        assert all("pmf" not in vars(d) for d in others)
+
+    @pytest.mark.parametrize("name", COMPACT_CASES)
+    def test_readers(self, name):
+        d = _compact_cases()[name]
+        dense = _dense_twin(d)
+        rng = np.random.default_rng(len(name))
+        for size in {0, 1, min(5, d.n), d.n}:
+            idx = rng.choice(d.n, size, replace=False)
+            assert d.mass(idx) == dense.mass(idx)
+        assert np.array_equal(d.support(), dense.support())
+        masses = np.unique(dense.pmf[dense.pmf > 0.0])
+        for kappa in np.r_[masses[masses < 1.0], 0.01, 0.5, 0.99]:
+            assert high_set(d, kappa) == high_set(dense, kappa)
+        assert "pmf" not in vars(d)
+        assert d == dense and dense == d
+
+    @pytest.mark.parametrize("name", COMPACT_CASES)
+    def test_file_bytes(self, name, tmp_path):
+        d = COMPACT_CASES[name]
+        save_distribution(d, tmp_path / "compact.json")
+        save_distribution(_dense_twin(d), tmp_path / "dense.json")
+        assert (tmp_path / "compact.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
+
+    @pytest.mark.parametrize("name", COMPACT_CASES)
+    def test_draws_tallies_counts_and_generator(self, name):
+        d = COMPACT_CASES[name]
+        dense = _dense_twin(d)
+        for seed in (1, derive_seed(5, 2)):
+            compact_oracle, dense_oracle = SamplingOracle(d, seed), SamplingOracle(dense, seed)
+            outputs = [
+                [oracle.draw(300), *oracle.draw_tally(_DRAW_BLOCK + 3), oracle.draw_counts(500)]
+                for oracle in (compact_oracle, dense_oracle)
+            ]
+            for got, want in zip(*outputs):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert compact_oracle._gen.bit_generator.state == dense_oracle._gen.bit_generator.state
+            assert compact_oracle.samples_drawn == dense_oracle.samples_drawn
+
+    def test_uniform_on_allocates_on_its_atoms(self):
+        # The dense constructor allocated and checked a length-n pmf: 80 MB here.
+        tracemalloc.start()
+        try:
+            d = Distribution.uniform_on(range(0, 10**7, 10**5), 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6 and np.array_equal(d.support(), np.arange(0, 10**7, 10**5))
+
+    def test_l1_distance_allocates_one_scratch_array(self):
+        # Reading both pmfs and subtracting them peaked at up to four arrays of 80 MB.
+        n = 10**7
+        a = Distribution.uniform_on(range(0, n, 10**5), n)
+        b = Distribution.uniform_on(range(0, n, 2 * 10**5), n)
+        tracemalloc.start()
+        try:
+            distance = l1_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 10**6
+        assert distance == pytest.approx(1.0) and "pmf" not in vars(a) and "pmf" not in vars(b)
 
 
 class TestEmpiricalDistribution:

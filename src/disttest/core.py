@@ -15,9 +15,11 @@ builds one length-n scratch array and no pmf; every other reader of
 opaque sampling procedure), at O(1) expected per draw from an O(s) table
 cached on the distribution for a support of size s; the table looks up raw
 64-bit PCG64 outputs with integer operations only, and gives the draws an
-inverse-CDF search of ``Generator.random`` would.  The remaining functions
-implement the distance and mass machinery the testers and learners are built
-on, plus Chernoff-based sample-size utilities.
+inverse-CDF search of ``Generator.random`` would.  Where every CDF value
+sits on a bucket edge of that table (a uniform pmf on 2^k atoms, a point
+mass), a tally counts the outputs' buckets and never looks up a slot.  The
+remaining functions implement the distance and mass machinery the testers
+and learners are built on, plus Chernoff-based sample-size utilities.
 """
 
 from __future__ import annotations
@@ -108,19 +110,32 @@ def _check_masses(probs: np.ndarray) -> None:
         )
 
 
+def _integers(values: Iterable[int], what: str) -> np.ndarray:
+    """``values`` as an int64 array, in their order and with repeats; each must
+    be an integer (not a boolean), and nested values are refused.  An ndarray
+    or ``range`` is read without a Python list."""
+    if isinstance(values, range):
+        values = np.arange(values.start, values.stop, values.step)
+    try:
+        raw = values if isinstance(values, np.ndarray) else np.asarray(list(values))
+    except (TypeError, ValueError):  # not iterable, or ragged
+        raise ParameterError(f"{what} must be a flat collection of integers") from None
+    if raw.ndim != 1:
+        raise ParameterError(f"{what} must be a flat collection, not of shape {raw.shape}")
+    try:
+        with np.errstate(invalid="ignore"):
+            ints = raw.astype(np.int64, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or raw.dtype == np.bool_ or not np.array_equal(raw, ints):
+        raise ParameterError(f"{what} must be integers, not booleans or fractions")
+    return ints
+
+
 def _index_set(indices: Iterable[int], n: int) -> np.ndarray:
     """The distinct ``indices``, ascending, as int64; each must be an integer
-    (not a boolean) in ``[0, n)``, and nested indices are refused.  An ndarray
-    or ``range`` is read without a Python list."""
-    if isinstance(indices, range):
-        indices = np.arange(indices.start, indices.stop, indices.step)
-    raw = indices if isinstance(indices, np.ndarray) else np.asarray(list(indices))
-    if raw.ndim != 1:
-        raise ParameterError(f"indices must be a flat collection, not of shape {raw.shape}")
-    with np.errstate(invalid="ignore"):
-        idx = raw.astype(np.int64)
-    if raw.dtype == np.bool_ or not np.array_equal(raw, idx):
-        raise ParameterError("indices must be integers, not booleans or fractions")
+    (not a boolean) in ``[0, n)``, as :func:`_integers` reads them."""
+    idx = _integers(indices, "indices")
     # A sort and an adjacent-difference mask; numpy 2.x's hash-based
     # np.unique is dozens of times slower on large index sets.
     idx = np.sort(idx)
@@ -154,7 +169,8 @@ class _GuideTable:
     ``held`` is the most cdf values any bucket holds, ``max(hi - lo)``, and
     sets the steps a key takes.  When it is 0 every cdf value sits on a
     bucket edge, so ``cdf[lo[b]] >= (b+1)/K`` exceeds every key of bucket b
-    and ``lo[b]`` is the slot.  Otherwise a key takes one compare against
+    and ``lo[b]`` is the slot; a tally then counts keys per bucket and adds
+    bucket b's count to slot ``lo[b]``, with no per-key lookup.  Otherwise a key takes one compare against
     ``cut[lo[b]]``, which is exact when its bucket holds at most one cdf
     value; only when ``held >= 2`` do keys in a bucket holding two or more
     bisect that bucket's own slots.  A bucket holding j values costs its keys
@@ -412,7 +428,8 @@ _COUNT_CHUNK = 10_000_000
 
 # Keys per block of an explicit-pmf draw, raised to the support size s where
 # that is larger: a block's keys, buckets and slots stay in cache, and a
-# tally's O(s) bincount per block costs at most as much as the block.
+# tally's bincount per block, of O(s) slots or of O(K) = O(s) buckets on a
+# table with held == 0, costs at most as much as the block.
 _DRAW_BLOCK = 1 << 15
 
 
@@ -455,17 +472,17 @@ class SamplingOracle:
         return self._n
 
     def _blocks(self, table: _GuideTable, m: int):
-        """Offset and slots in ``table.atoms`` of each block of ``m >= 1`` fresh draws.
+        """Offset and keys of each block of ``m >= 1`` fresh draws from ``table``.
 
-        The keys are raw PCG64 outputs, ``max(_DRAW_BLOCK, s)`` at a time.
-        ``gen.random(m)`` would spend the same one output on each of its
-        doubles, so the slots are those of its keys, bit for bit, and the
-        generator ends where it would.
+        The keys are fresh uint64 arrays of raw PCG64 outputs, ``max(_DRAW_BLOCK,
+        s)`` at a time.  ``gen.random(m)`` would spend the same one output on
+        each of its doubles, so the keys' slots are its draws, bit for bit,
+        and the generator ends where it would.
         """
         block = max(_DRAW_BLOCK, table.atoms.size)
         raw = self._gen.bit_generator.random_raw
         for start in range(0, m, block):
-            yield start, table.slots(raw(min(block, m - start)))
+            yield start, raw(min(block, m - start))
 
     def draw(self, m: int) -> np.ndarray:
         """Draw ``m`` i.i.d. indices; deterministic given the seed.
@@ -481,8 +498,8 @@ class SamplingOracle:
         if self._dist is not None:
             table = self._dist._guide
             out = np.empty(m, dtype=np.int64)
-            for start, slots in self._blocks(table, m):
-                table.atoms.take(slots, out=out[start:start + slots.size])
+            for start, keys in self._blocks(table, m):
+                table.atoms.take(table.slots(keys), out=out[start:start + keys.size])
         else:
             out = np.asarray(self._proc(self._gen, m), dtype=np.int64)
             if out.shape != (m,):
@@ -499,16 +516,27 @@ class SamplingOracle:
         the generator and ``samples_drawn`` where ``draw(m)`` would.  For an
         explicit pmf it sums one ``bincount`` of the atom slots per block of
         raw keys: O(m + s) time, O(block + s) temporaries, no sort and no
-        floating-point key.
+        floating-point key.  On a table with ``held == 0`` the bincount is of
+        the keys' buckets, shifted in place, and folds onto the slots once at
+        the end: O(m + K) time for K buckets, O(block + K) temporaries and no
+        slot array.
         """
         m = _integer(m, "m", 0, _COUNT_MAX)
         if self._dist is None or m == 0:
             return np.unique(self.draw(m), return_counts=True)
         table = self._dist._guide
-        tallies = (np.bincount(slots, minlength=table.atoms.size) for _, slots in self._blocks(table, m))
-        counts = next(tallies)
-        for tally in tallies:
-            counts += tally
+        counts = np.zeros(table.atoms.size, dtype=np.int64)
+        if table.held == 0:
+            # Every key of bucket b takes slot lo[b] (see _GuideTable), so the
+            # buckets' counts sum onto the slots exactly, in int64.
+            buckets = np.zeros(table.buckets, dtype=np.int64)
+            for _, keys in self._blocks(table, m):
+                buckets += np.bincount(np.right_shift(keys, table._shift, out=keys).view(np.int64),
+                                       minlength=table.buckets)
+            np.add.at(counts, table.lo, buckets)
+        else:
+            for _, keys in self._blocks(table, m):
+                counts += np.bincount(table.slots(keys), minlength=counts.size)
         self.samples_drawn += m
         hit = np.flatnonzero(counts)
         return table.atoms[hit], counts[hit]
@@ -625,24 +653,30 @@ def sample_size_additive(delta: float, kappa: float) -> int:
 
 
 def multiplicative_chernoff_bound(mu: float, delta: float) -> float:
-    """Upper bound on P(|X - mu| >= delta*mu) for a sum of [0,1] variables."""
-    if mu < 0 or not 0.0 <= delta <= 1.0:
-        raise ParameterError("need mu >= 0 and 0 <= delta <= 1")
+    """Upper bound on P(|X - mu| >= delta*mu) for a sum of [0,1] variables; mu finite and >= 0, 0 <= delta <= 1."""
+    mu, delta = _real(mu, "mu"), _real(delta, "delta")
+    if not (0.0 <= mu < math.inf and 0.0 <= delta <= 1.0):
+        raise ParameterError("need finite mu >= 0 and 0 <= delta <= 1")
     return 2.0 * math.exp(-mu * delta * delta / 3.0)
 
 
 def additive_chernoff_bound(n: int, deviation: float) -> float:
-    """Upper bound on P(X >= E[X] + deviation) for a sum of n [0,1] variables."""
+    """Upper bound on P(X >= E[X] + deviation) for a sum of n [0,1] variables; deviation > 0."""
     n = _integer(n, "n", 1)
-    if deviation <= 0:
+    deviation = _real(deviation, "deviation")
+    if not deviation > 0:
         raise ParameterError("deviation must be > 0")
     return math.exp(-2.0 * deviation * deviation / n)
 
 
 def empirical_distribution(samples: np.ndarray, n: int) -> Distribution:
-    """Frequency distribution of a nonempty sample multiset over ``{0..n-1}``."""
+    """Frequency distribution of a nonempty sample multiset over ``{0..n-1}``.
+
+    The samples are read by :func:`_integers`: a flat collection of integers,
+    not booleans or fractions.
+    """
     n = _integer(n, "n", 1)
-    samples = np.asarray(samples, dtype=np.int64)
+    samples = _integers(samples, "samples")
     if samples.size == 0:
         raise ParameterError("samples must be nonempty")
     if samples.min() < 0 or samples.max() >= n:

@@ -12,6 +12,7 @@ from disttest.core import (
     Distribution,
     NonConcentrationParams,
     SamplingOracle,
+    _GuideTable,
     _index_set,
     _stable_order,
     additive_chernoff_bound,
@@ -412,6 +413,17 @@ GUIDE_PMFS = {
     "exponential-1e5": _exponential_pmf(10**5),
 }
 
+# Distributions on atoms whose tables hold no CDF value inside a bucket: 2**16
+# evenly spaced atoms, so s > _DRAW_BLOCK and a block is s keys, and a point mass.
+ATOM_DISTS = {
+    "uniform-on-2^16": lambda: Distribution.uniform_on(range(0, 2**22, 64), 2**22),
+    "point-mass": lambda: Distribution.point_mass(10, 3),
+}
+
+
+def _dist(name: str) -> Distribution:
+    return ATOM_DISTS[name]() if name in ATOM_DISTS else Distribution(GUIDE_PMFS[name])
+
 
 class TestSamplingOracle:
     def test_draw_zero(self):
@@ -525,15 +537,19 @@ class TestSamplingOracle:
             lambda v: sample_size_additive(v, 0.1),
             lambda v: sample_size_additive(0.1, v),
             lambda v: identity_test_sample_size(2, IdentityTestParams(0.1, 0.3, 0.1), v),
+            lambda v: multiplicative_chernoff_bound(v, 0.5),
+            lambda v: multiplicative_chernoff_bound(10.0, v),
+            lambda v: additive_chernoff_bound(10, v),
         ],
         ids=["gamma1", "gamma2", "alpha", "beta", "eps", "kappa", "eta", "delta", "known-s-delta",
-             "additive-delta", "additive-kappa", "c_test"],
+             "additive-delta", "additive-kappa", "c_test", "chernoff-mu", "chernoff-delta", "chernoff-deviation"],
     )
     def test_real_arguments_reject_strings_and_booleans(self, call, value):
         # derive_params(50, "0.1", 0.3, 10), NonConcentrationParams("a", 0.2),
         # uniformity_polyhedron(4, "0.1"), high_set(d, "0.1") and
         # learn_adaptive(oracle, "0", 0.5, 4) raised a bare TypeError from a
-        # range compare, and sample_size_additive(True, 0.1) returned 2.
+        # range compare, and sample_size_additive(True, 0.1) and
+        # multiplicative_chernoff_bound(True, 0.5) returned a number.
         with pytest.raises(ParameterError, match="must be a real number"):
             call(value)
 
@@ -635,9 +651,9 @@ class TestGuideTable:
             spread = Distribution(np.r_[np.zeros(5), _exponential_pmf(s)])
             assert small._guide.buckets == spread._guide.buckets == buckets
 
-    @pytest.mark.parametrize("pmf", GUIDE_PMFS.values(), ids=GUIDE_PMFS.keys())
-    def test_tally_matches_unique_of_draw(self, pmf):
-        d = Distribution(pmf)
+    @pytest.mark.parametrize("name", [*GUIDE_PMFS, *ATOM_DISTS])
+    def test_tally_matches_unique_of_draw(self, name):
+        d = _dist(name)
         for m in (0, 1, 20000):
             by_tally, by_draw = SamplingOracle(d, seed=11), SamplingOracle(d, seed=11)
             values, counts = by_tally.draw_tally(m)
@@ -648,11 +664,12 @@ class TestGuideTable:
             assert by_tally.samples_drawn == by_draw.samples_drawn == m
             assert np.array_equal(by_tally.draw(100), by_draw.draw(100))
 
-    @pytest.mark.parametrize("name", ["uniform-64", "one-step", "heavy-plus-tiny", "exponential-1e5"])
+    @pytest.mark.parametrize("name", ["uniform-64", "one-step", "heavy-plus-tiny", "exponential-1e5", *ATOM_DISTS])
     def test_draws_cross_block_edges(self, name):
-        # A block holds max(_DRAW_BLOCK, s) keys; exponential-1e5 has s above
-        # _DRAW_BLOCK, so its block is the support size.
-        d = Distribution(GUIDE_PMFS[name])
+        # A block holds max(_DRAW_BLOCK, s) keys; exponential-1e5 and
+        # uniform-on-2^16 have s above _DRAW_BLOCK, so their block is the
+        # support size.
+        d = _dist(name)
         table = d._guide
         block = max(_DRAW_BLOCK, table.atoms.size)
         for m in (block - 1, block, block + 1, 2 * block + 7):
@@ -667,6 +684,32 @@ class TestGuideTable:
             after = oracle.draw(100)
             assert np.array_equal(after, twin.draw(100))
             assert np.array_equal(after, table.atoms[np.searchsorted(table.cdf, gen.random(100), side="right")])
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Distribution(GUIDE_PMFS["uniform-64"]), lambda: Distribution(np.array([0.5, 1e-17, 0.0, 0.5])),
+         *ATOM_DISTS.values()],
+        ids=["uniform-64", "atom-absorbed-on-an-edge", *ATOM_DISTS],
+    )
+    def test_tally_without_slots_when_no_bucket_holds_a_cdf_value(self, make, monkeypatch):
+        # With held == 0 every key of bucket b takes slot lo[b], so the tally
+        # counts buckets and never asks for a key's slot. The absorbed atom's
+        # CDF value equals its neighbour's, so no bucket folds onto its slot.
+        d = make()
+        assert d._guide.held == 0
+        m = 3 * max(_DRAW_BLOCK, d._guide.atoms.size) + 5
+        by_draw = SamplingOracle(d, seed=21)
+        want_values, want_counts = np.unique(by_draw.draw(m), return_counts=True)
+
+        def no_slots(self, x):
+            raise AssertionError("slots() called on a table with held == 0")
+
+        monkeypatch.setattr(_GuideTable, "slots", no_slots)
+        by_tally = SamplingOracle(d, seed=21)
+        values, counts = by_tally.draw_tally(m)
+        assert values.dtype == counts.dtype == np.int64
+        assert np.array_equal(values, want_values) and np.array_equal(counts, want_counts)
+        assert by_tally._gen.bit_generator.state == by_draw._gen.bit_generator.state
 
     def test_tally_of_opaque_source(self):
         def proc(gen, size):
@@ -956,6 +999,34 @@ class TestEmpiricalDistribution:
         with pytest.raises(ParameterError):
             empirical_distribution(np.array([], dtype=np.int64), 3)
 
+    @pytest.mark.parametrize(
+        "samples", [[2, 0, 2], np.array([2.0, 0.0, 2.0]), (i for i in (2, 0, 2))],
+        ids=["list", "integral-floats", "generator"],
+    )
+    def test_repeats_are_kept(self, samples):
+        assert empirical_distribution(samples, 3) == Distribution(np.array([1.0, 0.0, 2.0]) / 3)
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ([0.5, 1], "must be integers"),
+            (np.array([0.5, 1.0]), "must be integers"),
+            ([True, False], "must be integers"),
+            (np.array([True]), "must be integers"),
+            (["a"], "must be integers"),
+            ([[0, 1]], "flat"),
+            ([[0, 1], [2]], "flat"),
+            (3, "flat"),
+            ([0, 3], "outside the domain"),
+        ],
+        ids=["fraction", "fraction-ndarray", "bool", "bool-ndarray", "str", "nested", "ragged", "scalar", "outside"],
+    )
+    def test_bad_samples_raise(self, samples, message):
+        # astype(int64) read 0.5 as index 0 and True as index 1, and [[0, 1]]
+        # raised numpy's bare ValueError from bincount.
+        with pytest.raises(ParameterError, match=message):
+            empirical_distribution(samples, 3)
+
     def test_close_to_truth_at_scale(self):
         truth = Distribution(np.array([0.7, 0.3]))
         o = SamplingOracle(truth, seed=2024)
@@ -981,6 +1052,25 @@ class TestChernoffBounds:
         freq_dn = float(np.mean(x <= 300 - dev))
         bound = additive_chernoff_bound(n, dev)
         assert freq_up <= bound and freq_dn <= bound
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: multiplicative_chernoff_bound(np.nan, 0.5), "need finite mu"),
+            (lambda: multiplicative_chernoff_bound(10.0, np.nan), "need finite mu"),
+            (lambda: multiplicative_chernoff_bound(np.inf, 0.0), "need finite mu"),
+            (lambda: multiplicative_chernoff_bound(-1.0, 0.5), "need finite mu"),
+            (lambda: multiplicative_chernoff_bound(10.0, 1.5), "need finite mu"),
+            (lambda: additive_chernoff_bound(10, np.nan), "deviation must be > 0"),
+            (lambda: additive_chernoff_bound(10, 0.0), "deviation must be > 0"),
+        ],
+        ids=["nan-mu", "nan-delta", "inf-mu", "negative-mu", "delta-above-1", "nan-deviation", "zero-deviation"],
+    )
+    def test_out_of_range_arguments_raise(self, call, message):
+        # nan passed every range compare and came back as the bound, and
+        # mu=inf with delta=0 made inf * 0.
+        with pytest.raises(ParameterError, match=message):
+            call()
 
 
 class TestDistributionFiles:

@@ -22,41 +22,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, NonConcentrationParams, _integer
+from .core import Distribution, NonConcentrationParams, _integer, _integers, _real
 from .errors import ParameterError, StructureError
 
 CONSERVATION_TOL = 1e-12
-
-
-def _indices(values) -> np.ndarray:
-    """Read-only int64 copy of ``values``, which must be non-negative integers (not booleans)."""
-    raw = np.asarray(values)
-    if raw.dtype == np.bool_:
-        raise StructureError("pairing indices must be non-negative integers, not booleans")
-    with np.errstate(invalid="ignore"):
-        idx = raw.astype(np.int64)
-    if not np.array_equal(raw, idx) or (idx < 0).any():
-        raise StructureError("pairing indices must be non-negative integers")
-    idx.flags.writeable = False
-    return idx
 
 
 @dataclass(frozen=True, eq=False)
 class Pairing:
     """A perfect matching on the low-mass set L: pair i is ``(L[2i], L[2i+1])``.
 
-    ``L`` is a read-only int64 copy of what is given, of shape (2k,);
-    ``pairs`` is its read-only (k, 2) view."""
+    ``L`` is a read-only int64 copy of what is given, of shape (2k,), read
+    by :func:`disttest.core._integers`: indices that are not integers >= 0
+    (booleans, fractions, strings, nan) or not flat raise
+    :class:`StructureError`.  ``pairs`` is its read-only (k, 2) view."""
 
     L: np.ndarray
 
     def __post_init__(self):
-        L = _indices(self.L)
-        if L.shape != (L.size,) or not L.size or L.size % 2:
+        try:
+            L = np.array(_integers(self.L, "L", 0))
+        except ParameterError as exc:
+            raise StructureError(f"pairing indices must be non-negative integers ({exc})") from None
+        if not L.size or L.size % 2:
             raise StructureError("L must be a flat, nonempty list of index pairs")
         flat = np.sort(L)
         if (flat[1:] <= flat[:-1]).any():
             raise StructureError("pairs must partition L into disjoint pairs")
+        L.flags.writeable = False
         object.__setattr__(self, "L", L)
 
     @classmethod
@@ -117,6 +110,7 @@ def build_pairing(d_yes: Distribution, beta: float, rng: np.random.Generator | N
     The selection equals ``argsort(pmf, kind="stable")[:2k]``, read from the
     lightest-first order ``d_yes`` caches (``Distribution._lightest``).
     """
+    beta = _real(beta, "beta")
     if not 0.0 < beta < 0.5:
         raise ParameterError("beta must lie in (0, 1/2)")
     k = int(math.floor(beta * d_yes.n))

@@ -74,12 +74,15 @@ def _integer(value, what: str, low: int | None = None, high: int | None = None) 
     if isinstance(value, (bool, np.bool_)) or not (
         isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
     ) or low is not None and value < low or high is not None and value > high:
-        if high is None:
-            bound = "" if low is None else f" >= {low}"
-        else:
-            bound = f" <= {high}" if low is None else f" in [{low}, {high}]"
-        raise ParameterError(f"{what} must be an integer{bound}, not {value!r}")
+        raise ParameterError(f"{what} must be an integer{_bound(low, high)}, not {value!r}")
     return int(value)
+
+
+def _bound(low: int | None, high: int | None) -> str:
+    """The range ``[low, high]`` as the readers word it, either end open when None."""
+    if high is None:
+        return "" if low is None else f" >= {low}"
+    return f" <= {high}" if low is None else f" in [{low}, {high}]"
 
 
 def _real(value, what: str) -> float:
@@ -89,6 +92,8 @@ def _real(value, what: str) -> float:
     checks reject them with their own message; booleans, non-numbers and
     integers beyond float64 do not.
     """
+    if type(value) is float:
+        return value  # plain floats skip the slower ABC checks below
     if not isinstance(value, (bool, np.bool_)) and isinstance(value, Real):
         try:
             return float(value)
@@ -110,39 +115,76 @@ def _check_masses(probs: np.ndarray) -> None:
         )
 
 
-def _integers(values: Iterable[int], what: str) -> np.ndarray:
-    """``values`` as an int64 array, in their order and with repeats; each must
-    be an integer (not a boolean), and nested values are refused.  An ndarray
-    or ``range`` is read without a Python list."""
+def _integers(
+    values: Iterable[int], what: str, low: int | None = None, high: int | None = None, error: type = ParameterError
+) -> np.ndarray:
+    """``values`` as an int64 array, in their order and with repeats, or
+    ``error`` naming them ``what``.
+
+    Each must be an integer (not a boolean, fraction, string or nan) in
+    ``[low, high]``, either end open when None, and nested values are
+    refused.  An ndarray or ``range`` is read without a Python list, and an
+    int64 ndarray is returned as it is.
+    """
     if isinstance(values, range):
         values = np.arange(values.start, values.stop, values.step)
     try:
         raw = values if isinstance(values, np.ndarray) else np.asarray(list(values))
     except (TypeError, ValueError):  # not iterable, or ragged
-        raise ParameterError(f"{what} must be a flat collection of integers") from None
+        raise error(f"{what} must be a flat collection of integers") from None
     if raw.ndim != 1:
-        raise ParameterError(f"{what} must be a flat collection, not of shape {raw.shape}")
-    try:
-        with np.errstate(invalid="ignore"):
-            ints = raw.astype(np.int64, copy=False)
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints is None or raw.dtype == np.bool_ or not np.array_equal(raw, ints):
-        raise ParameterError(f"{what} must be integers, not booleans or fractions")
+        raise error(f"{what} must be a flat collection, not of shape {raw.shape}")
+    if raw.dtype.kind == "i":
+        ints = raw.astype(np.int64, copy=False)
+    else:
+        try:
+            with np.errstate(invalid="ignore"):
+                ints = raw.astype(np.int64)
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints is None or raw.dtype == np.bool_ or not np.array_equal(raw, ints):
+            raise error(f"{what} must be integers, not booleans, fractions or strings")
+    if ints.size and (low is not None and ints.min() < low or high is not None and ints.max() > high):
+        bad = ints.min() if low is not None and ints.min() < low else ints.max()
+        raise error(f"{what} must be integers{_bound(low, high)}; {bad} lies outside the domain")
     return ints
+
+
+def _reals(values, what: str, error: type = ParameterError, copy: bool = False, finite: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, or ``error`` naming them ``what``.
+
+    Python and numpy reals count; booleans, strings, ragged nestings,
+    non-numbers and integers beyond float64 do not, nor, when ``finite`` is
+    set, nan and infinities.  The shape is the caller's to check.  The array
+    is new when ``copy`` is set; otherwise a float64 ndarray is returned as
+    it is.
+    """
+    try:
+        raw = np.asarray(values)
+        real = raw.dtype.kind in "iuf" or raw.dtype.kind == "O" and all(
+            isinstance(v, Real) and not isinstance(v, (bool, np.bool_)) for v in raw.flat
+        )
+    except (TypeError, ValueError):  # ragged
+        real = False
+    if not real:
+        raise error(f"{what} must be real numbers, not booleans, strings or ragged nestings")
+    try:
+        arr = raw.astype(np.float64, copy=copy)
+    except OverflowError:  # an integer beyond float64
+        arr = None
+    if arr is None or finite and not np.isfinite(arr).all():
+        raise error(f"{what} entries must be finite")
+    return arr
 
 
 def _index_set(indices: Iterable[int], n: int) -> np.ndarray:
     """The distinct ``indices``, ascending, as int64; each must be an integer
     (not a boolean) in ``[0, n)``, as :func:`_integers` reads them."""
-    idx = _integers(indices, "indices")
     # A sort and an adjacent-difference mask; numpy 2.x's hash-based
     # np.unique is dozens of times slower on large index sets.
-    idx = np.sort(idx)
+    idx = np.sort(_integers(indices, "indices", 0, n - 1))
     if idx.size > 1:
         idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
-    if idx.size and (idx[0] < 0 or idx[-1] >= n):
-        raise ParameterError(f"indices outside the domain of size {n}")
     return idx
 
 
@@ -257,14 +299,10 @@ class Distribution:
     """
 
     def __init__(self, pmf: np.ndarray):
-        try:
-            arr = np.asarray(pmf, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise ParameterError("pmf must be a vector of numbers") from None
+        arr = _reals(pmf, "pmf", copy=True)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("pmf must be a nonempty 1-d vector")
         _check_masses(arr)
-        arr = arr.copy()
         arr.flags.writeable = False
         vars(self).update(_n=arr.size, _sparse=None, pmf=arr)
 
@@ -676,11 +714,9 @@ def empirical_distribution(samples: np.ndarray, n: int) -> Distribution:
     not booleans or fractions.
     """
     n = _integer(n, "n", 1)
-    samples = _integers(samples, "samples")
+    samples = _integers(samples, "samples", 0, n - 1)
     if samples.size == 0:
         raise ParameterError("samples must be nonempty")
-    if samples.min() < 0 or samples.max() >= n:
-        raise ParameterError("sample indices outside the domain")
     counts = np.bincount(samples, minlength=n)
     return Distribution(counts / samples.size)
 
@@ -719,15 +755,6 @@ def _is_numbers(x) -> bool:
     return isinstance(x, list) and all(_is_int(v) or isinstance(v, float) for v in x)
 
 
-def _float_array(values, what: str) -> np.ndarray:
-    """``values`` as a new float64 array; :class:`StructureError` when they are
-    not numbers or hold an integer beyond float64."""
-    try:
-        return np.array(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise StructureError(f"{what} entries must be finite numbers: {exc}") from None
-
-
 def load_distribution(path) -> Distribution:
     """Read a distribution file, rejecting anything violating the invariants."""
     doc = _read_json(path, "distribution", ("n", "pmf"))
@@ -738,4 +765,4 @@ def load_distribution(path) -> Distribution:
         raise StructureError("field 'pmf' must be an array of numbers")
     if len(pmf) != n:
         raise StructureError(f"pmf length {len(pmf)} does not match n={n}")
-    return Distribution(_float_array(pmf, "pmf"))
+    return Distribution(_reals(pmf, "pmf", StructureError))

@@ -24,7 +24,7 @@ import numpy as np
 
 # empirical_distribution is not called here; perfbench/spans.py wraps it under this module's name.
 from .core import Distribution, SamplingOracle, _checked_ceil, _integer, _real, empirical_distribution  # noqa: F401
-from .errors import ParameterError
+from .errors import DimensionError, ParameterError
 from .tester import Verdict
 
 C_LEARN = 8.0  # learn draws per unit of support, at delta = 1
@@ -33,17 +33,22 @@ DEFAULT_C_TEST = 8.0
 
 @dataclass(frozen=True)
 class IdentityTestParams:
-    """Accept below eps1, reject above eps2, err with probability at most kappa."""
+    """Accept below eps1, reject above eps2, err with probability at most kappa.
+
+    Each is read by :func:`disttest.core._real`, and the float it returns is stored.
+    """
 
     eps1: float
     eps2: float
     kappa: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eps1 < self.eps2 <= 2.0:
+        eps1, eps2, kappa = _real(self.eps1, "eps1"), _real(self.eps2, "eps2"), _real(self.kappa, "kappa")
+        if not 0.0 <= eps1 < eps2 <= 2.0:
             raise ParameterError("need 0 <= eps1 < eps2 <= 2")
-        if not 0.0 < self.kappa < 1.0:
+        if not 0.0 < kappa < 1.0:
             raise ParameterError("kappa must lie in (0, 1)")
+        vars(self).update(eps1=eps1, eps2=eps2, kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -112,27 +117,23 @@ def contract_indices(d_k: Distribution) -> np.ndarray:
     return slots
 
 
-def tol_identity_test(
-    oracle: SamplingOracle,
-    d_k: Distribution,
-    params: IdentityTestParams,
-    c_test: float = DEFAULT_C_TEST,
-) -> Verdict:
+def tol_identity_test(oracle: SamplingOracle, d_k: Distribution, params: IdentityTestParams) -> Verdict:
     """Plug-in tolerant identity test against a fully known distribution.
 
     The domain outside Supp(d_k) is contracted to a single bucket (which
     leaves the L1 distance to d_k unchanged), the empirical contracted
-    distribution is built from the computed draw budget, and the verdict
-    thresholds its plug-in L1 distance at the midpoint (eps1 + eps2)/2.
+    distribution is built from the draw budget at ``DEFAULT_C_TEST``, and the
+    verdict thresholds its plug-in L1 distance at the midpoint (eps1 + eps2)/2.
     Correct with probability at least 1 - kappa by an additive Chernoff bound
-    unioned over the 2^(s+1) contracted events.
+    unioned over the 2^(s+1) contracted events.  An oracle on another domain
+    than d_k raises :class:`DimensionError`.
     """
     supp, probs = d_k._atoms()
     if supp.size < 1:
         raise ParameterError("d_k must have nonempty support")
     if oracle.n != d_k.n:
-        raise ParameterError(f"oracle domain {oracle.n} does not match d_k ({d_k.n})")
-    return _identity_verdict(oracle, supp, probs, params, c_test)
+        raise DimensionError(f"oracle domain {oracle.n} does not match d_k ({d_k.n})")
+    return _identity_verdict(oracle, supp, probs, params, DEFAULT_C_TEST)
 
 
 def _identity_verdict(
@@ -177,7 +178,7 @@ def learn_adaptive(
     verbatim; guesses stop at the first value above ``2n``.  If some S has
     mass >= 1 - eta/2 the output is within ``eta + delta`` with probability
     at least 2/3, at an expected total of O(|S|/delta^2) draws.
-    ``n`` must equal ``oracle.n``.
+    ``n`` must equal ``oracle.n``, or :class:`DimensionError` is raised.
     """
     eta, delta, c_test = _real(eta, "eta"), _real(delta, "delta"), _c_test(c_test)
     if not 0.0 <= eta < 2.0:
@@ -188,7 +189,7 @@ def learn_adaptive(
         raise ParameterError("eta + delta must be at most 2 (the L1 diameter)")
     n = _integer(n, "n", 1)
     if oracle.n != n:
-        raise ParameterError(f"oracle domain {oracle.n} does not match n ({n})")
+        raise DimensionError(f"oracle domain {oracle.n} does not match n ({n})")
 
     eps1 = eta + delta / 2.0
     eps2 = eta + delta

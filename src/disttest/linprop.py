@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Collection, Iterable
 
 import numpy as np
 
 from .core import (
-    Distribution, _check_masses, _float_array, _integer, _is_int, _is_numbers, _read_json, _real, _write_json
+    Distribution, _check_masses, _integer, _integers, _is_int, _is_numbers, _read_json, _real, _reals, _write_json
 )
-from .errors import ParameterError, SolverError, StructureError
+from .errors import DimensionError, ParameterError, SolverError, StructureError
 from .simplex import FEAS_TOL, Triplets, _canonical, extract_bounds, refutes, solve_feasibility
 
 EPS_STRICT = 1e-12
@@ -55,10 +54,13 @@ class Polyhedron:
     ``A`` is stored as the triplets of :func:`disttest.simplex._canonical`,
     the form the solve seam hands HiGHS; they, ``b`` and the bounds (-inf,
     +inf by default) are read-only, unless :meth:`_assembled` stored them.  A
-    ``b`` that is not a finite vector of length M, a strict row that is not an
-    integer (a boolean, fraction or nan) or lies outside ``[0, M)``, or a
-    bound that is not a number, nan, of the wrong length, a lower +inf or an
-    upper -inf, raises :class:`StructureError`; the solve seam trusts these checks.
+    ``b`` that is not a finite real vector of length M, a strict row that is
+    not an integer (a boolean, fraction, string or nan) or lies outside
+    ``[0, M)``, or a bound that is not a real number (a boolean or string),
+    nan, of the wrong length, a lower +inf or an upper -inf, raises
+    :class:`StructureError`; ``b`` and the bounds are read by
+    :func:`disttest.core._reals` and the strict rows by
+    :func:`disttest.core._integers`.  The solve seam trusts these checks.
     """
 
     A: Triplets
@@ -70,21 +72,17 @@ class Polyhedron:
     def __post_init__(self):
         A = _canonical(self.A)
         M, N = A.shape
-        b = _float_array(self.b, "b")
+        b = _reals(self.b, "b", StructureError, copy=True, finite=True)
         if b.shape != (M,):
             raise StructureError(f"A has {M} rows but b has shape {b.shape}")
-        if not np.all(np.isfinite(b)):
-            raise StructureError("polyhedron entries must be finite")
-        strict = frozenset(self.strict_rows)
-        if not all(isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < M for i in strict):
-            raise StructureError("strict rows must be integer row indices inside [0, M)")
-        lower = np.full(N, -np.inf) if self.lower is None else _float_array(self.lower, "lower")
-        upper = np.full(N, np.inf) if self.upper is None else _float_array(self.upper, "upper")
+        strict = frozenset(_integers(self.strict_rows, "strict rows", 0, M - 1, StructureError).tolist())
+        lower = np.full(N, -np.inf) if self.lower is None else _reals(self.lower, "lower", StructureError, copy=True)
+        upper = np.full(N, np.inf) if self.upper is None else _reals(self.upper, "upper", StructureError, copy=True)
         if lower.shape != (N,) or upper.shape != (N,) or not ((lower < np.inf).all() and (upper > -np.inf).all()):
             raise StructureError(f"lower and upper must hold N = {N} bounds, none nan, +inf below or -inf above")
         for part in (A.rows, A.cols, A.vals, b, lower, upper):
             part.flags.writeable = False
-        self.__dict__.update(A=A, b=b, strict_rows=frozenset(int(i) for i in strict), lower=lower, upper=upper)
+        self.__dict__.update(A=A, b=b, strict_rows=strict, lower=lower, upper=upper)
 
     @classmethod
     def _assembled(cls, A: Triplets, b, lower, upper, strict_rows=frozenset()) -> "Polyhedron":
@@ -143,9 +141,10 @@ class LinearProperty:
 
     ``member`` is an optional point x of length N known to lie in the
     property; it is stored read-only as ``member`` (None when not given).
-    Every row and bound of ``poly`` must hold at x within ``FEAS_TOL`` and its
-    first n entries must pass :class:`Distribution`'s checks, or
-    :class:`ParameterError` is raised; the check costs O(nnz).
+    Its entries must be finite real numbers, as :func:`disttest.core._reals`
+    reads them, every row and bound of ``poly`` must hold at x within
+    ``FEAS_TOL``, and its first n entries must pass :class:`Distribution`'s
+    checks, or :class:`ParameterError` is raised; the check costs O(nnz).
 
     ``ball = (budget, up, down)`` declares rows of ``poly`` that put the pmf
     within L1 distance r of a centre c: for each i < n, row ``up[i]`` reads
@@ -180,11 +179,9 @@ class LinearProperty:
         self.ball = None if ball is None else self._checked_ball(ball)
 
     def _checked_member(self, member) -> np.ndarray:
-        x = np.array(member, dtype=np.float64)
+        x = _reals(member, "member", copy=True, finite=True)
         if x.shape != (self.poly.N,):
             raise ParameterError(f"member must be a point of length {self.poly.N}, not shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ParameterError("member entries must be finite")
         _check_masses(x[: self.n])
         s = self.poly
         if (
@@ -197,6 +194,8 @@ class LinearProperty:
         return x
 
     def _checked_ball(self, ball) -> tuple:
+        # A dtype check, not core._integers: a test pins integral floats as
+        # refused here, and _integers reads them as integers.
         if self.member is None:
             raise ParameterError("a ball is accepted only together with a member")
         try:
@@ -214,9 +213,12 @@ class LinearProperty:
         return int(budget), up, down
 
     def contains(self, d: Distribution) -> bool:
-        """Whether an explicit pmf belongs to the property (bounds pin z_{1..n} = pmf)."""
+        """Whether an explicit pmf belongs to the property (bounds pin z_{1..n} = pmf).
+
+        A pmf on another domain than the property's raises :class:`DimensionError`.
+        """
         if d.n != self.n:
-            raise ParameterError(f"pmf has {d.n} entries; property projects to {self.n}")
+            raise DimensionError(f"pmf has {d.n} entries; property projects to {self.n}")
         s = self.poly
         lower, upper = s.lower.copy(), s.upper.copy()
         lower[: self.n] = np.maximum(lower[: self.n], d.pmf)
@@ -316,20 +318,16 @@ def _step5_terms(
 ) -> _Step5Terms:
     n = prop.n
     if d_tilde.n != n:
-        raise ParameterError(f"d_tilde has {d_tilde.n} entries; property projects to {n}")
+        raise DimensionError(f"d_tilde has {d_tilde.n} entries; property projects to {n}")
+    bound = _real(bound, "bound")
     if not bound >= 0:  # also False for nan
         raise ParameterError(f"bound must be a number >= 0, not {bound}")
     q = _integer(q, "q", 1)
-    idx = np.array(list(H))
-    if idx.size and idx.dtype.kind not in "iu":
-        raise ParameterError("H must hold integers, not booleans or fractions")
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ParameterError(f"H contains indices outside [0, {n})")
     in_h = np.zeros(n, dtype=bool)
-    in_h[idx.astype(np.int64)] = True  # an empty H reads as float64
+    in_h[_integers(H, "H", 0, n - 1)] = True
     Hs, comp = np.flatnonzero(in_h), np.flatnonzero(~in_h)
     return _Step5Terms(
-        Hs, comp, d_tilde.pmf[Hs], float(d_tilde.pmf[comp].sum()), 1.0 / (q * q) - EPS_STRICT, float(bound)
+        Hs, comp, d_tilde.pmf[Hs], float(d_tilde.pmf[comp].sum()), 1.0 / (q * q) - EPS_STRICT, bound
     )
 
 
@@ -348,9 +346,11 @@ def build_feasibility_lp(
     ``1/q^2``; that strict constraint is encoded closed with an ``EPS_STRICT``
     shave.  Slack nonnegativity and the off-H cap are variable bounds; the
     rows are the property's rows, the slack budget, two rows per member of H
-    and the two tail rows.  H must hold integers inside ``[0, n)``; an H that
-    does not, a ``bound`` that is nan or negative, or a ``q`` that is not an
-    integer >= 1 raises :class:`ParameterError`.
+    and the two tail rows.  H, read by :func:`disttest.core._integers`, must
+    hold integers inside ``[0, n)``; an H that does not, a ``bound`` that is
+    not a real number >= 0, or a ``q`` that is not an integer >= 1 raises
+    :class:`ParameterError`, and a ``d_tilde`` on another domain than the
+    property :class:`DimensionError`.
 
     When the property declares a ``ball`` with centre c and radius r, the
     instance also carries ``farkas``, written in O(n + |H|).  It puts a 1 on
@@ -477,7 +477,7 @@ class LinearPropertyOracle:
 
     def __call__(self, H, d_tilde: Distribution, q: int, bound: float) -> bool:
         if not isinstance(H, Collection):
-            H = list(H)  # read twice when the witness misses
+            H = _integers(H, "H")  # read twice when the witness misses
         if self.witness(H, d_tilde, q, bound):
             return True
         inst = build_feasibility_lp(self.prop, H, d_tilde, q, bound)
@@ -529,10 +529,10 @@ def load_polyhedron(path) -> Polyhedron:
         flat = doc["A"]
         if not _is_numbers(flat) or len(flat) != M * N:
             raise StructureError(f"'A' must hold M*N = {M * N} numbers in row-major order")
-        A = _float_array(flat, "polyhedron").reshape(M, N)
+        A = _reals(flat, "A", StructureError).reshape(M, N)
     else:
         rows, cols, vals = doc.get("rows"), doc.get("cols"), doc.get("vals")
         if not all(_is_numbers(part) for part in (rows, cols, vals)):
             raise StructureError("'rows', 'cols' and 'vals' must each be an array of numbers")
-        A = Triplets(np.asarray(rows), np.asarray(cols), _float_array(vals, "polyhedron"), (M, N))
-    return Polyhedron(A, _float_array(b, "polyhedron"), frozenset(strict))
+        A = Triplets(np.asarray(rows), np.asarray(cols), vals, (M, N))
+    return Polyhedron(A, b, frozenset(strict))

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import _integer
+from .core import _integer, _reals
 from .errors import SolverError, StructureError
 
 if TYPE_CHECKING:
@@ -75,7 +75,8 @@ class Triplets:
     stored as int64, ``vals`` as float64; :class:`StructureError` is raised
     unless ``shape`` holds two integers >= 0 (not booleans or fractions), all
     three are 1-D and of one length, every coordinate is an integer (not a
-    boolean) inside ``shape`` and every value is finite.
+    boolean) inside ``shape`` and every value is a finite real number (not a
+    boolean or string), as :func:`disttest.core._reals` reads them.
     """
 
     rows: np.ndarray
@@ -88,16 +89,17 @@ class Triplets:
             M, N = (_integer(d, "shape", 0) for d in self.shape)
         except (TypeError, ValueError):  # ParameterError is a ValueError
             raise StructureError(f"shape must be two integers >= 0, not {self.shape!r}") from None
-        rows, cols, vals = np.asarray(self.rows), np.asarray(self.cols), np.asarray(self.vals, dtype=np.float64)
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        vals = _reals(self.vals, "matrix", StructureError, finite=True)
         if not rows.shape == cols.shape == vals.shape == (vals.size,):
             raise StructureError("rows, cols and vals must be 1-D arrays of one length")
+        # A dtype check, not core._integers: that reader takes integral
+        # floats, and a test pins float coordinates as refused here.
         if vals.size and not (
             rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
             and 0 <= rows.min() <= rows.max() < M and 0 <= cols.min() <= cols.max() < N
         ):
             raise StructureError(f"coordinates must be integers inside the {M}x{N} shape")
-        if not np.isfinite(vals).all():
-            raise StructureError("matrix entries must be finite")
         object.__setattr__(self, "rows", rows.astype(np.int64, copy=False))
         object.__setattr__(self, "cols", cols.astype(np.int64, copy=False))
         object.__setattr__(self, "vals", vals)
@@ -110,10 +112,7 @@ class Triplets:
         A ragged nesting, or a matrix of more than two dimensions, raises
         :class:`StructureError`.
         """
-        try:
-            A = np.array(A, dtype=np.float64, ndmin=2)
-        except (TypeError, ValueError) as exc:
-            raise StructureError(f"a dense matrix must be a rectangular array of numbers: {exc}") from None
+        A = np.atleast_2d(_reals(A, "a dense matrix", StructureError))
         if A.ndim != 2:
             raise StructureError(f"a dense matrix must be 2-D, not of shape {A.shape}")
         rows, cols = np.nonzero(A != 0.0)

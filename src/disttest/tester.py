@@ -46,6 +46,9 @@ class TesterParams:
     ``q`` scales with the non-tolerant budget, ``W`` and ``Z_size`` are the
     two sampling phases, ``eta_prime = eta/64``, and ``bound = 26*eta_prime +
     zeta`` is the combined distance allowance of the acceptance condition.
+    ``q``, ``W`` and ``Z_size`` are read by :func:`disttest.core._integer`
+    with the bounds q >= 1, W >= q^2 and Z_size >= W, and ``zeta`` and
+    ``eta`` by :func:`disttest.core._real`; the values they return are stored.
     """
 
     q: int
@@ -55,14 +58,11 @@ class TesterParams:
     Z_size: int
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ParameterError("q must be >= 1")
-        if not 0.0 <= self.zeta < self.zeta + self.eta <= 2.0:
+        q, zeta, eta = _integer(self.q, "q", 1), _real(self.zeta, "zeta"), _real(self.eta, "eta")
+        if not 0.0 <= zeta < zeta + eta <= 2.0:
             raise ParameterError("need 0 <= zeta < zeta + eta <= 2")
-        if self.W < self.q * self.q:
-            raise ParameterError("W must be at least q^2")
-        if self.Z_size < self.W:
-            raise ParameterError("Z_size must be at least W")
+        W = _integer(self.W, "W", q * q)
+        vars(self).update(q=q, zeta=zeta, eta=eta, W=W, Z_size=_integer(self.Z_size, "Z_size", W))
 
     @property
     def eta_prime(self) -> float:
@@ -159,9 +159,10 @@ def check_conditions(d1: Distribution, est: HighEstimate, q: int, bound: float) 
 
     Condition (A): the combined deviation from the surrogate — entrywise over
     H plus aggregate off H — is at most ``bound``.  Condition (B): every
-    element of d1 with mass >= 1/q^2 lies in H.
+    element of d1 with mass >= 1/q^2 lies in H.  ``q`` is an integer >= 1
+    and ``bound`` a real number.
     """
-    dt = est.d_tilde
+    q, bound, dt = _integer(q, "q", 1), _real(bound, "bound"), est.d_tilde
     if d1.n != dt.n:
         raise DimensionError(f"domain sizes differ: {d1.n} vs {dt.n}")
     h_mask = np.zeros(d1.n, dtype=bool)

@@ -29,17 +29,24 @@ from disttest.core import (
     sorted_l1_distance,
     top_elements,
 )
+from disttest.adversarial import build_pairing
 from disttest.cli import ExperimentConfig
 from disttest.errors import DimensionError, ParameterError, StructureError
 from disttest.learner import IdentityTestParams, identity_test_sample_size, learn_adaptive, learn_known_support
-from disttest.linprop import LinearProperty, Polyhedron, uniformity_polyhedron
+from disttest.linprop import (
+    LinearProperty, Polyhedron, build_feasibility_lp, linear_property_oracle, uniformity_polyhedron
+)
 from disttest.reference import min_permutation_l1, min_subset_mass
-from disttest.tester import derive_params, estimate_high_part
+from disttest import tester
+from disttest.tester import HighEstimate, check_conditions, derive_params, estimate_high_part
 
 from conftest import random_distribution, random_pmf
 
 
 pmf_lists = st.lists(st.floats(0.01, 10.0), min_size=1, max_size=12)
+
+# A high-part estimate on four elements, for check_conditions.
+ESTIMATE = HighEstimate(frozenset({0}), Distribution.uniform(4), 0.75)
 
 # Every public integer argument: a call that passes its argument on, and a
 # value just outside its bound.
@@ -67,6 +74,10 @@ INTEGER_SITES = {
     "learn_adaptive": (lambda v: learn_adaptive(SamplingOracle(Distribution.uniform(4), 1), 0.0, 0.5, v), 0),
     "config-seed": (lambda v: ExperimentConfig("learn", (1, v), 1, {"dist": "x"}, None), -1),
     "config-repeats": (lambda v: ExperimentConfig("learn", (1,), v, {"dist": "x"}, None), 0),
+    "TesterParams-q": (lambda v: tester.TesterParams(q=v, zeta=0.1, eta=0.2, W=100, Z_size=100), 0),
+    "TesterParams-W": (lambda v: tester.TesterParams(q=2, zeta=0.1, eta=0.2, W=v, Z_size=100), 3),
+    "TesterParams-Z_size": (lambda v: tester.TesterParams(q=2, zeta=0.1, eta=0.2, W=10, Z_size=v), 9),
+    "check_conditions-q": (lambda v: check_conditions(Distribution.uniform(4), ESTIMATE, v, 1.0), 0),
 }
 
 
@@ -517,7 +528,9 @@ class TestSamplingOracle:
     def test_integer_arguments_reject_fractions_and_booleans(self, call, outside, value):
         # int() read 1.9 as 1 and True as 1; point_mass read True as a mask;
         # Distribution.uniform(2.5) raised numpy's TypeError; learn_known_support
-        # ran s=2.5 as 7.5 draws' worth; derive_params(10**400, ...) overflowed.
+        # ran s=2.5 as 7.5 draws' worth; derive_params(10**400, ...) overflowed;
+        # TesterParams took q=2.5, which the tester then failed on with a bare
+        # TypeError; check_conditions(..., "2", ...) raised a bare TypeError.
         with pytest.raises(ParameterError, match="must be an integer"):
             call(outside if value is None else value)
 
@@ -540,16 +553,32 @@ class TestSamplingOracle:
             lambda v: multiplicative_chernoff_bound(v, 0.5),
             lambda v: multiplicative_chernoff_bound(10.0, v),
             lambda v: additive_chernoff_bound(10, v),
+            lambda v: tester.TesterParams(q=1, zeta=v, eta=0.2, W=10, Z_size=10),
+            lambda v: tester.TesterParams(q=1, zeta=0.1, eta=v, W=10, Z_size=10),
+            lambda v: IdentityTestParams(v, 1.0, 0.1),
+            lambda v: IdentityTestParams(0.1, v, 0.1),
+            lambda v: IdentityTestParams(0.1, 1.0, v),
+            lambda v: build_pairing(Distribution.uniform(8), v),
+            lambda v: build_feasibility_lp(uniformity_polyhedron(4, 0.1), {0}, Distribution.uniform(4), 2, v),
+            lambda v: linear_property_oracle(uniformity_polyhedron(4, 0.1)).witness({0}, Distribution.uniform(4), 2, v),
+            lambda v: linear_property_oracle(uniformity_polyhedron(4, 0.1))({0}, Distribution.uniform(4), 2, v),
+            lambda v: check_conditions(Distribution.uniform(4), ESTIMATE, 2, v),
         ],
         ids=["gamma1", "gamma2", "alpha", "beta", "eps", "kappa", "eta", "delta", "known-s-delta",
-             "additive-delta", "additive-kappa", "c_test", "chernoff-mu", "chernoff-delta", "chernoff-deviation"],
+             "additive-delta", "additive-kappa", "c_test", "chernoff-mu", "chernoff-delta", "chernoff-deviation",
+             "TesterParams-zeta", "TesterParams-eta", "IdentityTestParams-eps1", "IdentityTestParams-eps2",
+             "IdentityTestParams-kappa", "build_pairing-beta", "step5-bound-build", "step5-bound-witness",
+             "step5-bound-oracle", "check_conditions-bound"],
     )
     def test_real_arguments_reject_strings_and_booleans(self, call, value):
         # derive_params(50, "0.1", 0.3, 10), NonConcentrationParams("a", 0.2),
         # uniformity_polyhedron(4, "0.1"), high_set(d, "0.1") and
         # learn_adaptive(oracle, "0", 0.5, 4) raised a bare TypeError from a
         # range compare, and sample_size_additive(True, 0.1) and
-        # multiplicative_chernoff_bound(True, 0.5) returned a number.
+        # multiplicative_chernoff_bound(True, 0.5) returned a number; so did
+        # IdentityTestParams("a", 1.0, 0.1), build_pairing(d, "0.2") and the
+        # step-5 bound "x", while IdentityTestParams(True, 1.5, 0.1) and a
+        # step-5 bound True were accepted.
         with pytest.raises(ParameterError, match="must be a real number"):
             call(value)
 

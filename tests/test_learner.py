@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from disttest.core import Distribution, SamplingOracle, _checked_ceil, empirical_distribution, l1_distance
-from disttest.errors import ParameterError
+from disttest.errors import DimensionError, ParameterError
 from disttest.learner import (
     IdentityTestParams,
     IterationRecord,
@@ -326,11 +326,12 @@ class TestSparseMatchesDense:
         assert verdicts == {Verdict.ACCEPT, Verdict.REJECT}
 
     def test_domain_mismatch_rejected(self):
+        # A domain mismatch raises DimensionError, as errors.py documents.
         oracle = SamplingOracle(Distribution.uniform(4), seed=0)
         for n in (3, 5):
-            with pytest.raises(ParameterError):
+            with pytest.raises(DimensionError):
                 learn_adaptive(oracle, eta=0.0, delta=0.5, n=n)
-        with pytest.raises(ParameterError):
+        with pytest.raises(DimensionError):
             tol_identity_test(oracle, Distribution.uniform(5), IdentityTestParams(0.1, 0.5, 0.05))
 
 

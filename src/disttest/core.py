@@ -528,7 +528,9 @@ class SamplingOracle:
         An explicit pmf's draws are raw generator outputs looked up block by
         block into one int64 output, so the temporaries are O(block + s), not
         O(m); the indices are those ``searchsorted`` of ``gen.random(m)`` in
-        the support's CDF gives.
+        the support's CDF gives.  An opaque procedure's output is read by
+        :func:`_integers`: anything but ``m`` integers in ``[0, n)`` raises
+        :class:`StructureError`.
         """
         m = _integer(m, "m", 0, _COUNT_MAX)
         if m == 0:
@@ -539,11 +541,9 @@ class SamplingOracle:
             for start, keys in self._blocks(table, m):
                 table.atoms.take(table.slots(keys), out=out[start:start + keys.size])
         else:
-            out = np.asarray(self._proc(self._gen, m), dtype=np.int64)
-            if out.shape != (m,):
-                raise StructureError("draw procedure returned a wrong-shaped batch")
-            if out.size and (out.min() < 0 or out.max() >= self._n):
-                raise StructureError("draw procedure returned indices outside the domain")
+            out = _integers(self._proc(self._gen, m), "draw procedure output", 0, self._n - 1, StructureError)
+            if out.size != m:
+                raise StructureError(f"draw procedure returned {out.size} indices for a batch of {m}")
         self.samples_drawn += m
         return out
 

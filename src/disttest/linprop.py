@@ -4,33 +4,38 @@ A linear property is the projection of a :class:`Polyhedron` ``A x <= b,
 lower <= x <= upper`` onto its first ``n`` coordinates, which are read as a
 pmf.  ``A`` is stored as row-major COO :class:`~disttest.simplex.Triplets`,
 so storage and set-up cost O(nnz), and a :class:`LinearProperty` folds any
-singleton rows into bounds once, at construction.  Given the tester's
-high-mass estimate, :func:`build_feasibility_lp` appends the slack-linearized
-rows whose feasibility answers "is there a member of the property close to
-the surrogate distribution with its heavy elements inside H?"; like every
-system the library builds, its rows are written canonical.
-:func:`lp_feasible` and :func:`feasibility_report` hand every system, as a
-``Polyhedron``, to the solve seam :func:`disttest.simplex.solve_feasibility`,
-with its fixed tolerance and iteration cap; a
-:class:`~disttest.errors.SolverError` from the seam is raised again here with
-the digest of the instance that caused it.
+singleton rows into bounds once, at construction.
+
+Given the tester's high-mass estimate, :func:`build_feasibility_lp` validates
+its inputs once and returns the step-5 question as one
+:class:`FeasibilityInstance`: "is there a member of the property close to the
+surrogate distribution with its heavy elements inside H?".  The instance
+answers the question for one point in O(n) (:meth:`~FeasibilityInstance.met_by`)
+and assembles the slack-linearized LP that answers it in general, written
+canonical like every system the library builds, only when its ``poly`` or
+``farkas`` is first read.  :func:`lp_feasible` and :func:`feasibility_report`
+hand every system, as a ``Polyhedron``, to the solve seam
+:func:`disttest.simplex.solve_feasibility`, with its fixed tolerance and
+iteration cap; a :class:`~disttest.errors.SolverError` from the seam is raised
+again here with the digest of the instance that caused it.
 
 A property may carry one known member, checked against its system at
 construction; :func:`uniformity_polyhedron` carries its centre.  The step-5
-oracle tries that member first and answers True without assembling or
-solving any LP when it meets the step-5 rows.  A property may also declare
+oracle asks the question of that member first and answers True, with no LP
+assembled or solved, when the member meets it.  A property may also declare
 the rows that keep its members within an L1 ball around a centre (its
-``ball``); :func:`build_feasibility_lp` then writes a closed-form Farkas
-vector for the step-5 system, and the oracle answers False without a solve
-when :func:`disttest.simplex.refutes` accepts it.  scipy is loaded only when
-neither the member nor its certificate decides.
+``ball``); the instance's LP then carries a closed-form Farkas vector, and the
+oracle answers False without a solve when :func:`disttest.simplex.refutes`
+accepts it.  scipy is loaded only when neither the member nor its certificate
+decides.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -226,30 +231,6 @@ class LinearProperty:
         return lp_feasible(Polyhedron._assembled(s.A, s.b, lower, upper))
 
 
-@dataclass(frozen=True, eq=False)
-class FeasibilityInstance:
-    """The assembled slack-variable system for one tester step-5 question.
-
-    :func:`build_feasibility_lp` writes the rows of ``poly`` canonical and
-    stores them unchecked.  ``farkas`` is a candidate Farkas vector for
-    ``poly``, one 0/1 multiplier per row, written when the property declares a
-    ``ball`` (else None).  :meth:`refuted` checks it.
-    """
-
-    poly: Polyhedron
-    farkas: np.ndarray | None = None
-
-    def refuted(self) -> bool:
-        """Whether ``farkas`` proves that no point meets ``poly`` within ``FEAS_TOL``.
-
-        The check is :func:`disttest.simplex.refutes`, numpy only and O(nnz);
-        False without a vector or when the vector proves nothing.
-        """
-        if self.farkas is None:
-            return False
-        return refutes(self.poly, self.farkas)
-
-
 def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
     """The property of being within L1 distance ``eps`` of uniform over [n].
 
@@ -278,15 +259,22 @@ def uniformity_polyhedron(n: int, eps: float) -> LinearProperty:
     return LinearProperty(poly, n, member=centre, ball=ball)
 
 
-@dataclass(frozen=True)
-class _Step5Terms:
-    """What the step-5 rows are written from, validated once.
+@dataclass(frozen=True, eq=False)
+class FeasibilityInstance:
+    """One tester step-5 question, validated, and the system that answers it, built on first read.
 
     ``Hs`` and ``comp`` are H and the rest of [0, n), ascending; ``ref`` is
     d_tilde on ``Hs`` and ``tail_ref`` its total on ``comp``; ``cap`` is the
-    off-H upper bound ``1/q^2 - EPS_STRICT``.
+    off-H upper bound ``1/q^2 - EPS_STRICT`` and ``bound`` the slack budget.
+    :meth:`met_by` asks the question of one point in O(n).  ``poly``, the
+    system :func:`build_feasibility_lp` documents, written canonical and
+    stored unchecked, and ``farkas``, its candidate Farkas vector (None when
+    the property declares no ``ball``), are assembled together on the first
+    read of either and kept, so a question that :meth:`met_by` settles builds
+    no LP.  :meth:`refuted` checks the vector.
     """
 
+    prop: LinearProperty
     Hs: np.ndarray
     comp: np.ndarray
     ref: np.ndarray
@@ -295,13 +283,12 @@ class _Step5Terms:
     bound: float
 
     def met_by(self, z: np.ndarray) -> bool:
-        """Whether a property member with pmf part ``z`` is a point of the step-5 system.
+        """Whether a property member with pmf part ``z`` is a point of ``poly``.
 
         Give slack k the value ``|z[Hs[k]] - ref[k]|`` and the tail slack
         ``|sum(z[comp]) - tail_ref|``.  Both rows of each slack then hold,
         one with equality, and every slack is >= 0, so what is left of the
-        system :func:`build_feasibility_lp` writes from these terms is the
-        budget row (slack total <= ``bound``) and the off-H cap
+        system is the budget row (slack total <= ``bound``) and the off-H cap
         (``z[comp] <= cap``), tested here.  The property's own rows and bounds
         hold at a member within ``FEAS_TOL``, so True exhibits a point of the
         system within ``FEAS_TOL``: what :func:`lp_feasible` answers True on.
@@ -312,10 +299,112 @@ class _Step5Terms:
         spent = float(np.abs(z[self.Hs] - self.ref).sum()) + abs(float(z_off.sum()) - self.tail_ref)
         return spent <= self.bound
 
+    @cached_property
+    def _lp(self) -> tuple:
+        Hs, comp, ref, tail_ref = self.Hs, self.comp, self.ref, self.tail_ref
+        base, h = self.prop.poly, Hs.size
+        N = base.N
+        tail_col = N + h
+        V = tail_col + 1
 
-def _step5_terms(
-    prop: LinearProperty, H: Iterable[int], d_tilde: Distribution, q: int, bound: float
-) -> _Step5Terms:
+        # Rows, written canonical: row m0 is the budget; rows up[k] and dn[k] = up[k]+1
+        # read z_Hs[k] - s_k <= ref[k] and -z_Hs[k] - s_k <= -ref[k], so pair k's
+        # entries are (Hs[k], 1), (s_k, -1), (Hs[k], -1), (s_k, -1); the last two rows
+        # bound the off-H total by the tail slack.
+        m0 = base.M
+        up = m0 + 1 + 2 * np.arange(h)
+        dn = up + 1
+        slack = N + np.arange(h)
+        tail_up = m0 + 1 + 2 * h
+        tail_len = comp.size + 1
+        pair_vals = np.full(4 * h, -1.0)
+        pair_vals[::4] = 1.0
+        ones_c = np.ones(comp.size)
+        rows = np.concatenate(
+            [base.A.rows, np.full(h + 1, m0), np.arange(m0 + 1, tail_up).repeat(2)]
+            + [np.full(tail_len, tail_up), np.full(tail_len, tail_up + 1)]
+        )
+        cols = np.concatenate(
+            [base.A.cols, np.arange(N, V), np.column_stack([Hs, slack, Hs, slack]).ravel()]
+            + [comp, [tail_col], comp, [tail_col]]
+        )
+        vals = np.concatenate([base.A.vals, np.ones(h + 1), pair_vals, ones_c, [-1.0], -ones_c, [-1.0]])
+        b = np.concatenate(
+            [base.b, [self.bound], np.column_stack([ref, -ref]).ravel(), [tail_ref, -tail_ref]]
+        )
+        lower = np.concatenate([base.lower, np.zeros(h + 1)])
+        upper = np.concatenate([base.upper, np.full(h + 1, np.inf)])
+        upper[comp] = np.minimum(upper[comp], self.cap)
+        A = Triplets(rows, cols, vals, (m0 + 3 + 2 * h, V))
+        farkas = None
+        if self.prop.ball is not None:
+            budget, c_up, c_dn = self.prop.ball
+            c = base.b[c_up]
+            above = c[Hs] >= ref
+            tail_above = c[comp].sum() >= tail_ref
+            farkas = np.zeros(A.shape[0])
+            farkas[[m0, tail_up if tail_above else tail_up + 1, budget]] = 1.0
+            farkas[np.where(above, up, dn)] = 1.0
+            # A step-5 row with +z_i meets the ball row with -z_i, and vice versa.
+            step5_up = np.empty(self.prop.n, dtype=bool)
+            step5_up[Hs], step5_up[comp] = above, tail_above
+            farkas[np.where(step5_up, c_dn, c_up)] = 1.0
+        return Polyhedron._assembled(A, b, lower, upper), farkas
+
+    @property
+    def poly(self) -> Polyhedron:
+        return self._lp[0]
+
+    @property
+    def farkas(self) -> np.ndarray | None:
+        return self._lp[1]
+
+    def refuted(self) -> bool:
+        """Whether ``farkas`` proves that no point meets ``poly`` within ``FEAS_TOL``.
+
+        The check is :func:`disttest.simplex.refutes`, numpy only and O(nnz);
+        False without a vector or when the vector proves nothing.
+        """
+        if self.farkas is None:
+            return False
+        return refutes(self.poly, self.farkas)
+
+
+def build_feasibility_lp(
+    prop: LinearProperty,
+    H: Iterable[int],
+    d_tilde: Distribution,
+    q: int,
+    bound: float,
+) -> FeasibilityInstance:
+    """The step-5 question for the property, its inputs validated once.
+
+    H, read by :func:`disttest.core._integers`, must hold integers inside
+    ``[0, n)``; an H that does not, a ``bound`` that is not a real number
+    >= 0, or a ``q`` that is not an integer >= 1 raises
+    :class:`ParameterError`, and a ``d_tilde`` on another domain than the
+    property :class:`DimensionError`.  This costs O(n + |H|); the LP is
+    assembled only when ``poly`` or ``farkas`` is first read.
+
+    The system ``poly`` has the property's N coordinates as variables, one
+    slack per member of H (bounding ``|z_i - d_tilde(i)|``), and one tail
+    slack bounding the aggregate deviation off H.  Off-H pmf coordinates are
+    forced below ``1/q^2``; that strict constraint is encoded closed with an
+    ``EPS_STRICT`` shave.  Slack nonnegativity and the off-H cap are variable
+    bounds; the rows are the property's rows, the slack budget, two rows per
+    member of H and the two tail rows.
+
+    When the property declares a ``ball`` with centre c and radius r,
+    ``farkas`` is written in O(n + |H|).  It puts a 1 on the step-5 budget
+    row; for each H[k], on row ``up`` when ``c_H[k] >= ref_k`` and on row
+    ``dn`` otherwise; on the tail row chosen the same way from
+    ``sum(c[off-H])``; on the ball's budget row; and for each i < n on the
+    ball row whose ``z_i`` coefficient cancels the step-5 row's.  Every
+    column of ``A^T y`` then sums to 0 exactly, and ``y^T b = bound + r -
+    D(c)`` with ``D(c)`` the step-5 distance of the centre, ``sum_H |c - ref|
+    + |sum(c[off-H]) - tail_ref|``; so the vector refutes the system once
+    ``D(c)`` exceeds ``bound + r`` by more than ``FEAS_TOL`` per multiplier.
+    """
     n = prop.n
     if d_tilde.n != n:
         raise DimensionError(f"d_tilde has {d_tilde.n} entries; property projects to {n}")
@@ -326,94 +415,8 @@ def _step5_terms(
     in_h = np.zeros(n, dtype=bool)
     in_h[_integers(H, "H", 0, n - 1)] = True
     Hs, comp = np.flatnonzero(in_h), np.flatnonzero(~in_h)
-    return _Step5Terms(
-        Hs, comp, d_tilde.pmf[Hs], float(d_tilde.pmf[comp].sum()), 1.0 / (q * q) - EPS_STRICT, bound
-    )
-
-
-def build_feasibility_lp(
-    prop: LinearProperty,
-    H: Iterable[int],
-    d_tilde: Distribution,
-    q: int,
-    bound: float,
-) -> FeasibilityInstance:
-    """Assemble the step-5 system over the property variables plus slacks.
-
-    Variables: the property's N coordinates, one slack per member of H
-    (bounding ``|z_i - d_tilde(i)|``), and one tail slack bounding the
-    aggregate deviation off H.  Off-H pmf coordinates are forced below
-    ``1/q^2``; that strict constraint is encoded closed with an ``EPS_STRICT``
-    shave.  Slack nonnegativity and the off-H cap are variable bounds; the
-    rows are the property's rows, the slack budget, two rows per member of H
-    and the two tail rows.  H, read by :func:`disttest.core._integers`, must
-    hold integers inside ``[0, n)``; an H that does not, a ``bound`` that is
-    not a real number >= 0, or a ``q`` that is not an integer >= 1 raises
-    :class:`ParameterError`, and a ``d_tilde`` on another domain than the
-    property :class:`DimensionError`.
-
-    When the property declares a ``ball`` with centre c and radius r, the
-    instance also carries ``farkas``, written in O(n + |H|).  It puts a 1 on
-    the step-5 budget row; for each H[k], on row ``up`` when
-    ``c_H[k] >= ref_k`` and on row ``dn`` otherwise; on the tail row chosen
-    the same way from ``sum(c[off-H])``; on the ball's budget row; and for each
-    i < n on the ball row whose ``z_i`` coefficient cancels the step-5 row's.
-    Every column of ``A^T y`` then sums to 0 exactly, and
-    ``y^T b = bound + r - D(c)`` with ``D(c)`` the step-5 distance of the
-    centre, ``sum_H |c - ref| + |sum(c[off-H]) - tail_ref|``; so the vector
-    refutes the system once ``D(c)`` exceeds ``bound + r`` by more than
-    ``FEAS_TOL`` per multiplier.
-    """
-    t = _step5_terms(prop, H, d_tilde, q, bound)
-    Hs, comp, ref, tail_ref = t.Hs, t.comp, t.ref, t.tail_ref
-    base, h = prop.poly, Hs.size
-    N = base.N
-    tail_col = N + h
-    V = tail_col + 1
-
-    # Rows, written canonical: row m0 is the budget; rows up[k] and dn[k] = up[k]+1
-    # read z_Hs[k] - s_k <= ref[k] and -z_Hs[k] - s_k <= -ref[k], so pair k's
-    # entries are (Hs[k], 1), (s_k, -1), (Hs[k], -1), (s_k, -1); the last two rows
-    # bound the off-H total by the tail slack.
-    m0 = base.M
-    up = m0 + 1 + 2 * np.arange(h)
-    dn = up + 1
-    slack = N + np.arange(h)
-    tail_up = m0 + 1 + 2 * h
-    tail_len = comp.size + 1
-    pair_vals = np.full(4 * h, -1.0)
-    pair_vals[::4] = 1.0
-    ones_c = np.ones(comp.size)
-    rows = np.concatenate(
-        [base.A.rows, np.full(h + 1, m0), np.arange(m0 + 1, tail_up).repeat(2)]
-        + [np.full(tail_len, tail_up), np.full(tail_len, tail_up + 1)]
-    )
-    cols = np.concatenate(
-        [base.A.cols, np.arange(N, V), np.column_stack([Hs, slack, Hs, slack]).ravel()]
-        + [comp, [tail_col], comp, [tail_col]]
-    )
-    vals = np.concatenate([base.A.vals, np.ones(h + 1), pair_vals, ones_c, [-1.0], -ones_c, [-1.0]])
-    b = np.concatenate(
-        [base.b, [t.bound], np.column_stack([ref, -ref]).ravel(), [tail_ref, -tail_ref]]
-    )
-    lower = np.concatenate([base.lower, np.zeros(h + 1)])
-    upper = np.concatenate([base.upper, np.full(h + 1, np.inf)])
-    upper[comp] = np.minimum(upper[comp], t.cap)
-    A = Triplets(rows, cols, vals, (m0 + 3 + 2 * h, V))
-    farkas = None
-    if prop.ball is not None:
-        budget, c_up, c_dn = prop.ball
-        c = base.b[c_up]
-        above = c[Hs] >= ref
-        tail_above = c[comp].sum() >= tail_ref
-        farkas = np.zeros(A.shape[0])
-        farkas[[m0, tail_up if tail_above else tail_up + 1, budget]] = 1.0
-        farkas[np.where(above, up, dn)] = 1.0
-        # A step-5 row with +z_i meets the ball row with -z_i, and vice versa.
-        step5_up = np.empty(prop.n, dtype=bool)
-        step5_up[Hs], step5_up[comp] = above, tail_above
-        farkas[np.where(step5_up, c_dn, c_up)] = 1.0
-    return FeasibilityInstance(Polyhedron._assembled(A, b, lower, upper), farkas)
+    pmf = d_tilde.pmf
+    return FeasibilityInstance(prop, Hs, comp, pmf[Hs], float(pmf[comp].sum()), 1.0 / (q * q) - EPS_STRICT, bound)
 
 
 def _solve(inst, measure_violation: bool):
@@ -446,16 +449,16 @@ def feasibility_report(inst):
 class LinearPropertyOracle:
     """Step-5 oracle for a linear property.
 
-    A call first tries the property's known member (:meth:`witness`).  When
-    that member is a point of the step-5 system the answer is True, and no LP
-    is assembled or solved, so scipy is not imported.  Otherwise
-    :func:`build_feasibility_lp` assembles the system.  When the property
-    declares a ball and the instance's Farkas vector passes
+    A call asks :func:`build_feasibility_lp`, looked up as this module's
+    attribute, for the question, which validates its inputs once.  When the
+    property's known member passes :meth:`FeasibilityInstance.met_by`, the
+    answer is True; no LP is assembled or solved, so scipy is not imported.
+    Otherwise reading the instance's LP assembles it.  When the property
+    declares a ball and the Farkas vector passes
     :meth:`FeasibilityInstance.refuted`, no point meets the system within
     ``FEAS_TOL``, so the answer is False, again without a solve.  Otherwise
     :func:`lp_feasible` decides; the first such solve loads scipy.  Each way
-    the answer is the one :func:`lp_feasible` documents for the assembled
-    system.
+    the answer is the one :func:`lp_feasible` documents for the system.
 
     Instances are deterministic for fixed inputs and safe for concurrent
     read-only use.
@@ -464,23 +467,10 @@ class LinearPropertyOracle:
     def __init__(self, prop: LinearProperty):
         self.prop = prop
 
-    def witness(self, H, d_tilde: Distribution, q: int, bound: float) -> bool:
-        """Whether the property's known member alone answers the step-5 question True.
-
-        False when the property carries no member.  See
-        :meth:`_Step5Terms.met_by` for why True implies a feasible system.
-        """
-        member = self.prop.member
-        if member is None:
-            return False
-        return _step5_terms(self.prop, H, d_tilde, q, bound).met_by(member[: self.prop.n])
-
     def __call__(self, H, d_tilde: Distribution, q: int, bound: float) -> bool:
-        if not isinstance(H, Collection):
-            H = _integers(H, "H")  # read twice when the witness misses
-        if self.witness(H, d_tilde, q, bound):
+        inst, member = build_feasibility_lp(self.prop, H, d_tilde, q, bound), self.prop.member
+        if member is not None and inst.met_by(member[: self.prop.n]):
             return True
-        inst = build_feasibility_lp(self.prop, H, d_tilde, q, bound)
         return not inst.refuted() and lp_feasible(inst)
 
 

@@ -160,9 +160,12 @@ def check_conditions(d1: Distribution, est: HighEstimate, q: int, bound: float) 
     Condition (A): the combined deviation from the surrogate — entrywise over
     H plus aggregate off H — is at most ``bound``.  Condition (B): every
     element of d1 with mass >= 1/q^2 lies in H.  ``q`` is an integer >= 1
-    and ``bound`` a real number.
+    and ``bound`` a real number >= 0, as :func:`disttest.linprop.build_feasibility_lp`
+    reads them; anything else raises :class:`ParameterError`.
     """
     q, bound, dt = _integer(q, "q", 1), _real(bound, "bound"), est.d_tilde
+    if not bound >= 0:  # also False for nan
+        raise ParameterError(f"bound must be a number >= 0, not {bound}")
     if d1.n != dt.n:
         raise DimensionError(f"domain sizes differ: {d1.n} vs {dt.n}")
     h_mask = np.zeros(d1.n, dtype=bool)

@@ -31,7 +31,7 @@ SITES = {
     "H": (
         (
             lambda v: build_feasibility_lp(PROP, v, Distribution.uniform(4), 2, 0.5),
-            lambda v: ORACLE.witness(v, Distribution.uniform(4), 2, 0.5),
+            lambda v: build_feasibility_lp(PROP, v, Distribution.uniform(4), 2, 0.5).met_by(PROP.member[:4]),
             lambda v: ORACLE(v, Distribution.uniform(4), 2, 0.5),
         ),
         ParameterError,

@@ -516,6 +516,34 @@ class TestSamplingOracle:
         counts = o.draw_counts(1000)
         assert counts.sum() == 1000
 
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            lambda size: np.full(size, 0.7),
+            lambda size: np.full(size, True),
+            lambda size: np.full(size, 3),
+            lambda size: np.full(size, -1),
+            lambda size: np.zeros((size, 1), dtype=np.int64),
+            lambda size: np.zeros(size + 1, dtype=np.int64),
+        ],
+        ids=["fraction", "boolean", "above-domain", "negative", "2-d", "wrong-length"],
+    )
+    def test_opaque_source_must_return_indices(self, batch):
+        # np.full(size, 0.7) drew zeros and np.full(size, True) ones.
+        o = SamplingOracle(lambda gen, size: batch(size), seed=1, n=3)
+        with pytest.raises(StructureError):
+            o.draw(4)
+        assert o.samples_drawn == 0
+
+    def test_opaque_source_of_any_integer_type_draws_the_same_indices(self):
+        def draws(kind):
+            return SamplingOracle(lambda gen, size: kind(gen.integers(0, 3, size)), seed=5, n=3).draw(40)
+
+        want = draws(lambda out: out)
+        assert want.dtype == np.int64
+        for kind in (list, lambda out: out.astype(np.uint8), lambda out: out.astype(np.float64)):
+            assert draws(kind).tobytes() == want.tobytes()
+
     def test_seed_validation(self):
         with pytest.raises(ParameterError):
             SamplingOracle(Distribution.uniform(2), seed=-1)
@@ -560,14 +588,15 @@ class TestSamplingOracle:
             lambda v: IdentityTestParams(0.1, 1.0, v),
             lambda v: build_pairing(Distribution.uniform(8), v),
             lambda v: build_feasibility_lp(uniformity_polyhedron(4, 0.1), {0}, Distribution.uniform(4), 2, v),
-            lambda v: linear_property_oracle(uniformity_polyhedron(4, 0.1)).witness({0}, Distribution.uniform(4), 2, v),
+            lambda v: build_feasibility_lp(uniformity_polyhedron(4, 0.1), {0}, Distribution.uniform(4), 2, v)
+            .met_by(np.full(4, 0.25)),
             lambda v: linear_property_oracle(uniformity_polyhedron(4, 0.1))({0}, Distribution.uniform(4), 2, v),
             lambda v: check_conditions(Distribution.uniform(4), ESTIMATE, 2, v),
         ],
         ids=["gamma1", "gamma2", "alpha", "beta", "eps", "kappa", "eta", "delta", "known-s-delta",
              "additive-delta", "additive-kappa", "c_test", "chernoff-mu", "chernoff-delta", "chernoff-deviation",
              "TesterParams-zeta", "TesterParams-eta", "IdentityTestParams-eps1", "IdentityTestParams-eps2",
-             "IdentityTestParams-kappa", "build_pairing-beta", "step5-bound-build", "step5-bound-witness",
+             "IdentityTestParams-kappa", "build_pairing-beta", "step5-bound-build", "step5-bound-met-by",
              "step5-bound-oracle", "check_conditions-bound"],
     )
     def test_real_arguments_reject_strings_and_booleans(self, call, value):

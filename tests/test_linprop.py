@@ -218,11 +218,16 @@ class TestBuildFeasibilityLP:
         ids=["nan-bound", "negative-bound", "fractional-q", "numpy-fractional-q", "boolean-q", "zero-q", "inf-q"],
     )
     def test_bad_bound_or_q_raises(self, q, bound):
-        # A nan bound used to reach b (and the witness said False); q = 2.5 was read as 2.
+        # A nan bound used to reach b, and check_conditions, the direct reference,
+        # answered False on a nan or negative one; q = 2.5 was read as 2.
         prop = uniformity_polyhedron(4, 0.1)
         oracle = linear_property_oracle(prop)
         d = Distribution.uniform(4)
-        for ask in (lambda *a: build_feasibility_lp(prop, *a), oracle.witness, oracle):
+
+        def direct(H, d_tilde, q, bound):
+            return check_conditions(d_tilde, HighEstimate(frozenset(H), d_tilde, 0.0), q, bound)
+
+        for ask in (lambda *a: build_feasibility_lp(prop, *a), oracle, direct):
             with pytest.raises(ParameterError):
                 ask({0}, d, q, bound)
 
@@ -243,7 +248,7 @@ class TestBuildFeasibilityLP:
         d = Distribution.uniform(4)
         with pytest.raises(ParameterError):
             build_feasibility_lp(prop, H, d, 2, 0.5)
-        for ask in (oracle.witness, oracle):
+        for ask in (lambda *a: build_feasibility_lp(prop, *a).met_by(prop.member[:4]), oracle):
             with pytest.raises(ParameterError):
                 ask(H, d, 2, 0.5)
 
@@ -416,22 +421,22 @@ class TestWitness:
             oracle = linear_property_oracle(prop)
             est = synthetic_estimate(rng, n, int(rng.integers(0, n + 1)))
             q, bound = int(rng.integers(1, 4)), float(rng.uniform(0.0, 1.2))
-            lp = lp_feasible(build_feasibility_lp(prop, est.H, est.d_tilde, q, bound))
-            fired = oracle.witness(est.H, est.d_tilde, q, bound)
+            inst = build_feasibility_lp(prop, est.H, est.d_tilde, q, bound)
+            lp, fired = lp_feasible(inst), inst.met_by(prop.member[:n])
             assert lp or not fired
             assert oracle(est.H, est.d_tilde, q, bound) == lp
             hits += fired
             misses += not fired
         assert hits >= 1 and misses >= 1
 
-    def test_oracle_reads_a_one_shot_h_twice(self):
-        # The centre misses bound 0, so the LP reads H again; read from an
-        # exhausted iterator, H would be empty and the system feasible.
+    def test_oracle_reads_a_one_shot_h_once(self):
+        # The centre misses bound 0, so the LP decides; had it read H again,
+        # from the exhausted iterator, H would be empty and the system feasible.
         prop = uniformity_polyhedron(4, 0.2)
         dt = Distribution(np.array([0.4, 0.2, 0.2, 0.2]))
         oracle = linear_property_oracle(prop)
-        assert not oracle.witness({0}, dt, 1, 0.0)
-        assert not lp_feasible(build_feasibility_lp(prop, {0}, dt, 1, 0.0))
+        inst = build_feasibility_lp(prop, {0}, dt, 1, 0.0)
+        assert not inst.met_by(prop.member[:4]) and not lp_feasible(inst)
         assert not oracle(iter([0]), dt, 1, 0.0)
 
     def test_property_without_member_never_witnesses(self):
@@ -439,8 +444,27 @@ class TestWitness:
         assert prop.member is None
         oracle = linear_property_oracle(prop)
         dt = Distribution.uniform(4)
-        assert not oracle.witness(range(4), dt, 3, 0.0)
+        assert lp_feasible(build_feasibility_lp(prop, range(4), dt, 3, 0.0))
         assert oracle(range(4), dt, 3, 0.0)
+
+    def test_one_call_asks_one_question(self, monkeypatch):
+        # The member decides the first call and the Farkas vector the second;
+        # each call validates its inputs in one build_feasibility_lp, looked up
+        # on the module, and the member's call assembles no LP.
+        prop = uniformity_polyhedron(4, 0.0)
+        oracle = linear_property_oracle(prop)
+        asked = []
+
+        def counted(*args):
+            asked.append(build_feasibility_lp(*args))
+            return asked[-1]
+
+        monkeypatch.setattr(linprop, "build_feasibility_lp", counted)
+        assert oracle({0}, Distribution.uniform(4), 1, 0.0)
+        assert len(asked) == 1 and asked[0].met_by(prop.member[:4]) and "_lp" not in vars(asked[0])
+        asked.clear()
+        assert not oracle({0}, Distribution(np.array([0.7, 0.1, 0.1, 0.1])), 10, 0.2)
+        assert len(asked) == 1 and not asked[0].met_by(prop.member[:4]) and asked[0].refuted()
 
 
 def centre_distance(n, est) -> float:

@@ -30,6 +30,7 @@ import warnings
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from numbers import Integral, Real
+from operator import countOf
 from typing import Callable, Iterable, Union
 
 import numpy as np
@@ -115,6 +116,35 @@ def _check_masses(probs: np.ndarray) -> None:
         )
 
 
+def _numbers(values, error: type, message: str) -> np.ndarray:
+    """``values`` as ``np.asarray`` reads them, or ``error(message)`` where
+    that would read a non-number as a number.
+
+    A non-object ndarray is returned as it is: its dtype tells booleans from
+    numbers.  Anything else has the types of its entries scanned once,
+    because ``np.asarray`` reads ``True`` among numbers as 1: a ragged
+    nesting, an entry that is not a real number, or a boolean among other
+    entries raises.  All-boolean entries come back as a boolean array, for
+    the caller to refuse in its own words, and a list of Python ints as
+    int64 without numpy's per-entry type inference.
+    """
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return values
+    if type(values) is list and countOf(map(type, values), int) == len(values):
+        try:
+            return np.fromiter(values, np.int64, len(values))
+        except OverflowError:  # beyond int64, where numpy picks uint64 or object
+            pass
+    try:
+        raw = np.asarray(values)
+    except (TypeError, ValueError):  # ragged
+        raise error(message) from None
+    types = set(map(type, np.asarray(values, dtype=object).flat))
+    if raw.dtype != bool and (types & {bool, np.bool_} or not all(issubclass(t, Real) for t in types)):
+        raise error(message)
+    return raw
+
+
 def _integers(
     values: Iterable[int], what: str, low: int | None = None, high: int | None = None, error: type = ParameterError
 ) -> np.ndarray:
@@ -123,15 +153,16 @@ def _integers(
 
     Each must be an integer (not a boolean, fraction, string or nan) in
     ``[low, high]``, either end open when None, and nested values are
-    refused.  An ndarray or ``range`` is read without a Python list, and an
+    refused; a boolean among integers is refused as :func:`_numbers` reads
+    it.  An ndarray or ``range`` is read without a Python list, and an
     int64 ndarray is returned as it is.
     """
+    message = f"{what} must be integers in a flat collection, not booleans, fractions or strings"
     if isinstance(values, range):
         values = np.arange(values.start, values.stop, values.step)
-    try:
-        raw = values if isinstance(values, np.ndarray) else np.asarray(list(values))
-    except (TypeError, ValueError):  # not iterable, or ragged
-        raise error(f"{what} must be a flat collection of integers") from None
+    elif hasattr(values, "__iter__") and not isinstance(values, np.ndarray):
+        values = list(values)  # a set or generator, which numpy would read as one object
+    raw = _numbers(values, error, message)
     if raw.ndim != 1:
         raise error(f"{what} must be a flat collection, not of shape {raw.shape}")
     if raw.dtype.kind == "i":
@@ -153,21 +184,16 @@ def _integers(
 def _reals(values, what: str, error: type = ParameterError, copy: bool = False, finite: bool = False) -> np.ndarray:
     """``values`` as a float64 array, or ``error`` naming them ``what``.
 
-    Python and numpy reals count; booleans, strings, ragged nestings,
-    non-numbers and integers beyond float64 do not, nor, when ``finite`` is
-    set, nan and infinities.  The shape is the caller's to check.  The array
-    is new when ``copy`` is set; otherwise a float64 ndarray is returned as
-    it is.
+    Python and numpy reals count; booleans (alone or among numbers, as
+    :func:`_numbers` reads them), strings, ragged nestings, non-numbers and
+    integers beyond float64 do not, nor, when ``finite`` is set, nan and
+    infinities.  The shape is the caller's to check.  The array is new when
+    ``copy`` is set; otherwise a float64 ndarray is returned as it is.
     """
-    try:
-        raw = np.asarray(values)
-        real = raw.dtype.kind in "iuf" or raw.dtype.kind == "O" and all(
-            isinstance(v, Real) and not isinstance(v, (bool, np.bool_)) for v in raw.flat
-        )
-    except (TypeError, ValueError):  # ragged
-        real = False
-    if not real:
-        raise error(f"{what} must be real numbers, not booleans, strings or ragged nestings")
+    message = f"{what} must be real numbers, not booleans, strings or ragged nestings"
+    raw = _numbers(values, error, message)
+    if raw.dtype.kind not in "iufO":
+        raise error(message)
     try:
         arr = raw.astype(np.float64, copy=copy)
     except OverflowError:  # an integer beyond float64
@@ -476,9 +502,11 @@ class SamplingOracle:
 
     ``source`` is either an explicit :class:`Distribution` or an opaque
     callable ``(generator, size) -> indices`` (in which case ``n`` must be
-    given).  ``seed`` must be an integer in ``[0, 2**64 - 1]`` and ``n`` one
-    >= 1.  Rebuilding an oracle with the same seed and source replays the
-    identical sample sequence.  An explicit-pmf draw costs O(1) expected, from
+    given).  ``seed`` must be an integer in ``[0, 2**64 - 1]`` and ``n``,
+    when given, one >= 1; given with a distribution, it must equal the
+    distribution's ``n``, or :class:`DimensionError` is raised.  Rebuilding
+    an oracle with the same seed and source replays the identical sample
+    sequence.  An explicit-pmf draw costs O(1) expected, from
     an O(s) table over the support of size s that the :class:`Distribution`
     builds on the first draw and caches for every oracle over it.
 
@@ -492,6 +520,8 @@ class SamplingOracle:
         self._gen = np.random.Generator(np.random.PCG64(seed))
         self.samples_drawn = 0
         if isinstance(source, Distribution):
+            if n is not None and _integer(n, "n", 1) != source.n:
+                raise DimensionError(f"n={n} does not match the distribution's domain ({source.n})")
             self._dist = source
             self._proc = None
             self._n = source.n
@@ -750,19 +780,19 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_numbers(x) -> bool:
-    """Whether a JSON value is an array of numbers (``true``/``false`` are not)."""
-    return isinstance(x, list) and all(_is_int(v) or isinstance(v, float) for v in x)
-
-
 def load_distribution(path) -> Distribution:
-    """Read a distribution file, rejecting anything violating the invariants."""
+    """Read a distribution file, rejecting anything violating the invariants.
+
+    ``n`` must be a JSON integer and ``pmf`` is read by :func:`_reals`, so a
+    boolean anywhere in it, a string or a nesting raises
+    :class:`StructureError`, as does a ``pmf`` whose length is not ``n``;
+    masses that are negative or do not sum to 1 raise :class:`ParameterError`.
+    """
     doc = _read_json(path, "distribution", ("n", "pmf"))
-    n, pmf = doc["n"], doc["pmf"]
+    n = doc["n"]
     if not _is_int(n):
         raise StructureError("field 'n' must be an integer")
-    if not _is_numbers(pmf):
-        raise StructureError("field 'pmf' must be an array of numbers")
-    if len(pmf) != n:
-        raise StructureError(f"pmf length {len(pmf)} does not match n={n}")
-    return Distribution(_reals(pmf, "pmf", StructureError))
+    pmf = _reals(doc["pmf"], "pmf", StructureError)
+    if pmf.shape != (n,):
+        raise StructureError(f"pmf of shape {pmf.shape} does not match n={n}")
+    return Distribution(pmf)

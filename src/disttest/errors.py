@@ -16,9 +16,11 @@ and ``_real`` for a scalar, ``_integers`` for a flat collection of integers
 with its bounds, and ``_reals`` for a real vector or matrix.  The scalar
 readers raise :class:`ParameterError`, and the two vector readers the class
 their caller names, so that a call site that documents
-:class:`StructureError` raises that.  Two checks stay
-hand-written, each with its reason at the site: the row indices of a
-property's ball and the coordinates of a sparse matrix, both of which refuse
+:class:`StructureError` raises that.  Every collection is read through
+``_numbers`` first, which refuses a boolean among other entries before
+numpy reads it as 1.  Two integer checks stay hand-written after that
+step, each with its reason at the site: the row indices of a property's
+ball and the coordinates of a sparse matrix, both of which refuse
 integral floats that ``_integers`` reads as integers.
 :class:`SolverError` is not a contract error: it reports a solver that
 failed on well-formed input.  The CLI exits with status 2 and one

@@ -61,12 +61,22 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class LearnResult:
-    """Outcome of an adaptive learn: a distribution, or Failure past the 2n cap."""
+    """Outcome of an adaptive learn: a distribution, or Failure past the 2n cap.
+
+    ``iterations`` holds one :class:`IterationRecord` per guess, at least
+    one; the draws and the last guess are read from them.
+    """
 
     distribution: Distribution | None
-    total_samples: int
-    final_guess: int
     iterations: tuple
+
+    @property
+    def total_samples(self) -> int:
+        return sum(r.learn_draws + r.test_draws for r in self.iterations)
+
+    @property
+    def final_guess(self) -> int:
+        return self.iterations[-1].guess
 
     @property
     def learned(self) -> bool:
@@ -194,7 +204,6 @@ def learn_adaptive(
     eps1 = eta + delta / 2.0
     eps2 = eta + delta
     records = []
-    total = 0
     k = 0
     s = 1
     while s <= 2 * n:
@@ -212,18 +221,7 @@ def learn_adaptive(
         records.append(
             IterationRecord(guess=s, learn_draws=m_learn, test_draws=test_draws, accepted=accepted)
         )
-        total += m_learn + test_draws
         if accepted:
-            return LearnResult(
-                distribution=Distribution._on_atoms(supp, probs, n),
-                total_samples=total,
-                final_guess=s,
-                iterations=tuple(records),
-            )
+            return LearnResult(Distribution._on_atoms(supp, probs, n), tuple(records))
         s *= 2
-    return LearnResult(
-        distribution=None,
-        total_samples=total,
-        final_guess=records[-1].guess if records else 0,
-        iterations=tuple(records),
-    )
+    return LearnResult(None, tuple(records))

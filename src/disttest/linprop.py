@@ -40,7 +40,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    Distribution, _check_masses, _integer, _integers, _is_int, _is_numbers, _read_json, _real, _reals, _write_json
+    Distribution, _check_masses, _integer, _integers, _is_int, _numbers, _read_json, _real, _reals, _write_json
 )
 from .errors import DimensionError, ParameterError, SolverError, StructureError
 from .simplex import FEAS_TOL, Triplets, _canonical, extract_bounds, refutes, solve_feasibility
@@ -158,10 +158,11 @@ class LinearProperty:
     stored as ``ball`` (None when not given), with ``up`` and ``down``
     read-only int64 arrays.  From it :func:`build_feasibility_lp` writes a
     Farkas vector for the step-5 system.  A ball is accepted only with a
-    member; an index that is not an integer inside ``[0, poly.M)``, or
-    ``up``/``down`` not of length n, raises :class:`ParameterError`.  Nothing
-    checks that the rows read as declared: a wrong ball only yields a vector
-    that :func:`disttest.simplex.refutes` rejects.
+    member; an index that is not an integer inside ``[0, poly.M)`` (a
+    boolean among integers included), or ``up``/``down`` not of length n,
+    raises :class:`ParameterError`.  Nothing checks that the rows read as
+    declared: a wrong ball only yields a vector that
+    :func:`disttest.simplex.refutes` rejects.
     """
 
     def __init__(self, poly: Polyhedron, n: int, member=None, ball=None):
@@ -199,18 +200,19 @@ class LinearProperty:
         return x
 
     def _checked_ball(self, ball) -> tuple:
-        # A dtype check, not core._integers: a test pins integral floats as
-        # refused here, and _integers reads them as integers.
+        # core._numbers and a dtype check, not core._integers: a test pins
+        # integral floats as refused here, and _integers reads them as integers.
         if self.member is None:
             raise ParameterError("a ball is accepted only together with a member")
+        parts = f"ball must be a triple (budget, up, down) of integer rows of shapes (), ({self.n},), ({self.n},)"
         try:
-            budget, up, down = (np.asarray(part) for part in ball)
-        except (TypeError, ValueError):
-            raise ParameterError("ball must be a triple (budget, up, down)") from None
+            budget, up, down = (_numbers(part, ParameterError, parts) for part in ball)
+        except (TypeError, ValueError):  # not a triple, or a part _numbers refuses
+            raise ParameterError(parts) from None
         M = self.poly.M
         for part, shape in ((budget, ()), (up, (self.n,)), (down, (self.n,))):
             if part.shape != shape or part.dtype.kind not in "iu":
-                raise ParameterError(f"ball parts must be integer row indices of shapes (), ({self.n},), ({self.n},)")
+                raise ParameterError(parts)
             if part.size and (part.min() < 0 or part.max() >= M):
                 raise ParameterError(f"ball row index outside [0, {M})")
         up, down = (part.astype(np.int64) for part in (up, down))
@@ -500,29 +502,28 @@ def load_polyhedron(path) -> Polyhedron:
     """Read a polyhedron file: ``A`` as triplets, as :func:`save_polyhedron`
     writes it, or as a dense row-major list ``A`` of M*N numbers.
 
-    A file that carries both forms of ``A``, or neither, raises
-    :class:`StructureError`; so does any matrix :class:`Triplets` rejects.
+    ``M``, ``N`` and each strict row must be JSON integers.  The other
+    fields go through the readers the constructors use: ``b`` and the
+    strict rows through :class:`Polyhedron`, the triplets through
+    :class:`Triplets`, and a dense ``A`` through
+    :func:`disttest.core._reals`, so a boolean anywhere among them raises
+    :class:`StructureError`.  So does a file that carries both forms of
+    ``A``, or neither, or a dense ``A`` that does not hold M*N numbers.
     """
     doc = _read_json(path, "polyhedron", ("M", "N", "b"))
     M, N = doc["M"], doc["N"]
     if not (_is_int(M) and _is_int(N)) or M < 0 or N < 1:
         raise StructureError("fields 'M' and 'N' must be non-negative integers")
-    b = doc["b"]
-    if not _is_numbers(b) or len(b) != M:
-        raise StructureError(f"'b' must hold M = {M} numbers")
     strict = doc.get("strict_rows", [])
     if not isinstance(strict, list) or not all(_is_int(i) for i in strict):
         raise StructureError("'strict_rows' must be a list of row indices")
     if ("A" in doc) == any(key in doc for key in ("rows", "cols", "vals")):
         raise StructureError("polyhedron file must carry either 'A' or 'rows', 'cols' and 'vals'")
     if "A" in doc:
-        flat = doc["A"]
-        if not _is_numbers(flat) or len(flat) != M * N:
+        A = _reals(doc["A"], "A", StructureError)
+        if A.shape != (M * N,):
             raise StructureError(f"'A' must hold M*N = {M * N} numbers in row-major order")
-        A = _reals(flat, "A", StructureError).reshape(M, N)
+        A = A.reshape(M, N)
     else:
-        rows, cols, vals = doc.get("rows"), doc.get("cols"), doc.get("vals")
-        if not all(_is_numbers(part) for part in (rows, cols, vals)):
-            raise StructureError("'rows', 'cols' and 'vals' must each be an array of numbers")
-        A = Triplets(np.asarray(rows), np.asarray(cols), vals, (M, N))
-    return Polyhedron(A, b, frozenset(strict))
+        A = Triplets(doc.get("rows"), doc.get("cols"), doc.get("vals"), (M, N))
+    return Polyhedron(A, doc["b"], frozenset(strict))

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import _integer, _reals
+from .core import _integer, _numbers, _reals
 from .errors import SolverError, StructureError
 
 if TYPE_CHECKING:
@@ -75,7 +75,8 @@ class Triplets:
     stored as int64, ``vals`` as float64; :class:`StructureError` is raised
     unless ``shape`` holds two integers >= 0 (not booleans or fractions), all
     three are 1-D and of one length, every coordinate is an integer (not a
-    boolean) inside ``shape`` and every value is a finite real number (not a
+    boolean, even among integers, as :func:`disttest.core._numbers` reads
+    them) inside ``shape`` and every value is a finite real number (not a
     boolean or string), as :func:`disttest.core._reals` reads them.
     """
 
@@ -89,7 +90,8 @@ class Triplets:
             M, N = (_integer(d, "shape", 0) for d in self.shape)
         except (TypeError, ValueError):  # ParameterError is a ValueError
             raise StructureError(f"shape must be two integers >= 0, not {self.shape!r}") from None
-        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        coordinates = f"coordinates must be integers inside the {M}x{N} shape"
+        rows, cols = (_numbers(part, StructureError, coordinates) for part in (self.rows, self.cols))
         vals = _reals(self.vals, "matrix", StructureError, finite=True)
         if not rows.shape == cols.shape == vals.shape == (vals.size,):
             raise StructureError("rows, cols and vals must be 1-D arrays of one length")
@@ -99,7 +101,7 @@ class Triplets:
             rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
             and 0 <= rows.min() <= rows.max() < M and 0 <= cols.min() <= cols.max() < N
         ):
-            raise StructureError(f"coordinates must be integers inside the {M}x{N} shape")
+            raise StructureError(coordinates)
         object.__setattr__(self, "rows", rows.astype(np.int64, copy=False))
         object.__setattr__(self, "cols", cols.astype(np.int64, copy=False))
         object.__setattr__(self, "vals", vals)

@@ -6,6 +6,7 @@ gives each vector-valued call site the same kinds of malformed input; the
 fuzz feeds generated values to the same sites.
 """
 
+import json
 import math
 
 import pytest
@@ -13,10 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from disttest.adversarial import Pairing
-from disttest.core import Distribution, empirical_distribution
+from disttest.core import Distribution, empirical_distribution, load_distribution
 from disttest.errors import DimensionError, ParameterError, StructureError
 from disttest.linprop import (
-    LinearProperty, Polyhedron, build_feasibility_lp, linear_property_oracle, uniformity_polyhedron
+    LinearProperty, Polyhedron, build_feasibility_lp, linear_property_oracle, load_polyhedron, uniformity_polyhedron
 )
 from disttest.simplex import Triplets
 
@@ -46,9 +47,20 @@ SITES = {
     "Triplets-vals": ((lambda v: Triplets([0, 1], [0, 1], v, (2, 2)),), StructureError),
     "dense-A": ((Triplets.from_dense, lambda v: Polyhedron(v, [1.0])), StructureError),
     "Polyhedron-b": ((lambda v: Polyhedron([[1.0], [-1.0]], v),), StructureError),
+    "Triplets-coords": (
+        (lambda v: Triplets(v, [0, 1], [1.0, 2.0], (2, 2)), lambda v: Triplets([0, 1], v, [1.0, 2.0], (2, 2))),
+        StructureError,
+    ),
+    "ball": (
+        (
+            lambda v: LinearProperty(ORTHANT, 2, member=[1.0, 0.0], ball=(0, v, [1, 0])),
+            lambda v: LinearProperty(ORTHANT, 2, member=[1.0, 0.0], ball=(0, [0, 1], v)),
+        ),
+        ParameterError,
+    ),
 }
 
-INDEX_SITES = ("H", "Pairing-L", "strict-rows", "mass", "uniform_on", "samples")
+INDEX_SITES = ("H", "Pairing-L", "strict-rows", "mass", "uniform_on", "samples", "Triplets-coords", "ball")
 
 # The malformed inputs of each kind.  Index sites take integers, so a
 # fraction is malformed there; real sites take any real number, so a
@@ -58,6 +70,7 @@ INDEX_INPUTS = {
     "nested": [[0, 1]],
     "ragged": [[0, 1], [2]],
     "boolean": [True, False],
+    "mixed-boolean": [True, 0],
     "fraction": [0.5, 1],
     "numeric-string": ["0", "1"],
     "nan": [0, NAN],
@@ -66,23 +79,24 @@ INDEX_INPUTS = {
 REAL_INPUTS = {
     "pmf": {
         "nested": [[0.5, 0.5]], "ragged": [[0.5], [0.25, 0.25]], "boolean": [True, False],
-        "numeric-string": ["0.5", "0.5"], "nan": [NAN, 1.0], "out-of-range": [-0.5, 1.5],
+        "mixed-boolean": [True, 0.0], "numeric-string": ["0.5", "0.5"], "nan": [NAN, 1.0], "out-of-range": [-0.5, 1.5],
     },
     "member": {
         "nested": [[1.0, 0.0]], "ragged": [[1.0], [0.0, 0.0]], "boolean": [True, False],
-        "numeric-string": ["1", "0"], "nan": [NAN, 1.0], "out-of-range": [1.5, -0.5],
+        "mixed-boolean": [True, 0.0], "numeric-string": ["1", "0"], "nan": [NAN, 1.0], "out-of-range": [1.5, -0.5],
     },
     "Triplets-vals": {
         "nested": [[1.0, 1.0]], "ragged": [[1.0], [1.0, 2.0]], "boolean": [True, True],
-        "numeric-string": ["1", "2"], "nan": [1.0, NAN], "out-of-range": [1.0, math.inf],
+        "mixed-boolean": [True, 2.0], "numeric-string": ["1", "2"], "nan": [1.0, NAN], "out-of-range": [1.0, math.inf],
     },
     "dense-A": {
         "nested": [[[1.0, 0.0]]], "ragged": [[1.0], [1.0, 2.0]], "boolean": [[True, False]],
-        "numeric-string": [["1", "0"]], "nan": [[NAN, 1.0]], "out-of-range": [[math.inf, 1.0]],
+        "mixed-boolean": [[True, 0.0]], "numeric-string": [["1", "0"]], "nan": [[NAN, 1.0]],
+        "out-of-range": [[math.inf, 1.0]],
     },
     "Polyhedron-b": {
         "nested": [[1.0, 0.0]], "ragged": [[1.0], [0.0, 1.0]], "boolean": [True, False],
-        "numeric-string": ["1", "0"], "nan": [1.0, NAN], "out-of-range": [math.inf, 0.0],
+        "mixed-boolean": [True, 0.0], "numeric-string": ["1", "0"], "nan": [1.0, NAN], "out-of-range": [math.inf, 0.0],
     },
 }
 CASES = [(site, kind, value) for site in INDEX_SITES for kind, value in INDEX_INPUTS.items()] + [
@@ -93,7 +107,7 @@ CASES = [(site, kind, value) for site in INDEX_SITES for kind, value in INDEX_IN
 VALID = {
     "H": {0, 1}, "Pairing-L": [0, 1, 2, 3], "strict-rows": [0], "mass": [0, 1], "uniform_on": [0, 1],
     "samples": [0, 1], "pmf": [0.5, 0.5], "member": [1.0, 0.0], "Triplets-vals": [1.0, 2.0],
-    "dense-A": [[1.0, 0.0]], "Polyhedron-b": [1.0, 0.0],
+    "dense-A": [[1.0, 0.0]], "Polyhedron-b": [1.0, 0.0], "Triplets-coords": [0, 1], "ball": [0, 1],
 }
 
 
@@ -109,11 +123,33 @@ def test_malformed_input_raises_the_documented_class(site, kind, value):
     # Among these, the step-5 oracle took a nested H, strict rows that are
     # lists raised a bare TypeError, a ragged Triplets vals numpy's bare
     # ValueError, and a boolean or numeric-string pmf, member, vals, dense
-    # matrix or b was read as numbers.
+    # matrix or b was read as numbers.  A boolean among numbers was read as
+    # 1 at every site, strict rows and coordinates included, and ragged
+    # coordinates raised numpy's bare ValueError.
     calls, error = SITES[site]
     for call in calls:
         with pytest.raises(error):
             call(value)
+
+
+# A boolean inside a file field.  The loaders' own JSON checker refused
+# these; they now reach the readers the constructors use.
+FILE_CASES = {
+    "pmf": ("distribution", {"n": 2, "pmf": [True, 0.0]}),
+    "b": ("polyhedron", {"M": 1, "N": 2, "A": [1.0, 1.0], "b": [True]}),
+    "dense-A": ("polyhedron", {"M": 1, "N": 2, "A": [True, 0.0], "b": [1.0]}),
+    "rows": ("polyhedron", {"M": 2, "N": 2, "rows": [True, 0], "cols": [0, 1], "vals": [1.0, 1.0], "b": [1.0, 1.0]}),
+    "vals": ("polyhedron", {"M": 2, "N": 2, "rows": [0, 1], "cols": [0, 1], "vals": [True, 1.0], "b": [1.0, 1.0]}),
+}
+
+
+@pytest.mark.parametrize("field", FILE_CASES)
+def test_boolean_in_a_file_field_raises_structure_error(tmp_path, field):
+    kind, doc = FILE_CASES[field]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StructureError):
+        (load_distribution if kind == "distribution" else load_polyhedron)(path)
 
 
 def test_non_numeric_vals_raise_structure_error():

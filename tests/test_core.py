@@ -548,6 +548,17 @@ class TestSamplingOracle:
         with pytest.raises(ParameterError):
             SamplingOracle(Distribution.uniform(2), seed=-1)
 
+    def test_n_given_with_a_distribution_is_read_and_checked(self):
+        # n was ignored next to a distribution: n=5 built an oracle on 8
+        # elements, and n="x" was accepted.
+        d = Distribution.uniform(8)
+        assert SamplingOracle(d, 1, n=8).n == SamplingOracle(d, 1, n=8.0).n == 8
+        with pytest.raises(DimensionError):
+            SamplingOracle(d, 1, n=5)
+        for bad in ("x", 0, True):
+            with pytest.raises(ParameterError):
+                SamplingOracle(d, 1, n=bad)
+
     @pytest.mark.parametrize(
         "value", [2.5, True, np.bool_(True), np.nan, "3", None],
         ids=["fraction", "bool", "numpy-bool", "nan", "str", "out-of-range"],

@@ -76,7 +76,9 @@ class Pairing:
 
 
 def _check_domain(pairing: Pairing, n: int) -> None:
-    if pairing.L.min() < 0 or pairing.L.max() >= n:
+    # Every Pairing holds L >= 0: the constructor reads L with _integers(L, "L", 0),
+    # and _trusted ones are indices of a pmf (_lightest) or of a permutation.
+    if pairing.L.max() >= n:
         raise StructureError("pairing indices outside the domain")
 
 

@@ -18,10 +18,14 @@ readers raise :class:`ParameterError`, and the two vector readers the class
 their caller names, so that a call site that documents
 :class:`StructureError` raises that.  Every collection is read through
 ``_numbers`` first, which refuses a boolean among other entries before
-numpy reads it as 1.  Two integer checks stay hand-written after that
-step, each with its reason at the site: the row indices of a property's
-ball and the coordinates of a sparse matrix, both of which refuse
-integral floats that ``_integers`` reads as integers.
+numpy reads it as 1.  Every integer range is a bound in a reader call,
+a sparse matrix's shape included.  The only hand-written integer checks
+left are two dtype gates, each with its reason at the site: on the row
+indices of a property's ball and on the coordinates of a sparse matrix,
+both of which refuse integral floats that ``_integers`` reads as
+integers.  The ball's range then goes through ``_integers``; the
+coordinates' range stays inline with their gate, on the step-5 path of
+every tester call, where the reader would cost more.
 :class:`SolverError` is not a contract error: it reports a solver that
 failed on well-formed input.  The CLI exits with status 2 and one
 ``error:`` line on a :class:`ParameterError` or :class:`StructureError`.

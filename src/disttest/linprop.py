@@ -47,10 +47,6 @@ from .simplex import FEAS_TOL, Triplets, _canonical, extract_bounds, refutes, so
 
 EPS_STRICT = 1e-12
 
-# Auxiliary dimensions are capped at this multiple of the pmf dimension to
-# keep feasibility solves tractable.
-DIM_CAP = 10
-
 
 @dataclass(frozen=True, eq=False)
 class Polyhedron:
@@ -166,11 +162,7 @@ class LinearProperty:
     """
 
     def __init__(self, poly: Polyhedron, n: int, member=None, ball=None):
-        n = _integer(n, "n", 1)
-        if n > poly.N:
-            raise ParameterError(f"projection dimension {n} exceeds variable count {poly.N}")
-        if poly.N > DIM_CAP * n:
-            raise ParameterError(f"polyhedron has {poly.N} variables; cap is {DIM_CAP}*n = {DIM_CAP * n}")
+        n = _integer(n, "n", 1, poly.N)
         A, M, k = poly.A, poly.M, np.arange(n)
         A = Triplets(
             np.concatenate([A.rows, np.full(n, M), np.full(n, M + 1)]),
@@ -200,8 +192,8 @@ class LinearProperty:
         return x
 
     def _checked_ball(self, ball) -> tuple:
-        # core._numbers and a dtype check, not core._integers: a test pins
-        # integral floats as refused here, and _integers reads them as integers.
+        # A dtype gate before core._integers, which reads integral floats as
+        # integers: a test pins them as refused here.
         if self.member is None:
             raise ParameterError("a ball is accepted only together with a member")
         parts = f"ball must be a triple (budget, up, down) of integer rows of shapes (), ({self.n},), ({self.n},)"
@@ -209,12 +201,10 @@ class LinearProperty:
             budget, up, down = (_numbers(part, ParameterError, parts) for part in ball)
         except (TypeError, ValueError):  # not a triple, or a part _numbers refuses
             raise ParameterError(parts) from None
-        M = self.poly.M
         for part, shape in ((budget, ()), (up, (self.n,)), (down, (self.n,))):
             if part.shape != shape or part.dtype.kind not in "iu":
                 raise ParameterError(parts)
-            if part.size and (part.min() < 0 or part.max() >= M):
-                raise ParameterError(f"ball row index outside [0, {M})")
+            _integers(part.reshape(-1), "ball rows", 0, self.poly.M - 1)
         up, down = (part.astype(np.int64) for part in (up, down))
         up.flags.writeable = down.flags.writeable = False
         return int(budget), up, down

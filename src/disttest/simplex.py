@@ -26,6 +26,12 @@ apart from any solver: an integral Farkas vector ``y >= 0`` with
 rounding, in O(nnz) with numpy only.  A malformed matrix, ``b`` or bound
 raises :class:`StructureError` when its :class:`Triplets` or ``Polyhedron``
 is built, so none reaches the seam.
+
+A ``Triplets`` shape is at most ``_SHAPE_MAX`` = 2**31 - 1 rows and
+columns, the 32-bit index HiGHS counts in: the seam hands it int32 column
+indices and row starts.  Below 2**31 on both sides, the row-major key
+``row * N + col`` that :func:`_canonical` sorts by stays below 2**62, inside
+int64, so no two coordinates share a key.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ if TYPE_CHECKING:
 FEAS_TOL = 1e-9
 MAX_ITER = 10**6
 _SCIPY_FLOOR = "1.15"  # the first scipy that ships scipy.optimize._highspy
+_SHAPE_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -73,11 +80,12 @@ class Triplets:
     matrix; nothing scatters the triplets into a dense array, so
     ``np.asarray(A)`` is not that matrix.  ``rows`` and ``cols`` are
     stored as int64, ``vals`` as float64; :class:`StructureError` is raised
-    unless ``shape`` holds two integers >= 0 (not booleans or fractions), all
-    three are 1-D and of one length, every coordinate is an integer (not a
-    boolean, even among integers, as :func:`disttest.core._numbers` reads
-    them) inside ``shape`` and every value is a finite real number (not a
-    boolean or string), as :func:`disttest.core._reals` reads them.
+    unless ``shape`` holds two integers in ``[0, 2**31 - 1]`` (not booleans
+    or fractions), all three are 1-D and of one length, every coordinate is
+    an integer (not a boolean, even among integers, as
+    :func:`disttest.core._numbers` reads them) inside ``shape`` and every
+    value is a finite real number (not a boolean or string), as
+    :func:`disttest.core._reals` reads them.
     """
 
     rows: np.ndarray
@@ -87,9 +95,9 @@ class Triplets:
 
     def __post_init__(self):
         try:
-            M, N = (_integer(d, "shape", 0) for d in self.shape)
+            M, N = (_integer(d, "shape", 0, _SHAPE_MAX) for d in self.shape)
         except (TypeError, ValueError):  # ParameterError is a ValueError
-            raise StructureError(f"shape must be two integers >= 0, not {self.shape!r}") from None
+            raise StructureError(f"shape must be two integers in [0, {_SHAPE_MAX}], not {self.shape!r}") from None
         coordinates = f"coordinates must be integers inside the {M}x{N} shape"
         rows, cols = (_numbers(part, StructureError, coordinates) for part in (self.rows, self.cols))
         vals = _reals(self.vals, "matrix", StructureError, finite=True)

@@ -404,8 +404,9 @@ class TestMainEntry:
             {"M": True, "N": 1, "A": [1.0], "b": [0.0]},
             {"M": 1, "N": True, "A": [1.0], "b": [0.0]},
             {"M": 2, "N": 1, "A": [1.0, -1.0], "b": [0.0, 0.0], "strict_rows": [True]},
+            {"M": 1, "N": 2**63, "rows": [0], "cols": [0], "vals": [1.0], "b": [0.0]},
         ],
-        ids=["string-in-A", "null-in-b", "bool-M", "bool-N", "bool-strict-row"],
+        ids=["string-in-A", "null-in-b", "bool-M", "bool-N", "bool-strict-row", "N-beyond-int32"],
     )
     def test_malformed_polyhedron_exits_2(self, doc, tmp_path, capsys):
         path = tmp_path / "p.json"

@@ -615,10 +615,11 @@ class TestMember:
 
 
 class TestLinearPropertyValidation:
-    def test_dim_cap(self):
-        poly = Polyhedron(np.zeros((1, 25)), np.zeros(1))
-        with pytest.raises(ParameterError):
-            LinearProperty(poly, n=2)
+    def test_auxiliary_variables_are_not_capped(self):
+        # More than 10n variables were refused, a cap that kept the dense
+        # simplex tractable; HiGHS takes the sparse rows.
+        prop = LinearProperty(Polyhedron(np.zeros((1, 25)), np.zeros(1)), n=2)
+        assert prop.contains(Distribution.uniform(2))
 
     def test_projection_dim_exceeds_columns(self):
         poly = Polyhedron(np.zeros((1, 3)), np.zeros(1))

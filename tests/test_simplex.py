@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disttest.simplex as simplex
-from disttest.errors import SolverError
-from disttest.linprop import Polyhedron
+from disttest.errors import SolverError, StructureError
+from disttest.linprop import Polyhedron, load_polyhedron
 from disttest.reference import vertex_enumeration_feasible
 from disttest.simplex import FEAS_TOL, Triplets, _check_residual, extract_bounds, refutes, solve_feasibility
 
@@ -49,6 +49,37 @@ def extract_bounds_rows(A, b, tol=1e-9):
     else:
         upper[gap > 0] = lower[gap > 0]
     return A[keep], b[keep], lower, upper, consistent
+
+
+class TestShapeBound:
+    # HiGHS counts rows and columns in 32 bits.  Unbounded, a shape with
+    # N >= 2**63 raised a bare OverflowError from _canonical's int64 key
+    # row * N + col, and at (2**31 + 1, 2**33) the key of (2**31, 0) wrapped
+    # to that of (0, 0), so _canonical merged the two entries into one.
+    @pytest.mark.parametrize(
+        "triplets",
+        [
+            ([0], [0], [1.0], (1, 2**63)),
+            ([0], [0], [1.0], (2**31, 1)),
+            ([0, 2**31], [0, 0], [1.0, 2.0], (2**31 + 1, 2**33)),
+        ],
+        ids=["N-2**63", "M-2**31", "keys-wrap"],
+    )
+    def test_shape_beyond_int32_raises(self, triplets):
+        with pytest.raises(StructureError, match=r"shape must be two integers in \[0, 2147483647\]"):
+            Triplets(*triplets)
+
+    def test_polyhedron_file_beyond_int32_raises(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"M": 1, "N": 9223372036854775808, "rows": [0], "cols": [0], "vals": [1.0], "b": [0.0]}')
+        with pytest.raises(StructureError):
+            load_polyhedron(path)
+
+    def test_largest_shape_sorts_by_distinct_keys(self):
+        big = 2**31 - 2
+        C = simplex._canonical(Triplets([big, 0, big], [0, big, 0], [1.0, 2.0, 3.0], (big + 1, big + 1)))
+        assert C.shape == (big + 1, big + 1)
+        assert (C.rows.tolist(), C.cols.tolist(), C.vals.tolist()) == ([0, big], [big, 0], [2.0, 4.0])
 
 
 class TestExtractBounds:
